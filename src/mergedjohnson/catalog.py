@@ -15,7 +15,7 @@ from math import comb
 
 from .fields import build_field, prime_power_decomposition
 from .nearfields import affine_group
-from .perms import Permutation, PermutationGroup
+from .perms import ActionDomain, Permutation, PermutationGroup
 
 
 @dataclass(frozen=True)
@@ -46,34 +46,20 @@ class FamilyDescriptor:
 # Projective line groups PSL2(q) <= G <= PGammaL2(q) on q+1 points
 # --------------------------------------------------------------------------
 
-def _projective_points(field):
-    """P^1(F_q) as field elements in canonical order followed by infinity;
-    infinity is the last point (index q)."""
-    return list(field.elements) + ["inf"]
-
-
-def _projective_perm(field, fn) -> Permutation:
-    points = _projective_points(field)
-    index_of = {pt if isinstance(pt, str) else pt: i for i, pt in enumerate(points)}
-    return Permutation(index_of[fn(pt)] for pt in points)
-
-
-def _moebius_gens(field):
-    """Translation, scaling by omega, inversion, Frobenius as permutations
-    of P^1; returns (translate, scale, scale_by_square, invert, frobenius)."""
+def moebius_generators(q: int):
+    """Translation, scaling by omega and by omega^2, inversion and Frobenius
+    as permutations of P^1(F_q): points 0..q-1 are the field elements in
+    canonical order, point q is infinity.  Returns (translate, scale,
+    scale_by_square, invert, frobenius)."""
+    p, e = prime_power_decomposition(q)
+    field = build_field(p, e)
     zero, one, omega = field.zero, field.one, field.omega
+    points = list(field.elements) + ["inf"]
 
-    def translate(pt):
-        return "inf" if pt == "inf" else field.add(pt, one)
-
-    def scale(pt):
-        return "inf" if pt == "inf" else field.mul(pt, omega)
+    def affine(fn):
+        return Permutation.from_map(points, lambda pt: "inf" if pt == "inf" else fn(pt))
 
     omega2 = field.mul(omega, omega)
-
-    def scale2(pt):
-        return "inf" if pt == "inf" else field.mul(pt, omega2)
-
     minus_one = field.neg(one)
 
     def invert(pt):
@@ -84,17 +70,15 @@ def _moebius_gens(field):
             return "inf"
         return field.mul(minus_one, field.inv(pt))
 
-    def frob(pt):
-        return "inf" if pt == "inf" else field.pow(pt, field.p)
-
-    return tuple(_projective_perm(field, f)
-                 for f in (translate, scale, scale2, invert, frob))
+    return (affine(lambda t: field.add(t, one)),
+            affine(lambda t: field.mul(t, omega)),
+            affine(lambda t: field.mul(t, omega2)),
+            Permutation.from_map(points, invert),
+            affine(lambda t: field.pow(t, p)))
 
 
 def psl2(q: int) -> PermutationGroup:
-    p, e = prime_power_decomposition(q)
-    field = build_field(p, e)
-    translate, scale, scale2, invert, _ = _moebius_gens(field)
+    translate, scale, scale2, invert, _ = moebius_generators(q)
     if q % 2 == 0:
         gens = [translate, scale, invert]
         expected = (q + 1) * q * (q - 1)
@@ -108,9 +92,7 @@ def psl2(q: int) -> PermutationGroup:
 
 
 def pgl2(q: int) -> PermutationGroup:
-    p, e = prime_power_decomposition(q)
-    field = build_field(p, e)
-    translate, scale, _, invert, _ = _moebius_gens(field)
+    translate, scale, _, invert, _ = moebius_generators(q)
     group = PermutationGroup([translate, scale, invert])
     if group.order != (q + 1) * q * (q - 1):
         raise AssertionError("PGL2(%d) order came out %d" % (q, group.order))
@@ -119,8 +101,7 @@ def pgl2(q: int) -> PermutationGroup:
 
 def pgammal2(q: int) -> PermutationGroup:
     p, e = prime_power_decomposition(q)
-    field = build_field(p, e)
-    translate, scale, _, invert, frob = _moebius_gens(field)
+    translate, scale, _, invert, frob = moebius_generators(q)
     group = PermutationGroup([translate, scale, invert, frob])
     if group.order != (q + 1) * q * (q - 1) * e:
         raise AssertionError("PGammaL2(%d) order came out %d" % (q, group.order))
@@ -129,8 +110,7 @@ def pgammal2(q: int) -> PermutationGroup:
 
 def psigmal2(q: int) -> PermutationGroup:
     p, e = prime_power_decomposition(q)
-    field = build_field(p, e)
-    translate, scale, scale2, invert, frob = _moebius_gens(field)
+    translate, scale, scale2, invert, frob = moebius_generators(q)
     base = [translate, scale2, invert] if q % 2 else [translate, scale, invert]
     group = PermutationGroup(base + [frob])
     expected = (q + 1) * q * (q - 1) * e // (2 if q % 2 else 1)
@@ -145,9 +125,7 @@ def projective_line_lattice(q: int) -> dict:
     The quotient PGammaL2(q)/PSL2(q) has order gcd(2, q-1)*e; its subgroups
     are enumerated by brute force on coset representatives.
     """
-    p, e = prime_power_decomposition(q)
-    field = build_field(p, e)
-    translate, scale, scale2, invert, frob = _moebius_gens(field)
+    translate, scale, scale2, invert, frob = moebius_generators(q)
     psl_gens = [translate, scale2, invert] if q % 2 else [translate, scale, invert]
     psl = PermutationGroup(psl_gens)
 
@@ -471,8 +449,7 @@ def minimal_stabilizer_order(n: int, k: int):
             group = rec.construct()
             if group.degree != n:
                 raise AssertionError("catalog degree mismatch for %s" % rec.name)
-            induced_transitive = _transitive_on_ksubsets(group, k)
-            if not induced_transitive:
+            if not group.is_transitive(ActionDomain.ksubsets(n, k)):
                 continue
         # non-constructible records are trusted classification data; their
         # orders still bound the minimum correctly
@@ -481,22 +458,3 @@ def minimal_stabilizer_order(n: int, k: int):
         # a group outside the shipped records might undercut the minimum
         return None, None
     return best, best_name
-
-
-def _transitive_on_ksubsets(group: PermutationGroup, k: int) -> bool:
-    from .subsets import all_masks, mask_image
-
-    first = all_masks(group.degree, k)[0]
-    orbit = {first}
-    frontier = [first]
-    gen_images = [g.images for g in group.generators]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            for images in gen_images:
-                img = mask_image(mask, images)
-                if img not in orbit:
-                    orbit.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return len(orbit) == comb(group.degree, k)

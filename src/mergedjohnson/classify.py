@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb, factorial, lgamma, log
 
 from . import catalog
 from .fields import build_field, prime_power_decomposition
 from .johnson import merge_set
 from .nearfields import affine_group
 from .perms import Permutation, PermutationGroup
-from .subsets import all_masks, ksubset_rank
+from .subsets import complement_ranks
 
 
 def _check_bounds(n, k, I):
@@ -36,7 +36,31 @@ def _check_bounds(n, k, I):
 class AutDescriptor:
     case_id: int
     structure: str
-    order: int
+    order: int | dict  # int, or {"formula", "log10"} past ORDER_DIGITS digits
+
+
+# Python refuses to print an int of more than 4300 digits; larger orders
+# are given by formula and never built.
+ORDER_DIGITS = 4300
+_ORDER_LIMIT = 10 ** ORDER_DIGITS
+_ORDER_LIMIT_BITS = _ORDER_LIMIT.bit_length() - 1
+
+
+def _power_factorial(two_exp: int, m: int, formula: str, *values) -> int | dict:
+    """2^two_exp * m!, exact when it has at most ORDER_DIGITS digits, else
+    {"formula": formula % values, "log10": ...} sized by lgamma.  The
+    formula is formatted only then: this runs several times per query."""
+    if two_exp + m * m.bit_length() < _ORDER_LIMIT_BITS:  # m! < 2^(m bitlen(m))
+        return factorial(m) << two_exp
+    try:
+        log10 = (two_exp * log(2) + lgamma(m + 1)) / log(10)
+    except OverflowError:
+        raise ValueError("the automorphism order is too large to size") from None
+    if log10 < ORDER_DIGITS + 1:  # one digit of slack for rounding in lgamma
+        order = factorial(m) << two_exp
+        if order < _ORDER_LIMIT:
+            return order
+    return {"formula": formula % values, "log10": round(log10, 3)}
 
 
 def _orthogonal_minus_order(m: int, q: int) -> int:
@@ -51,24 +75,28 @@ def aut_descriptor(n: int, k: int, I) -> AutDescriptor:
     ms = _check_bounds(n, k, I)
     I = ms.I
     if ms.is_complete:
-        return AutDescriptor(0, "Sym(%d)" % comb(n, k), factorial(comb(n, k)))
+        return AutDescriptor(0, "Sym(%d)" % comb(n, k),
+                             _power_factorial(0, comb(n, k), "C(%d,%d)!", n, k))
     if 2 * k == n:
         e = comb(n, k) // 2
         special = I in (frozenset({k}), frozenset(range(1, k)))
         if special:
-            return AutDescriptor(7, "S2 wr S%d" % e, 2 ** e * factorial(e))
+            return AutDescriptor(7, "S2 wr S%d" % e,
+                                 _power_factorial(e, e, "2^%d*%d!", e, e))
         if ms.i_prime == ms.i_double_prime:
-            return AutDescriptor(6, "S2^%d : S%d" % (e, n), 2 ** e * factorial(n))
-        return AutDescriptor(5, "S2 x S%d" % n, 2 * factorial(n))
+            return AutDescriptor(6, "S2^%d : S%d" % (e, n),
+                                 _power_factorial(e, n, "2^%d*%d!", e, n))
+        return AutDescriptor(5, "S2 x S%d" % n, _power_factorial(1, n, "2*%d!", n))
     if (n, k) == (12, 4) and I in (frozenset({1, 3}), frozenset({2, 4})):
         return AutDescriptor(2, "GO-10(2)", _orthogonal_minus_order(5, 2))
     if 2 * k < n - 1:
-        return AutDescriptor(1, "S%d" % n, factorial(n))
+        return AutDescriptor(1, "S%d" % n, _power_factorial(0, n, "%d!", n))
     # k = (n-1)/2, n odd
     reflected = frozenset(k + 1 - i for i in I)
     if reflected == I:
-        return AutDescriptor(4, "S%d" % (n + 1), factorial(n + 1))
-    return AutDescriptor(3, "S%d" % n, factorial(n))
+        return AutDescriptor(4, "S%d" % (n + 1),
+                             _power_factorial(0, n + 1, "%d!", n + 1))
+    return AutDescriptor(3, "S%d" % n, _power_factorial(0, n, "%d!", n))
 
 
 def only_an_sn(n: int, k: int, I) -> bool:
@@ -239,22 +267,13 @@ def _induced_on_vertices(group: PermutationGroup, k: int) -> PermutationGroup:
 def _projective_line6_group() -> PermutationGroup:
     """AGL1(5) x S2 on 3-subsets of P^1(F_5): points 1..5 are the field
     elements 0..4, point 6 is infinity."""
-    field = build_field(5, 1)
-    index_of = {el: i for i, el in enumerate(field.elements)}
-
-    def as_perm(fn):
-        images = [index_of[fn(el)] for el in field.elements] + [5]
-        return Permutation(images)
-
-    translate = as_perm(lambda t: field.add(t, field.one))
-    scale = as_perm(lambda t: field.mul(t, field.omega))
-    agl5 = PermutationGroup([translate, scale])
+    agl5 = affine_group(build_field(5, 1), "AGL")
+    agl5 = PermutationGroup([g.extended(6) for g in agl5.generators])
     if agl5.order != 20:
         raise AssertionError("AGL1(5) came out with order %d" % agl5.order)
     induced = agl5.induced_subset_action(3)
-    full = (1 << 6) - 1
-    comp_images = [ksubset_rank(full ^ m) for m in all_masks(6, 3)]
-    group = PermutationGroup(induced.generators + [Permutation(comp_images)])
+    flip = Permutation(complement_ranks(6, 3))
+    group = PermutationGroup(induced.generators + [flip])
     if group.order != 40:
         raise AssertionError("AGL1(5) x S2 came out with order %d" % group.order)
     return group
@@ -325,9 +344,7 @@ def _matching_bijection(n: int, k: int, pairing: list) -> list:
     """Bijection point -> vertex rank matching the pairing point <-> paired
     point with the pairing vertex <-> complementary vertex."""
     m = comb(n, k)
-    full = (1 << n) - 1
-    masks = all_masks(n, k)
-    comp_rank = [ksubset_rank(full ^ mask) for mask in masks]
+    comp_rank = complement_ranks(n, k)
     to_vertex = [None] * m
     used = [False] * m
     next_vertex = 0

@@ -130,6 +130,9 @@ def graph_export(n, k, merge, fmt, output):
         g = build_graph(n, k, I)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    if not g.materialized:
+        raise click.UsageError("J(%d,%d) has %d vertices, more than export "
+                               "materializes" % (n, k, g.num_vertices))
     if fmt == "json":
         text = g.export_json() + "\n"
     elif fmt == "edges":
@@ -148,15 +151,23 @@ def group():
     """Witness group construction."""
 
 
+def _dickson(q, d):
+    """The Dickson near-field of order q^d; ValueError on bad input."""
+    if not is_dickson_pair(q, d):
+        raise ValueError("(%d, %d) is not a Dickson pair" % (q, d))
+    return build_dickson(q, d)
+
+
 def _affine_cmd(kind):
     @click.option("-q", required=True, type=int)
     @click.option("-d", type=int, default=None,
                   help="Dickson parameter; omit for the field case (d=1)")
     def run(q, d):
         d = 1 if d is None else d
-        if not is_dickson_pair(q, d):
-            raise click.UsageError("(%d, %d) is not a Dickson pair" % (q, d))
-        g = affine_group(build_dickson(q, d), kind)
+        try:
+            g = affine_group(_dickson(q, d), kind)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
         _emit(_group_record(g, kind=kind, q=q, d=d), sys.stdout)
     return run
 
@@ -171,9 +182,11 @@ group.command("agammal")(_affine_cmd("AGammaL"))
 @click.option("-d", required=True, type=int)
 def group_dickson(q, d):
     """Build a Dickson near-field and emit its structure."""
-    if not is_dickson_pair(q, d):
-        raise click.UsageError("(%d, %d) is not a Dickson pair" % (q, d))
-    sys.stdout.write(build_dickson(q, d).export_json() + "\n")
+    try:
+        nf = _dickson(q, d)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    sys.stdout.write(nf.export_json() + "\n")
 
 
 @group.command("exceptional")

@@ -14,12 +14,11 @@ the witnesses for J(10,5)_I with I in {{1,4}, {2,3}, {1,4,5}, {2,3,5}}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
-from .fields import build_field
+from .catalog import moebius_generators, psl2
 from .johnson import Equipartition, all_equipartitions, make_equipartition
 from .perms import Permutation, PermutationGroup
-from .subsets import all_masks, ksubset_rank, mask_of
+from .subsets import all_masks, complement_ranks, ksubset_rank, mask_of
 
 
 # --------------------------------------------------------------------------
@@ -32,47 +31,21 @@ class PointedPSL28:
     canonical order, 8 is infinity, 9 is the extra fixed point."""
 
     group: PermutationGroup
-    field: object
+    frobenius: Permutation
 
     @property
     def fixed_point(self) -> int:
         return 9
 
 
-def _extend_fixed(perm9: Permutation) -> Permutation:
-    return Permutation(list(perm9.images) + [9])
-
-
 def build_pointed_psl28() -> PointedPSL28:
-    field = build_field(2, 3)
-    index_of = {el: i for i, el in enumerate(field.elements)}
-
-    def proj_perm(fn):
-        images = []
-        for pt in list(field.elements) + ["inf"]:
-            img = fn(pt)
-            images.append(8 if img == "inf" else index_of[img])
-        return _extend_fixed(Permutation(images))
-
-    one, zero, omega = field.one, field.zero, field.omega
-    translate = proj_perm(lambda t: "inf" if t == "inf" else field.add(t, one))
-    scale = proj_perm(lambda t: "inf" if t == "inf" else field.mul(t, omega))
-    invert = proj_perm(lambda t: zero if t == "inf"
-                       else ("inf" if t == zero else field.inv(t)))
-    group = PermutationGroup([translate, scale, invert])
+    """catalog.psl2(8) on P^1(F_8), plus the fixed point 9; frobenius is
+    the field automorphism a -> a^2 on the same 10 points."""
+    group = PermutationGroup([g.extended(10) for g in psl2(8).generators])
     if group.order != 504:
         raise AssertionError("PSL2(8) came out with order %d" % group.order)
-    if any(g.images[9] != 9 for g in group.generators):
-        raise AssertionError("the extra point moved")
-    return PointedPSL28(group, field)
-
-
-def frobenius_perm() -> Permutation:
-    """The field automorphism a -> a^2 of GF(8) on the 10 points."""
-    field = build_field(2, 3)
-    index_of = {el: i for i, el in enumerate(field.elements)}
-    images = [index_of[field.mul(el, el)] for el in field.elements] + [8, 9]
-    return Permutation(images)
+    *_, frobenius = moebius_generators(8)
+    return PointedPSL28(group, frobenius.extended(10))
 
 
 # --------------------------------------------------------------------------
@@ -222,13 +195,6 @@ def complement_elements(data: CocycleData) -> list:
 # Vertex action on the 252 five-subsets
 # --------------------------------------------------------------------------
 
-def _vertex_tables():
-    masks = all_masks(10, 5)
-    full = (1 << 10) - 1
-    comp_rank = [ksubset_rank(full ^ m) for m in masks]
-    return masks, comp_rank
-
-
 def _phi_index_of_mask(mask: int, data: CocycleData) -> int:
     labels = {x + 1 for x in range(10) if (mask >> x) & 1}
     return data.index_of[make_equipartition(10, labels)]
@@ -241,9 +207,9 @@ def vertex_permutation(data: CocycleData, s: Permutation,
     gamma(s)."""
     if m is None:
         m = induced_cocycle(data, s)
-    masks, comp_rank = _vertex_tables()
+    comp_rank = complement_ranks(10, 5)
     images = []
-    for mask in masks:
+    for mask in all_masks(10, 5):
         img = s.act_mask(mask)
         rank = ksubset_rank(img)
         if m[_phi_index_of_mask(img, data)]:
@@ -267,8 +233,7 @@ def orbit_signature(data: CocycleData) -> tuple:
 
 
 def global_flip() -> Permutation:
-    masks, comp_rank = _vertex_tables()
-    return Permutation(comp_rank)
+    return Permutation(complement_ranks(10, 5))
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +245,7 @@ def frobenius_class_action(data: CocycleData) -> int:
     automorphism sigma.  The label of a complement C is read off from the
     elements of C sitting over V: for v in V, delta'(v) is the flip bit at
     a vertex whose equipartition is phi0."""
-    sigma = frobenius_perm()
+    sigma = data.pointed.frobenius
     S = data.pointed.group
     for g in S.generators:
         if sigma.inverse() * g * sigma not in S:
@@ -288,7 +253,7 @@ def frobenius_class_action(data: CocycleData) -> int:
     sigma_vertex = vertex_permutation(data, sigma, m=(0,) * 126)
     k0_mask = mask_of(x - 1 for x in data.phi0.key_part)
     k0 = ksubset_rank(k0_mask)
-    masks, comp_rank = _vertex_tables()
+    comp_rank = complement_ranks(10, 5)
     labels = {}
     for idx in (1, 2, 3):
         v = data.V[idx]

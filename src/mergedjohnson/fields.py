@@ -139,9 +139,6 @@ class FiniteField:
     def neg(self, a):
         return tuple((-x) % self.p for x in a)
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def _mul_poly(self, a, b):
         if self.e == 1:
             return ((a[0] * b[0]) % self.p,)
@@ -170,11 +167,6 @@ class FiniteField:
         if a == self.zero:
             raise ValueError("discrete log of zero")
         return self.dlog_table[a]
-
-    def is_square(self, a) -> bool:
-        if a == self.zero:
-            return True
-        return self.dlog_table[a] % 2 == 0
 
     def frobenius_power(self, a, i: int, q: int):
         """a^(q^i) where q = p^(e/d) for a divisor d of e."""
@@ -214,33 +206,9 @@ class FiniteField:
                 return el
         raise AssertionError("no primitive element found")
 
-    # -- serialization ----------------------------------------------------
-
-    def element_to_json(self, a) -> list[int]:
-        return list(a)
-
-    def element_from_json(self, coeffs) -> tuple[int, ...]:
-        el = tuple(int(c) % self.p for c in coeffs)
-        if len(el) != self.e:
-            raise ValueError("coefficient vector has wrong length")
-        return el
-
     def __repr__(self):
         return "FiniteField(p=%d, e=%d)" % (self.p, self.e)
 
 
 def build_field(p: int, e: int) -> FiniteField:
     return FiniteField(p, e)
-
-
-def field_arith(field: FiniteField, a, b, op: str, k: int | None = None):
-    """Dispatch helper used by the CLI: op in {add, mul, pow}."""
-    if op == "add":
-        return field.add(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "pow":
-        if k is None:
-            raise ValueError("pow needs an exponent")
-        return field.pow(a, k)
-    raise ValueError("unknown op %r" % op)

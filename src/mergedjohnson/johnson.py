@@ -9,7 +9,7 @@ co-lexicographic rank throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -46,10 +46,6 @@ class MergeSet:
     @property
     def is_complete(self) -> bool:
         return self.I == frozenset(range(1, self.k + 1))
-
-    def complement_merge(self) -> "MergeSet":
-        rest = frozenset(range(1, self.k + 1)) - self.I
-        return MergeSet(self.k, rest)
 
 
 def merge_set(k: int, I) -> MergeSet:
@@ -392,7 +388,6 @@ def induced_subgraph_classes(adjacency: list, m: int) -> int:
             neighbor_bits[u] |= 1 << v
     seen = set()
     for verts in combinations(range(order), m):
-        local = {v: i for i, v in enumerate(verts)}
         adj = [0] * m
         for i, v in enumerate(verts):
             for j, w in enumerate(verts):

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import FiniteField, build_field, is_prime, prime_power_decomposition
+from .fields import FiniteField, build_field, prime_power_decomposition
 from .perms import Permutation, PermutationGroup
 
 
@@ -218,10 +218,6 @@ def build_dickson(q: int, d: int) -> NearField:
     return NearField(DicksonPair(q, d))
 
 
-def nf_multiply(nf: NearField, g, h):
-    return nf.multiply(g, h)
-
-
 # --------------------------------------------------------------------------
 # Affine groups over fields and near-fields
 # --------------------------------------------------------------------------
@@ -236,10 +232,6 @@ def _as_structure(f):
     raise TypeError("expected FiniteField or NearField")
 
 
-def _map_to_perm(elements, index_of, fn) -> Permutation:
-    return Permutation(index_of[fn(t)] for t in elements)
-
-
 def affine_group(f, kind: str = "AGL") -> PermutationGroup:
     """The affine maps t -> (t ∘ a) + b as a permutation group on f.
 
@@ -249,14 +241,13 @@ def affine_group(f, kind: str = "AGL") -> PermutationGroup:
     """
     elements, add, multiply, base, is_near = _as_structure(f)
     n = len(elements)
-    index_of = {el: i for i, el in enumerate(elements)}
     omega = base.omega
 
     def translation(b):
-        return _map_to_perm(elements, index_of, lambda t: add(t, b))
+        return Permutation.from_map(elements, lambda t: add(t, b))
 
     def right_mult(a):
-        return _map_to_perm(elements, index_of, lambda t: multiply(t, a))
+        return Permutation.from_map(elements, lambda t: multiply(t, a))
 
     # translations by the additive basis generate the translation group
     basis = [tuple(1 if i == j else 0 for i in range(base.e)) for j in range(base.e)]
@@ -271,15 +262,15 @@ def affine_group(f, kind: str = "AGL") -> PermutationGroup:
     elif kind == "AHL":
         if n % 4 != 3:
             raise ValueError("AHL needs order ≡ 3 mod 4, got %d" % n)
-        gens.extend(_half_multiplier_gens(f, elements, index_of, right_mult, base))
+        gens.extend(_half_multiplier_gens(elements, right_mult, base))
         group = PermutationGroup(gens)
         expected = n * (n - 1) // 2
     elif kind == "AGammaL":
         if is_near and f.d > 1:
             raise ValueError("AGammaL is defined here over genuine fields only")
         gens.append(right_mult(omega))
-        gens.append(_map_to_perm(elements, index_of, lambda t: base.pow(t, base.p)
-                                 if t != base.zero else base.zero))
+        gens.append(Permutation.from_map(elements, lambda t: base.pow(t, base.p)
+                                         if t != base.zero else base.zero))
         group = PermutationGroup(gens)
         expected = n * (n - 1) * base.e
     else:
@@ -291,7 +282,7 @@ def affine_group(f, kind: str = "AGL") -> PermutationGroup:
     return group
 
 
-def _half_multiplier_gens(f, elements, index_of, right_mult, base):
+def _half_multiplier_gens(elements, right_mult, base):
     """Generators for the index-2 'square multipliers' subgroup of the
     multiplicative part: all maps t -> t ∘ a with a a nonzero square."""
     squares = [el for el in elements
@@ -527,30 +518,20 @@ def exceptional_group(spec: ExceptionalSpec) -> PermutationGroup:
     """Sharply 2-transitive group of degree p^2: translations ⋊ G0."""
     p = spec.p
     g0 = find_multiplicative_group(spec)
+    vectors = [(a, b) for a in range(p) for b in range(p)]
 
-    def vec_index(v):
-        return v[0] * p + v[1]
+    def affine_map(m, t=(0, 0)):
+        """v -> v m + t on the row vectors of F_p^2."""
+        return Permutation.from_map(vectors, lambda v: (
+            (v[0] * m[0] + v[1] * m[2] + t[0]) % p,
+            (v[0] * m[1] + v[1] * m[3] + t[1]) % p))
 
-    def mat_perm(m):
-        images = [0] * (p * p)
-        for a in range(p):
-            for b in range(p):
-                w = ((a * m[0] + b * m[2]) % p, (a * m[1] + b * m[3]) % p)
-                images[vec_index((a, b))] = vec_index(w)
-        return Permutation(images)
-
-    def translation(t):
-        images = [0] * (p * p)
-        for a in range(p):
-            for b in range(p):
-                images[vec_index((a, b))] = vec_index(((a + t[0]) % p, (b + t[1]) % p))
-        return Permutation(images)
-
-    gens = [translation((1, 0)), translation((0, 1))]
+    identity = (1, 0, 0, 1)
+    gens = [affine_map(identity, (1, 0)), affine_map(identity, (0, 1))]
     # pick matrix generators of G0 first (cheap closures), then build the
     # permutation group once
     matrix_gens = []
-    generated = {(1, 0, 0, 1)}
+    generated = {identity}
     for m in sorted(g0):
         if m not in generated:
             matrix_gens.append(m)
@@ -559,7 +540,7 @@ def exceptional_group(spec: ExceptionalSpec) -> PermutationGroup:
                 break
     if generated != g0:
         raise AssertionError("matrix generator selection failed")
-    group = PermutationGroup(gens + [mat_perm(m) for m in matrix_gens])
+    group = PermutationGroup(gens + [affine_map(m) for m in matrix_gens])
     if group.order != p * p * (p * p - 1):
         raise AssertionError("exceptional group has wrong order")
     return group

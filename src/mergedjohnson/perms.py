@@ -11,7 +11,6 @@ groups (orders up to ~10^7, degrees up to a few thousand) stay fast.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -50,11 +49,16 @@ class Permutation:
         return cls(images)
 
     @classmethod
-    def from_mapping(cls, degree: int, mapping) -> "Permutation":
-        images = list(range(degree))
-        for a, b in mapping.items():
-            images[a] = b
-        return cls(images)
+    def from_map(cls, points, fn) -> "Permutation":
+        """The action of a point map: point i goes to the index of
+        fn(points[i]) in points.  Points are any hashable labels; fn must
+        permute them."""
+        index_of = {pt: i for i, pt in enumerate(points)}
+        return cls(index_of[fn(pt)] for pt in points)
+
+    def extended(self, degree: int) -> "Permutation":
+        """The same map on {0..degree-1}, fixing every added point."""
+        return Permutation(self.images + tuple(range(self.degree, degree)))
 
     @classmethod
     def from_one_based(cls, images) -> "Permutation":
@@ -108,9 +112,6 @@ class Permutation:
                 x = self.images[x]
             out.append(tuple(cycle))
         return out
-
-    def moved_points(self) -> list[int]:
-        return [x for x in range(self.degree) if self.images[x] != x]
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -257,10 +258,6 @@ class StabilizerChain:
             result *= len(level.transversal)
         return result
 
-    @property
-    def base_points(self) -> list[int]:
-        return [level.base for level in self.levels]
-
     def contains_array(self, g: np.ndarray) -> bool:
         residue, j = self._strip(g, 0)
         return j == len(self.levels) and np.array_equal(residue, self._identity)
@@ -268,16 +265,11 @@ class StabilizerChain:
 
 @dataclass(frozen=True)
 class ActionDomain:
-    """What a group acts on: natural points, k-subsets, or explicit labels.
+    """What a group acts on: natural points, or k-subsets as bitmasks."""
 
-    Labels for the k-subset domain are bitmasks; for explicit domains they
-    are whatever objects the caller supplies (hashable).
-    """
-
-    kind: str  # "points" | "ksubsets" | "explicit"
+    kind: str  # "points" | "ksubsets"
     size: int
     k: int = 0
-    labels: tuple = ()
 
     @classmethod
     def points(cls, n: int) -> "ActionDomain":
@@ -289,24 +281,24 @@ class ActionDomain:
             raise ValueError("k out of range")
         return cls("ksubsets", math.comb(n, k), k)
 
-    @classmethod
-    def explicit(cls, labels) -> "ActionDomain":
-        labels = tuple(labels)
-        return cls("explicit", len(labels), labels=labels)
+    @property
+    def first(self) -> int:
+        """The rank-0 label: point 0, or the subset {0..k-1}."""
+        return (1 << self.k) - 1 if self.kind == "ksubsets" else 0
 
     def iter_labels(self, degree: int):
         if self.kind == "points":
             return range(self.size)
-        if self.kind == "ksubsets":
-            return iter(all_masks(degree, self.k))
-        return iter(self.labels)
+        return iter(all_masks(degree, self.k))
 
     def apply(self, label, perm: Permutation):
         if self.kind == "points":
             return perm(label)
-        if self.kind == "ksubsets":
-            return perm.act_mask(label)
-        raise ValueError("explicit domains need a caller-supplied action")
+        return perm.act_mask(label)
+
+
+def _point_image(x: int, images) -> int:
+    return images[x]
 
 
 class PermutationGroup:
@@ -384,7 +376,7 @@ class PermutationGroup:
             domain = ActionDomain.points(self.degree)
         if apply is None:
             apply = domain.apply
-        if domain.kind != "explicit" and x not in set(domain.iter_labels(self.degree)):
+        if x not in set(domain.iter_labels(self.degree)):
             raise ValueError("label outside the action domain")
         identity = Permutation.identity(self.degree)
         transversal = {x: identity}
@@ -400,38 +392,36 @@ class PermutationGroup:
                     orbit_list.append(z)
         return orbit_list, transversal
 
-    def orbits(self, domain: ActionDomain | None = None, apply=None):
+    def _orbit_search(self, x, domain: ActionDomain, seen: set) -> list:
+        """Orbit of x by breadth-first search over the generators' image
+        tuples, building no transversal.  Adds the orbit to seen."""
+        act = mask_image if domain.kind == "ksubsets" else _point_image
+        gen_images = [g.images for g in self.generators]
+        seen.add(x)
+        block = [x]
+        for y in block:
+            for images in gen_images:
+                z = act(y, images)
+                if z not in seen:
+                    seen.add(z)
+                    block.append(z)
+        return block
+
+    def orbits(self, domain: ActionDomain | None = None):
         """Partition of the domain into orbits (no transversals)."""
         if domain is None:
             domain = ActionDomain.points(self.degree)
-        if apply is None:
-            apply = domain.apply
-        labels = list(domain.iter_labels(self.degree))
         seen = set()
         parts = []
-        for x in labels:
-            if x in seen:
-                continue
-            block = [x]
-            seen.add(x)
-            qi = 0
-            while qi < len(block):
-                y = block[qi]
-                qi += 1
-                for g in self.generators:
-                    z = apply(y, g)
-                    if z not in seen:
-                        seen.add(z)
-                        block.append(z)
-            parts.append(block)
+        for x in domain.iter_labels(self.degree):
+            if x not in seen:
+                parts.append(self._orbit_search(x, domain, seen))
         return parts
 
     def is_transitive(self, domain: ActionDomain | None = None) -> bool:
         if domain is None:
             domain = ActionDomain.points(self.degree)
-        first = next(iter(domain.iter_labels(self.degree)))
-        orbit_list, _ = self.orbit(first, domain)
-        return len(orbit_list) == domain.size
+        return len(self._orbit_search(domain.first, domain, set())) == domain.size
 
     # -- induced subset action -------------------------------------------
 
@@ -461,8 +451,7 @@ class PermutationGroup:
         """
         if domain is None:
             domain = ActionDomain.points(self.degree)
-        first = next(iter(domain.iter_labels(self.degree)))
-        orbit_list, _ = self.orbit(first, domain)
+        orbit_list, _ = self.orbit(domain.first, domain)
         if len(orbit_list) != domain.size:
             return None
         order = self.order
@@ -490,47 +479,8 @@ class PermutationGroup:
             raise AssertionError("orbit-stabilizer violation")
         return order // len(orbit_list)
 
-    def stabilizer_elements(self, x, domain: ActionDomain | None = None) -> list[Permutation]:
-        """Stabilizer of one label by element filtering (small groups only)."""
-        if domain is None:
-            domain = ActionDomain.points(self.degree)
-        return [el for el in self.elements() if domain.apply(x, el) == x]
-
-    # -- orbit counts ----------------------------------------------------
-
-    def orbit_counts_on_msubsets(self, m_max: int) -> list[int]:
-        """Orbit counts on m-subsets, m = 1..m_max (must be <= n/2).
-
-        Raises if the Livingstone-Wagner monotonicity fails, since that
-        would indicate a bug in the action code.
-        """
-        if m_max > self.degree / 2:
-            raise ValueError("m_max exceeds n/2")
-        counts = []
-        for m in range(1, m_max + 1):
-            parts = self.orbits(ActionDomain.ksubsets(self.degree, m))
-            counts.append(len(parts))
-        for a, b in zip(counts, counts[1:]):
-            if b < a:
-                raise AssertionError("orbit counts decreased: %r" % (counts,))
-        return counts
-
     def __repr__(self):
         return "PermutationGroup(degree=%d, gens=%d)" % (self.degree, len(self.generators))
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Left-to-right composite: x·(pq) = (x·p)·q."""
-    return p * q
-
-
-def stabilizer_chain(generators: list[Permutation]) -> PermutationGroup:
-    """Group with its chain forced; extracted for API symmetry."""
-    if not generators:
-        raise ValueError("empty generator list")
-    group = PermutationGroup(generators)
-    group.chain  # build eagerly
-    return group
 
 
 def closure(perms, limit: int | None = None) -> list[Permutation]:

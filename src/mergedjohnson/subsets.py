@@ -61,6 +61,13 @@ def all_masks(n: int, k: int) -> list[int]:
     return [mask_of(c) for c in combos]
 
 
+def complement_ranks(n: int, k: int) -> list[int]:
+    """Co-lex rank of the complement of each k-subset of {0..n-1}, indexed
+    by the k-subset's rank."""
+    full = (1 << n) - 1
+    return [ksubset_rank(full ^ m) for m in all_masks(n, k)]
+
+
 def mask_image(mask: int, images) -> int:
     """Image of a subset bitmask under a point map (sequence of images)."""
     out = 0

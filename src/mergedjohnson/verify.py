@@ -44,24 +44,23 @@ def _report(claim, ok, evidence, t0) -> OracleReport:
 # Automorphism tests
 # --------------------------------------------------------------------------
 
-def is_automorphism(p: Permutation, graph: MergedJohnsonGraph) -> bool:
-    if p.degree != graph.num_vertices:
-        raise ValueError("degree %d does not match %d vertices"
-                         % (p.degree, graph.num_vertices))
+def _broken_edge(perms, graph: MergedJohnsonGraph):
+    """The first edge (u, v) that one of perms, in order, maps to a
+    non-edge, or None when every perm is an automorphism."""
+    for p in perms:
+        if p.degree != graph.num_vertices:
+            raise ValueError("degree %d does not match %d vertices"
+                             % (p.degree, graph.num_vertices))
     edges = {(u, v) for u, v in graph.edges} | {(v, u) for u, v in graph.edges}
-    return all((p.images[u], p.images[v]) in edges for u, v in graph.edges)
-
-
-def automorphism_counterexample(p: Permutation, graph: MergedJohnsonGraph):
-    """A broken edge (u, v), or None if p is an automorphism."""
-    if p.degree != graph.num_vertices:
-        raise ValueError("degree %d does not match %d vertices"
-                         % (p.degree, graph.num_vertices))
-    edges = {(u, v) for u, v in graph.edges} | {(v, u) for u, v in graph.edges}
-    for u, v in graph.edges:
-        if (p.images[u], p.images[v]) not in edges:
-            return (u, v)
+    for p in perms:
+        for u, v in graph.edges:
+            if (p.images[u], p.images[v]) not in edges:
+                return (u, v)
     return None
+
+
+def is_automorphism(p: Permutation, graph: MergedJohnsonGraph) -> bool:
+    return _broken_edge([p], graph) is None
 
 
 def regular_action_check(group: PermutationGroup, graph: MergedJohnsonGraph,
@@ -69,14 +68,9 @@ def regular_action_check(group: PermutationGroup, graph: MergedJohnsonGraph,
     t0 = time.perf_counter()
     claim = "r=%d action on J(%d,%d)_%s" % (r_expected, graph.n, graph.k,
                                             sorted(graph.I))
-    edges = {(u, v) for u, v in graph.edges} | {(v, u) for u, v in graph.edges}
-    for g in group.generators:
-        if g.degree != graph.num_vertices:
-            raise ValueError("degree %d does not match %d vertices"
-                             % (g.degree, graph.num_vertices))
-        for u, v in graph.edges:
-            if (g.images[u], g.images[v]) not in edges:
-                return _report(claim, False, {"broken_edge": [u, v]}, t0)
+    broken = _broken_edge(group.generators, graph)
+    if broken is not None:
+        return _report(claim, False, {"broken_edge": list(broken)}, t0)
     r = group.regularity_degree()
     ok = r == r_expected
     return _report(claim, ok, {"regularity_degree": r, "order": group.order}, t0)
@@ -177,7 +171,6 @@ def regular_subgroup_nonexistence(ambient: PermutationGroup,
                   if g != identity
                   and all(g.images[x] != x for x in range(g.degree))
                   and m % g.order() == 0]
-    index_of = {g: i for i, g in enumerate(candidates)}
 
     def close(gens):
         seen = {identity}

@@ -1,3 +1,5 @@
+from math import factorial, log10
+
 import pytest
 
 from mergedjohnson.classify import (aut_descriptor, cayley_deficiency,
@@ -14,6 +16,17 @@ def test_aut_complete_case():
     desc = aut_descriptor(5, 2, {1, 2})
     assert desc.case_id == 0
     assert desc.order == 3628800
+
+
+def test_aut_order_past_4300_digits_is_a_formula():
+    # 924! has 2270 digits and stays exact; 1716! has 4808 and is not built
+    assert aut_descriptor(12, 6, set(range(1, 7))).order == factorial(924)
+    order = aut_descriptor(13, 6, set(range(1, 7))).order
+    assert order["formula"] == "C(13,6)!"
+    assert abs(order["log10"] - log10(factorial(1716))) < 1e-3
+    # 2^e * e! with e = C(2200,1100)/2 > 10^600: not even log10 fits a float
+    with pytest.raises(ValueError):
+        aut_descriptor(2200, 1100, {1100})
 
 
 def test_aut_kneser_half_case():

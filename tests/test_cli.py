@@ -1,4 +1,5 @@
 import json
+import time
 
 from click.testing import CliRunner
 
@@ -100,3 +101,45 @@ def test_group_psl28_complement():
 def test_seed_option_accepted():
     result = run("--seed", "7", "classify", "-n", "7", "-k", "2", "-I", "1")
     assert result.exit_code == 0
+
+
+def test_census_n14_completes_with_big_orders():
+    result = run("census", "--n-max", "14")
+    assert result.exit_code == 0
+    lines = [json.loads(line) for line in result.output.splitlines()]
+    rows, summary = lines[:-1], lines[-1]["summary"]
+    assert len(rows) == 672
+    assert summary["instances"] == 672
+    complete = [r for r in rows if r["n"] == 14 and r["I"] == list(range(1, 8))]
+    assert complete[0]["aut"]["order"]["formula"] == "C(14,7)!"
+
+
+def test_classify_big_order_by_formula():
+    result = run("classify", "-n", "14", "-k", "7", "-I", "7")
+    assert result.exit_code == 0
+    order = json.loads(result.output)["aut"]["order"]
+    assert order["formula"] == "2^1716*1716!"
+
+
+def test_classify_huge_instance_returns_promptly():
+    t0 = time.perf_counter()
+    result = run("classify", "-n", "50", "-k", "25", "-I", "25")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["aut"]["order"]["log10"] > 10 ** 14
+    assert time.perf_counter() - t0 < 5.0
+
+
+def _usage_error(result):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "Error:" in result.output
+
+
+def test_group_non_prime_power_is_usage_error():
+    _usage_error(run("group", "agl", "-q", "6"))
+    _usage_error(run("group", "ahl", "-q", "5"))
+
+
+def test_graph_export_unmaterialized_is_usage_error():
+    _usage_error(run("graph", "export", "-n", "50", "-k", "3", "-I", "1"))

@@ -64,3 +64,22 @@ def test_stabilizer_order_on_subsets():
     g = s_n(4)
     domain = ActionDomain.ksubsets(4, 2)
     assert g.stabilizer_order(mask_of([0, 1]), domain) == 24 // 6
+
+
+def test_from_map_and_extended():
+    cycle = Permutation.from_map("abc", {"a": "b", "b": "c", "c": "a"}.get)
+    assert cycle == Permutation.from_cycles(3, [(0, 1, 2)])
+    assert cycle.extended(5).images == (1, 2, 0, 3, 4)
+
+
+def test_transitivity_on_ksubsets_matches_orbits():
+    from mergedjohnson.catalog import psl2
+    group = psl2(8)  # 4-homogeneous on 9 points
+    for k in (2, 3, 4):
+        domain = ActionDomain.ksubsets(9, k)
+        assert group.is_transitive(domain)
+        assert len(group.orbits(domain)) == 1
+    cyclic = PermutationGroup([Permutation.from_cycles(5, [tuple(range(5))])])
+    domain = ActionDomain.ksubsets(5, 2)
+    assert not cyclic.is_transitive(domain)
+    assert sorted(len(o) for o in cyclic.orbits(domain)) == [5, 5]

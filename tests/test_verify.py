@@ -35,6 +35,16 @@ def test_regular_action_check_refutes_wrong_r():
     assert not regular_action_check(w, g, 2).confirmed
 
 
+def test_regular_action_check_reports_broken_edge():
+    petersen = build_graph(5, 2, {2})
+    swap = PermutationGroup([Permutation.from_cycles(10, [(0, 5)])])
+    report = regular_action_check(swap, petersen, 1)
+    assert report.outcome == "refuted"
+    u, v = report.evidence["broken_edge"]
+    assert (u, v) in petersen.edges
+    assert not petersen.adjacent_ranks(swap.generators[0](u), swap.generators[0](v))
+
+
 @pytest.mark.parametrize("n,k,I,expected", [
     (4, 2, {1}, 48), (4, 2, {2}, 48),
     (5, 2, {1}, 120), (5, 2, {2}, 120),
