@@ -11,7 +11,7 @@ the rest are data only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, factorial
 
 from .fields import build_field, prime_power_decomposition
 from .nearfields import affine_group
@@ -433,12 +433,13 @@ def minimal_stabilizer_order(n: int, k: int):
     Catalog groups are verified k-homogeneous by orbit counting when
     constructible; the formula k!(n-k)!/2 is the A_n bound.
     """
-    from math import factorial
-
+    records, complete = khomog_candidates(n, k)
+    if not complete:
+        # a group outside the shipped records might undercut the minimum
+        return None, None
     vertices = comb(n, k)
     best = factorial(k) * factorial(n - k) // 2  # A_n, always k-homogeneous
     best_name = "A%d" % n
-    records, complete = khomog_candidates(n, k)
     for rec in records:
         if rec.order % vertices != 0:
             continue
@@ -454,7 +455,4 @@ def minimal_stabilizer_order(n: int, k: int):
         # non-constructible records are trusted classification data; their
         # orders still bound the minimum correctly
         best, best_name = r, rec.name
-    if not complete:
-        # a group outside the shipped records might undercut the minimum
-        return None, None
     return best, best_name

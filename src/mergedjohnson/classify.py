@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb, factorial, lgamma, log
 
 from . import catalog
@@ -46,20 +47,28 @@ _ORDER_LIMIT = 10 ** ORDER_DIGITS
 _ORDER_LIMIT_BITS = _ORDER_LIMIT.bit_length() - 1
 
 
-def _power_factorial(two_exp: int, m: int, formula: str, *values) -> int | dict:
-    """2^two_exp * m!, exact when it has at most ORDER_DIGITS digits, else
-    {"formula": formula % values, "log10": ...} sized by lgamma.  The
-    formula is formatted only then: this runs several times per query."""
-    if two_exp + m * m.bit_length() < _ORDER_LIMIT_BITS:  # m! < 2^(m bitlen(m))
-        return factorial(m) << two_exp
-    try:
-        log10 = (two_exp * log(2) + lgamma(m + 1)) / log(10)
-    except OverflowError:
-        raise ValueError("the automorphism order is too large to size") from None
-    if log10 < ORDER_DIGITS + 1:  # one digit of slack for rounding in lgamma
-        order = factorial(m) << two_exp
-        if order < _ORDER_LIMIT:
-            return order
+def _power_factorial(two_exp: int, m: int, formula: str, *values,
+                     m2: int = 0) -> int | dict:
+    """2^two_exp * m! * m2! (two_exp = -1 halves m!, for m >= 2), exact
+    when it has at most ORDER_DIGITS digits, else {"formula": formula %
+    values, "log10": ...} sized by lgamma.  This runs several times per
+    query: the formula is formatted only then, and without m2 no second
+    factorial is taken."""
+    bits = two_exp + m * m.bit_length()  # m! < 2^(m bitlen(m))
+    if m2:
+        bits += m2 * m2.bit_length()
+    if bits >= _ORDER_LIMIT_BITS:
+        try:
+            log10 = (two_exp * log(2) + lgamma(m + 1) + lgamma(m2 + 1)) / log(10)
+        except OverflowError:
+            raise ValueError("the order is too large to size") from None
+        if log10 >= ORDER_DIGITS + 1:  # one digit of slack for rounding in lgamma
+            return {"formula": formula % values, "log10": round(log10, 3)}
+    order = factorial(m) << two_exp if two_exp >= 0 else factorial(m) >> -two_exp
+    if m2:
+        order *= factorial(m2)
+    if order < _ORDER_LIMIT:  # always so below the bit bound
+        return order
     return {"formula": formula % values, "log10": round(log10, 3)}
 
 
@@ -243,7 +252,7 @@ def cayley_deficiency(n: int, k: int, I) -> DeficiencyResult:
     two_reg = classify_two_regular(n, k, I)
     if two_reg.outcome:
         return DeficiencyResult(exact=2, witness=two_reg.witness_specs[0])
-    upper = factorial(k) * factorial(n - k) // 2
+    upper = _power_factorial(-1, k, "%d!*%d!/2", k, n - k, m2=n - k)
     desc = aut_descriptor(n, k, I)
     if desc.case_id not in (1, 3):
         # Aut J exceeds S_n; no exact minimum is known here
@@ -259,10 +268,6 @@ def cayley_deficiency(n: int, k: int, I) -> DeficiencyResult:
 # --------------------------------------------------------------------------
 # Witness group constructions
 # --------------------------------------------------------------------------
-
-def _induced_on_vertices(group: PermutationGroup, k: int) -> PermutationGroup:
-    return group.induced_subset_action(k)
-
 
 def _projective_line6_group() -> PermutationGroup:
     """AGL1(5) x S2 on 3-subsets of P^1(F_5): points 1..5 are the field
@@ -395,12 +400,11 @@ def _cayley_witness(n: int, k: int, case: int) -> PermutationGroup:
     m = comb(n, k)
     if case == 1:
         p, e = prime_power_decomposition(n)
-        base = affine_group(build_field(p, e), "AHL")
-        return _induced_on_vertices(base, k)
+        return affine_group(build_field(p, e), "AHL").induced_subset_action(k)
     if case == 2:
-        return _induced_on_vertices(affine_group(build_field(2, 3), "AGL"), 3)
+        return affine_group(build_field(2, 3), "AGL").induced_subset_action(3)
     if case == 3:
-        return _induced_on_vertices(affine_group(build_field(2, 5), "AGammaL"), 3)
+        return affine_group(build_field(2, 5), "AGammaL").induced_subset_action(3)
     if case == 4:
         # cyclic group acting on itself; any vertex identification works on
         # a complete graph
@@ -419,7 +423,7 @@ def _two_regular_witness(n: int, k: int, case: int) -> PermutationGroup:
     m = comb(n, k)
     if case == 1:
         p, e = prime_power_decomposition(n)
-        return _induced_on_vertices(affine_group(build_field(p, e), "AGL"), 2)
+        return affine_group(build_field(p, e), "AGL").induced_subset_action(2)
     if case == 2:
         return _projective_line6_group()
     if case == 3:
@@ -476,3 +480,13 @@ def classify_instance(n: int, k: int, I) -> dict:
 
 def classify_instance_json(n: int, k: int, I) -> str:
     return json.dumps(classify_instance(n, k, I), sort_keys=True)
+
+
+def census_instances(n_max: int):
+    """Every (n, k, I) with 4 <= n <= n_max, 2 <= k <= n/2 and I a nonempty
+    subset of 1..k, grouped by n, k and |I|."""
+    for n in range(4, n_max + 1):
+        for k in range(2, n // 2 + 1):
+            for size in range(1, k + 1):
+                for combo in combinations(range(1, k + 1), size):
+                    yield n, k, frozenset(combo)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import sys
-from itertools import combinations
 
 import click
 
@@ -18,7 +17,7 @@ from . import verify as vfy
 from .johnson import build_graph
 from .nearfields import (affine_group, build_dickson, exceptional_group,
                          exceptional_spec, is_dickson_pair)
-from .perms import ActionDomain, Permutation, PermutationGroup
+from .perms import PermutationGroup
 
 
 def _parse_merge(value: str, k: int) -> frozenset:
@@ -68,12 +67,8 @@ def classify(n, k, merge):
 
 def census_rows(n_max: int):
     """All (n, k, I) verdicts with n <= n_max, sorted."""
-    rows = []
-    for n in range(4, n_max + 1):
-        for k in range(2, n // 2 + 1):
-            for size in range(1, k + 1):
-                for combo in combinations(range(1, k + 1), size):
-                    rows.append(cls.classify_instance(n, k, frozenset(combo)))
+    rows = [cls.classify_instance(n, k, I)
+            for n, k, I in cls.census_instances(n_max)]
     rows.sort(key=lambda r: (r["n"], r["k"], sorted(r["I"])))
     return rows
 
@@ -215,124 +210,12 @@ def group_psl28(delta):
           sys.stdout)
 
 
-# --------------------------------------------------------------------------
-# Verification suites
-# --------------------------------------------------------------------------
-
-def _cayley_witness_checks(instances):
-    for n, k, I in instances:
-        g = build_graph(n, k, I)
-        w = cls.witness_group(n, k, I, "cayley")
-        yield vfy.regular_action_check(w, g, 1)
-
-
-def _fast_suite():
-    # regular (Cayley) witnesses with at most 300 vertices
-    yield from _cayley_witness_checks([(7, 2, frozenset({1})),
-                                       (11, 2, frozenset({1, 2})),
-                                       (19, 2, frozenset({2})),
-                                       (23, 2, frozenset({1})),
-                                       (8, 3, frozenset({1}))])
-    # Dickson order 9: sharply 2-transitive AGL1, 2-regular on 36 vertices
-    nf9 = build_dickson(3, 2)
-    agl9 = affine_group(nf9, "AGL")
-    yield vfy.regular_action_check(agl9.induced_subset_action(2),
-                                   build_graph(9, 2, frozenset({1})), 2)
-    # brute-force Aut on all graphs with <= 10 vertices
-    import time as _time
-    for n, k, I, expect in [(4, 2, frozenset({1}), 48),
-                            (4, 2, frozenset({2}), 48),
-                            (4, 2, frozenset({1, 2}), 720),
-                            (5, 2, frozenset({1}), 120),
-                            (5, 2, frozenset({2}), 120)]:
-        t0 = _time.perf_counter()
-        g = build_graph(n, k, I)
-        got = vfy.bruteforce_automorphism_group(g)
-        want = cls.aut_descriptor(n, k, I).order
-        yield vfy.OracleReport(
-            "brute-force Aut J(%d,%d)_%s has order %d" % (n, k, sorted(I), expect),
-            "confirmed" if got == expect == want else "refuted",
-            {"bruteforce": got, "descriptor": want},
-            (_time.perf_counter() - t0) * 1000.0)
-    # Petersen: no regular subgroup inside S5
-    s5 = PermutationGroup([Permutation.from_cycles(5, [(0, 1)]),
-                           Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
-    yield vfy.regular_subgroup_nonexistence(s5.induced_subset_action(2),
-                                            build_graph(5, 2, frozenset({2})))
-    # lemma sweeps
-    yield vfy.lemma_regorbits_exhaustive_n4()
-    yield vfy.lemma_two_orbit_check(PermutationGroup(
-        [Permutation.from_cycles(4, [(0, 1, 2)])]))
-
-
-def _full_suite():
-    yield from _fast_suite()
-    yield from _cayley_witness_checks([(27, 2, frozenset({1})),
-                                       (31, 2, frozenset({1, 2})),
-                                       (32, 3, frozenset({1}))])
-    # order-343 Dickson near-field, regular on C(343,2) = 58653 subsets
-    import time as _time
-    t0 = _time.perf_counter()
-    nf343 = build_dickson(7, 3)
-    ahl = affine_group(nf343, "AHL")
-    r = ahl.regularity_degree(ActionDomain.ksubsets(343, 2))
-    yield vfy.OracleReport(
-        "AHL1 of the order-343 Dickson near-field is regular on 58653 "
-        "2-subsets",
-        "confirmed" if r == 1 and ahl.order == 58653 else "refuted",
-        {"order": ahl.order, "regularity_degree": r},
-        (_time.perf_counter() - t0) * 1000.0)
-    # exceptional near-fields
-    for p, variant in [(5, 1), (7, 1), (11, 1), (11, 2), (23, 1),
-                       (29, 1), (59, 1)]:
-        t0 = _time.perf_counter()
-        spec = exceptional_spec(p, variant)
-        g = exceptional_group(spec)
-        sharp = vfy.sharply_two_transitive_check(g)
-        ok = sharp.confirmed and g.order == p * p * (p * p - 1)
-        yield vfy.OracleReport(
-            "exceptional near-field p=%d variant %d gives a sharply "
-            "2-transitive group" % (p, variant),
-            "confirmed" if ok else "refuted",
-            {"order": g.order, "pair_orbit": sharp.evidence["pair_orbit"],
-             "structure": spec.g0_structure},
-            (_time.perf_counter() - t0) * 1000.0)
-    # PSL2(8) complement suite
-    t0 = _time.perf_counter()
-    sigs = {}
-    graphs = [build_graph(10, 5, frozenset(I))
-              for I in [(1, 4), (2, 3)]]
-    ok = True
-    evidence = {}
-    datas = {label: cpl.build_cocycle_data(label) for label in range(4)}
-    for label, data in datas.items():
-        g = cpl.complement_vertex_group(data)
-        sigs[label] = cpl.orbit_signature(data)
-        if label:
-            ok &= g.order == 504 and sigs[label] == (252,)
-            ok &= g.regularity_degree() == 2
-            ok &= all(vfy.is_automorphism(x, gr)
-                      for gr in graphs for x in g.generators)
-        else:
-            ok &= sigs[label] == (126, 126)
-    evidence["orbit_signatures"] = {str(k): list(v) for k, v in sigs.items()}
-    frob = {x: cpl.frobenius_class_action(datas[x]) for x in range(4)}
-    ok &= frob[0] == 0 and sorted(frob[x] for x in (1, 2, 3)) == [1, 2, 3] \
-        and all(frob[x] != x for x in (1, 2, 3))
-    evidence["frobenius_action"] = frob
-    yield vfy.OracleReport("PSL2(8) complement classes: orbit signatures, 2-regularity, "
-                           "Frobenius 3-cycle",
-                           "confirmed" if ok else "refuted", evidence,
-                           (_time.perf_counter() - t0) * 1000.0)
-
-
 @main.command()
-@click.option("--suite", type=click.Choice(["fast", "full"]), default="fast")
+@click.option("--suite", type=click.Choice(list(vfy.SUITES)), default="fast")
 def verify(suite):
     """Run the oracle suite; exit 1 if any claim is refuted."""
-    reports = _fast_suite() if suite == "fast" else _full_suite()
     failed = False
-    for report in reports:
+    for report in vfy.run_suite(suite):
         sys.stdout.write(report.to_json() + "\n")
         failed |= not report.confirmed
     sys.exit(1 if failed else 0)

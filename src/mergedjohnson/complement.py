@@ -33,10 +33,6 @@ class PointedPSL28:
     group: PermutationGroup
     frobenius: Permutation
 
-    @property
-    def fixed_point(self) -> int:
-        return 9
-
 
 def build_pointed_psl28() -> PointedPSL28:
     """catalog.psl2(8) on P^1(F_8), plus the fixed point 9; frobenius is

@@ -97,10 +97,6 @@ class MergedJohnsonGraph:
             return self._masks[rank]
         return ksubset_unrank(self.k, rank)
 
-    def vertex_elements(self, rank: int) -> tuple:
-        """1-based elements of the rank-th k-subset."""
-        return tuple(x + 1 for x in elements_of(self.vertex_mask(rank)))
-
     def adjacent_ranks(self, u: int, v: int) -> bool:
         return adjacent(self.n, self.k, self.I, self.vertex_mask(u), self.vertex_mask(v))
 
@@ -149,10 +145,6 @@ class MergedJohnsonGraph:
         if self._adjacency is None:
             raise ValueError("graph is not materialized")
         return self._adjacency
-
-    @property
-    def num_edges(self) -> int:
-        return self.num_vertices * self.degree // 2
 
     # -- exports ----------------------------------------------------------
 

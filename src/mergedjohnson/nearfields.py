@@ -120,9 +120,6 @@ class NearField:
         j = self.coset_of(h)
         return self.base.mul(self.base.frobenius_power(g, j, self.q), h)
 
-    def is_field(self) -> bool:
-        return self.d == 1
-
     # -- build-time verification ------------------------------------------
 
     def _verify_build(self):

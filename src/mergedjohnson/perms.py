@@ -60,11 +60,6 @@ class Permutation:
         """The same map on {0..degree-1}, fixing every added point."""
         return Permutation(self.images + tuple(range(self.degree, degree)))
 
-    @classmethod
-    def from_one_based(cls, images) -> "Permutation":
-        """Parse a 1-based image list, the JSON wire format."""
-        return cls(x - 1 for x in images)
-
     def to_one_based(self) -> list[int]:
         return [x + 1 for x in self.images]
 
@@ -86,9 +81,6 @@ class Permutation:
     def act_mask(self, mask: int) -> int:
         """Image of a subset bitmask under this permutation."""
         return mask_image(mask, self.images)
-
-    def is_identity(self) -> bool:
-        return all(x == y for x, y in enumerate(self.images))
 
     def order(self) -> int:
         result = 1
@@ -286,6 +278,13 @@ class ActionDomain:
         """The rank-0 label: point 0, or the subset {0..k-1}."""
         return (1 << self.k) - 1 if self.kind == "ksubsets" else 0
 
+    def contains(self, label, degree: int) -> bool:
+        """Whether label is in the domain on `degree` points, in O(1): a
+        point below size, or a k-bit mask within `degree` bits."""
+        if self.kind == "points":
+            return 0 <= label < self.size
+        return label >= 0 and label >> degree == 0 and label.bit_count() == self.k
+
     def iter_labels(self, degree: int):
         if self.kind == "points":
             return range(self.size)
@@ -376,7 +375,7 @@ class PermutationGroup:
             domain = ActionDomain.points(self.degree)
         if apply is None:
             apply = domain.apply
-        if x not in set(domain.iter_labels(self.degree)):
+        if not domain.contains(x, self.degree):
             raise ValueError("label outside the action domain")
         identity = Permutation.identity(self.degree)
         transversal = {x: identity}

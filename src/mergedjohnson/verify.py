@@ -2,19 +2,27 @@
 
 Everything here recomputes facts from first principles at small scale:
 automorphism groups by pruned enumeration, regular subgroups by closure
-search, orbit lemmas by exhaustive subgroup sweeps.
+search, orbit lemmas by exhaustive subgroup sweeps.  CLAIMS, at the end,
+is the registry of claims that `mergedjohnson verify --suite` runs.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .johnson import MergedJohnsonGraph
-from .perms import ActionDomain, Permutation, PermutationGroup
+from .classify import aut_descriptor, witness_group
+from .complement import (build_cocycle_data, complement_vertex_group,
+                         frobenius_class_action)
+from .johnson import MergedJohnsonGraph, build_graph
+from .nearfields import (EXCEPTIONAL_SPECS, affine_group, build_dickson,
+                         exceptional_group)
+from .perms import ActionDomain, Permutation, PermutationGroup, closure
 
 
 @dataclass(frozen=True)
@@ -35,9 +43,10 @@ class OracleReport:
                           sort_keys=True)
 
 
-def _report(claim, ok, evidence, t0) -> OracleReport:
-    return OracleReport(claim, "confirmed" if ok else "refuted", evidence,
-                        (time.perf_counter() - t0) * 1000.0)
+def _report(claim, ok, evidence, t0=None) -> OracleReport:
+    # without t0, elapsed_ms is left at 0 for run_suite to fill in
+    elapsed = 0.0 if t0 is None else (time.perf_counter() - t0) * 1000.0
+    return OracleReport(claim, "confirmed" if ok else "refuted", evidence, elapsed)
 
 
 # --------------------------------------------------------------------------
@@ -63,11 +72,14 @@ def is_automorphism(p: Permutation, graph: MergedJohnsonGraph) -> bool:
     return _broken_edge([p], graph) is None
 
 
+def _action_claim(r: int, n: int, k: int, I) -> str:
+    return "r=%d action on J(%d,%d)_%s" % (r, n, k, sorted(I))
+
+
 def regular_action_check(group: PermutationGroup, graph: MergedJohnsonGraph,
                          r_expected: int) -> OracleReport:
     t0 = time.perf_counter()
-    claim = "r=%d action on J(%d,%d)_%s" % (r_expected, graph.n, graph.k,
-                                            sorted(graph.I))
+    claim = _action_claim(r_expected, graph.n, graph.k, graph.I)
     broken = _broken_edge(group.generators, graph)
     if broken is not None:
         return _report(claim, False, {"broken_edge": list(broken)}, t0)
@@ -165,37 +177,25 @@ def regular_subgroup_nonexistence(ambient: PermutationGroup,
                                              "ambient order" % m}, t0)
     elements = ambient.elements()
     identity = Permutation.identity(ambient.degree)
+
+    def fixed_point_free(g):
+        return all(g.images[x] != x for x in range(g.degree))
+
     # a regular subgroup consists of fixed-point-free elements plus the
     # identity, with element orders dividing |V|
     candidates = [g for g in elements
-                  if g != identity
-                  and all(g.images[x] != x for x in range(g.degree))
-                  and m % g.order() == 0]
+                  if g != identity and fixed_point_free(g) and m % g.order() == 0]
 
     def close(gens):
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = x * g
-                    if y not in seen:
-                        if len(seen) >= m:
-                            return None
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
-
-    def is_regular_subgroup(sub):
-        if len(sub) != m:
-            return False
-        return all(g == identity or all(g.images[x] != x for x in range(g.degree))
-                   for g in sub)
+        """The group gens generate, or None when its order exceeds m."""
+        try:
+            return set(closure(gens, limit=m))
+        except ValueError:
+            return None
 
     def search(gens, generated, start):
-        if len(generated) == m and is_regular_subgroup(generated):
+        if len(generated) == m and all(g == identity or fixed_point_free(g)
+                                       for g in generated):
             return gens
         if len(gens) == 3:
             return None
@@ -258,20 +258,6 @@ def all_subgroups(group: PermutationGroup) -> list:
     identity = Permutation.identity(group.degree)
     trivial = frozenset({identity})
 
-    def close(seed):
-        seen = set(seed)
-        frontier = list(seed)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in seed | seen:
-                    y = x * g
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
-
     found = {trivial}
     frontier = [trivial]
     while frontier:
@@ -280,7 +266,7 @@ def all_subgroups(group: PermutationGroup) -> list:
             for g in elements:
                 if g in sub:
                     continue
-                grown = close(set(sub) | {g})
+                grown = frozenset(closure(sub | {g}))
                 if grown not in found:
                     found.add(grown)
                     nxt.append(grown)
@@ -316,3 +302,135 @@ def lemma_regorbits_exhaustive_n4() -> OracleReport:
                                "qualifying": len(qualifying),
                                "qualifying_orders":
                                sorted(len(s) for s in qualifying)}, t0)
+
+
+# --------------------------------------------------------------------------
+# The claim registry behind `verify --suite fast|full`
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Claim:
+    """A registered claim: its tier ("fast", or "full" for claims only the
+    full suite makes), its text, and a check that builds what it needs and
+    returns the claim's report."""
+    tier: str
+    text: str
+    check: Callable[[], OracleReport]
+
+
+# Cayley witnesses, regular on the vertices; up to 300 vertices in "fast"
+CAYLEY_WITNESSES = (
+    ("fast", 7, 2, (1,)), ("fast", 11, 2, (1, 2)), ("fast", 19, 2, (2,)),
+    ("fast", 23, 2, (1,)), ("fast", 8, 3, (1,)),
+    ("full", 27, 2, (1,)), ("full", 31, 2, (1, 2)), ("full", 32, 3, (1,)),
+)
+# brute-force |Aut| against the descriptor, on graphs of at most 10 vertices
+BRUTEFORCE_AUT = ((4, 2, (1,), 48), (4, 2, (2,), 48), (4, 2, (1, 2), 720),
+                  (5, 2, (1,), 120), (5, 2, (2,), 120))
+
+
+def _cayley_witness(n, k, I) -> OracleReport:
+    graph = build_graph(n, k, I)
+    return regular_action_check(witness_group(n, k, I, "cayley"), graph, 1)
+
+
+def _bruteforce_aut(claim, n, k, I, order) -> OracleReport:
+    got = bruteforce_automorphism_group(build_graph(n, k, I))
+    want = aut_descriptor(n, k, I).order
+    return _report(claim, got == order == want,
+                   {"bruteforce": got, "descriptor": want})
+
+
+def _petersen_not_cayley() -> OracleReport:
+    s5 = PermutationGroup([Permutation.from_cycles(5, [(0, 1)]),
+                           Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
+    return regular_subgroup_nonexistence(s5.induced_subset_action(2),
+                                         build_graph(5, 2, (2,)))
+
+
+def _dickson343_regular(claim) -> OracleReport:
+    ahl = affine_group(build_dickson(7, 3), "AHL")
+    r = ahl.regularity_degree(ActionDomain.ksubsets(343, 2))
+    return _report(claim, r == 1 and ahl.order == 58653,
+                   {"order": ahl.order, "regularity_degree": r})
+
+
+def _exceptional_sharp(claim, spec) -> OracleReport:
+    group = exceptional_group(spec)
+    sharp = sharply_two_transitive_check(group)
+    ok = sharp.confirmed and group.order == spec.p ** 2 * (spec.p ** 2 - 1)
+    return _report(claim, ok, {"order": group.order,
+                               "pair_orbit": sharp.evidence["pair_orbit"],
+                               "structure": spec.g0_structure})
+
+
+def _psl28_complements(claim) -> OracleReport:
+    """The split complement has two orbits of 126 vertices; the three
+    others are 2-regular on J(10,5)_{1,4} and J(10,5)_{2,3}."""
+    datas = [build_cocycle_data(label) for label in range(4)]
+    groups = [complement_vertex_group(data) for data in datas]
+    sigs = [tuple(sorted(len(o) for o in g.orbits())) for g in groups]
+    ok = sigs[0] == (126, 126)
+    for group, sig in zip(groups[1:], sigs[1:]):
+        ok &= group.order == 504 and sig == (252,)
+        ok &= group.regularity_degree() == 2
+    nonsplit = [x for group in groups[1:] for x in group.generators]
+    ok &= all(_broken_edge(nonsplit, build_graph(10, 5, I)) is None
+              for I in [(1, 4), (2, 3)])
+    frob = {x: frobenius_class_action(datas[x]) for x in range(4)}
+    ok &= (frob[0] == 0 and sorted(frob[x] for x in (1, 2, 3)) == [1, 2, 3]
+           and all(frob[x] != x for x in (1, 2, 3)))
+    signatures = {str(label): list(sig) for label, sig in enumerate(sigs)}
+    return _report(claim, ok, {"orbit_signatures": signatures,
+                               "frobenius_action": frob})
+
+
+def _own_report(tier, text, check, *args) -> Claim:
+    """A claim whose check makes its report itself, under text."""
+    return Claim(tier, text, partial(check, text, *args))
+
+
+CLAIMS = (
+    *(Claim(tier, _action_claim(1, n, k, I), partial(_cayley_witness, n, k, I))
+      for tier, n, k, I in CAYLEY_WITNESSES),
+    # AGL1 of the order-9 Dickson near-field is sharply 2-transitive
+    Claim("fast", _action_claim(2, 9, 2, (1,)), lambda: regular_action_check(
+        affine_group(build_dickson(3, 2), "AGL").induced_subset_action(2),
+        build_graph(9, 2, (1,)), 2)),
+    *(_own_report("fast", "brute-force Aut J(%d,%d)_%s has order %d"
+                  % (n, k, sorted(I), order), _bruteforce_aut, n, k, I, order)
+      for n, k, I, order in BRUTEFORCE_AUT),
+    Claim("fast", "no regular subgroup of order 10 in ambient of order 120 "
+          "on J(5,2)_[2]", _petersen_not_cayley),
+    Claim("fast", "among all subgroups of S4, only C3 has two regular "
+          "orbits on 2-subsets", lemma_regorbits_exhaustive_n4),
+    Claim("fast", "two r-regular orbits on 2-subsets of 4 points",
+          lambda: lemma_two_orbit_check(
+              PermutationGroup([Permutation.from_cycles(4, [(0, 1, 2)])]))),
+    _own_report("full", "AHL1 of the order-343 Dickson near-field is regular "
+                "on 58653 2-subsets", _dickson343_regular),
+    *(_own_report("full", "exceptional near-field p=%d variant %d gives a "
+                  "sharply 2-transitive group" % (spec.p, spec.variant),
+                  _exceptional_sharp, spec)
+      for spec in EXCEPTIONAL_SPECS),
+    _own_report("full", "PSL2(8) complement classes: orbit signatures, "
+                "2-regularity, Frobenius 3-cycle", _psl28_complements),
+)
+
+# the tiers each suite runs, in order
+SUITES = {"fast": ("fast",), "full": ("fast", "full")}
+
+
+def suite_claims(suite: str) -> list:
+    """The suite's claims in run order: the fast ones, then for "full" the
+    full-only ones."""
+    return [c for tier in SUITES[suite] for c in CLAIMS if c.tier == tier]
+
+
+def run_suite(suite: str):
+    """Yield each of the suite's reports, with elapsed_ms over the whole
+    check: its witness, graph and group builds included."""
+    for claim in suite_claims(suite):
+        t0 = time.perf_counter()
+        report = claim.check()
+        yield replace(report, elapsed_ms=(time.perf_counter() - t0) * 1000.0)

@@ -2,14 +2,14 @@
 desk scale, with runtime budgets."""
 
 import time
-from itertools import combinations
 from math import comb, factorial
 
 import pytest
 
-from mergedjohnson.classify import (aut_descriptor, classify_cayley,
-                                    classify_instance, classify_two_regular,
-                                    only_an_sn, witness_group)
+from mergedjohnson.classify import (aut_descriptor, census_instances,
+                                    classify_cayley, classify_instance,
+                                    classify_two_regular, only_an_sn,
+                                    witness_group)
 from mergedjohnson.complement import (build_cocycle_data, build_pointed_psl28,
                                       complement_vertex_group,
                                       frobenius_class_action, orbit_signature)
@@ -194,14 +194,6 @@ def _aut_case_predicates(n, k, I):
     }
 
 
-def _census_instances(n_max):
-    for n in range(4, n_max + 1):
-        for k in range(2, n // 2 + 1):
-            for size in range(1, k + 1):
-                for cmb in combinations(range(1, k + 1), size):
-                    yield n, k, frozenset(cmb)
-
-
 def test_criterion_8_census_properties():
     t0 = time.perf_counter()
     graph_cache = {}
@@ -220,7 +212,7 @@ def test_criterion_8_census_properties():
         return witness_cache[key]
 
     checked_yes = 0
-    for n, k, I in _census_instances(12):
+    for n, k, I in census_instances(12):
         fired = [c for c, hit in _aut_case_predicates(n, k, I).items() if hit]
         assert len(fired) == 1, (n, k, I, fired)
         assert aut_descriptor(n, k, I).case_id == fired[0]

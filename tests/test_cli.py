@@ -1,8 +1,10 @@
 import json
 import time
+from math import lgamma, log
 
 from click.testing import CliRunner
 
+from mergedjohnson import verify
 from mergedjohnson.cli import main
 
 
@@ -143,3 +145,37 @@ def test_group_non_prime_power_is_usage_error():
 
 def test_graph_export_unmaterialized_is_usage_error():
     _usage_error(run("graph", "export", "-n", "50", "-k", "3", "-I", "1"))
+
+
+def test_classify_huge_deficiency_bound_by_formula():
+    # k!(n-k)!/2 past 4300 digits is given by formula, not built
+    for n, k, formula in [(2000, 2, "2!*1998!/2"), (2200, 1100, "1100!*1100!/2")]:
+        t0 = time.perf_counter()
+        result = run("classify", "-n", str(n), "-k", str(k), "-I", "1")
+        assert result.exit_code == 0, result.output
+        low, high = json.loads(result.output)["deficiency"]["interval"]
+        assert low == 3
+        assert high["formula"] == formula
+        log10 = (lgamma(k + 1) + lgamma(n - k + 1) - log(2)) / log(10)
+        assert abs(high["log10"] - log10) < 1e-3
+        assert time.perf_counter() - t0 < 5.0
+
+
+def test_verify_fast_confirms_every_fast_claim():
+    result = run("verify", "--suite", "fast")
+    assert result.exit_code == 0
+    lines = [json.loads(line) for line in result.output.splitlines()]
+    texts = [c.text for c in verify.suite_claims("fast")]
+    assert [r["claim"] for r in lines] == texts
+    assert {r["outcome"] for r in lines} == {"confirmed"}
+
+
+def test_verify_exits_1_on_a_refuted_claim(monkeypatch):
+    confirmed = verify.suite_claims("fast")[-1]
+    refuted = verify.Claim("fast", "refuted on purpose", lambda: verify.OracleReport(
+        "refuted on purpose", "refuted", {}, 0.0))
+    monkeypatch.setattr(verify, "CLAIMS", (confirmed, refuted))
+    result = run("verify", "--suite", "fast")
+    assert result.exit_code == 1
+    outcomes = [json.loads(line)["outcome"] for line in result.output.splitlines()]
+    assert outcomes == ["confirmed", "refuted"]

@@ -83,3 +83,23 @@ def test_transitivity_on_ksubsets_matches_orbits():
     domain = ActionDomain.ksubsets(5, 2)
     assert not cyclic.is_transitive(domain)
     assert sorted(len(o) for o in cyclic.orbits(domain)) == [5, 5]
+
+
+def test_orbit_rejects_labels_outside_the_domain():
+    g = s_n(5)
+    assert len(g.orbit(4)[0]) == 5
+    for bad in (5, -1):
+        with pytest.raises(ValueError):
+            g.orbit(bad)
+    pairs = ActionDomain.ksubsets(5, 2)
+    assert len(g.orbit(0b10001, pairs)[0]) == 10
+    for bad in (0b00111, 0b00001, 0b100001, -3):
+        with pytest.raises(ValueError):
+            g.orbit(bad, pairs)
+
+
+@pytest.mark.parametrize("domain", [ActionDomain.points(6),
+                                    ActionDomain.ksubsets(6, 3)])
+def test_domain_membership_matches_its_labels(domain):
+    labels = set(domain.iter_labels(6))
+    assert [x for x in range(-4, 1 << 7) if domain.contains(x, 6)] == sorted(labels)

@@ -1,15 +1,19 @@
 import json
+import time
+from pathlib import Path
 
 import pytest
 
+from mergedjohnson import verify
 from mergedjohnson.johnson import build_graph
 from mergedjohnson.perms import Permutation, PermutationGroup
-from mergedjohnson.verify import (OracleReport, bruteforce_automorphism_group,
+from mergedjohnson.verify import (Claim, OracleReport,
+                                  bruteforce_automorphism_group,
                                   is_automorphism,
                                   lemma_regorbits_exhaustive_n4,
                                   lemma_two_orbit_check, regular_action_check,
-                                  regular_subgroup_nonexistence,
-                                  sharply_two_transitive_check)
+                                  regular_subgroup_nonexistence, run_suite,
+                                  sharply_two_transitive_check, suite_claims)
 
 
 def test_is_automorphism():
@@ -120,3 +124,60 @@ def test_report_json_roundtrip():
     parsed = json.loads(report.to_json())
     assert parsed["outcome"] == "confirmed"
     assert set(parsed) == {"claim", "outcome", "evidence", "elapsed_ms"}
+
+
+# -- the claim registry ----------------------------------------------------
+
+# `verify --suite fast` output with elapsed_ms removed, as recorded before
+# the claims moved from the CLI into the registry
+FAST_GOLDEN = Path(__file__).parent / "data" / "verify_fast.jsonl"
+
+FULL_ONLY = [
+    "r=1 action on J(27,2)_[1]",
+    "r=1 action on J(31,2)_[1, 2]",
+    "r=1 action on J(32,3)_[1]",
+    "AHL1 of the order-343 Dickson near-field is regular on 58653 2-subsets",
+] + ["exceptional near-field p=%d variant %d gives a sharply 2-transitive "
+     "group" % pv for pv in [(5, 1), (7, 1), (11, 1), (11, 2), (23, 1),
+                             (29, 1), (59, 1)]] + [
+    "PSL2(8) complement classes: orbit signatures, 2-regularity, "
+    "Frobenius 3-cycle",
+]
+
+
+@pytest.fixture(scope="module")
+def fast_reports():
+    return list(run_suite("fast"))
+
+
+def test_every_fast_claim_is_confirmed(fast_reports):
+    assert [r.claim for r in fast_reports] == [c.text for c in suite_claims("fast")]
+    assert [r.claim for r in fast_reports if not r.confirmed] == []
+
+
+def test_fast_reports_match_the_recorded_lines(fast_reports):
+    lines = []
+    for report in fast_reports:
+        record = json.loads(report.to_json())
+        del record["elapsed_ms"]
+        lines.append(json.dumps(record, sort_keys=True))
+    assert lines == FAST_GOLDEN.read_text().splitlines()
+
+
+def test_full_tier_is_fast_tier_then_full_only_claims():
+    fast, full = suite_claims("fast"), suite_claims("full")
+    assert len(fast) == 14
+    assert full[:len(fast)] == fast
+    assert [c.text for c in full[len(fast):]] == FULL_ONLY
+    assert {c.tier for c in fast} == {"fast"}
+    assert {c.tier for c in full[len(fast):]} == {"full"}
+
+
+def test_elapsed_ms_spans_the_whole_check(monkeypatch):
+    def slow_check():
+        time.sleep(0.05)  # stands for the builds before the oracle runs
+        return OracleReport("slow", "confirmed", {}, 0.0)
+
+    monkeypatch.setattr(verify, "CLAIMS", (Claim("fast", "slow", slow_check),))
+    (report,) = run_suite("fast")
+    assert report.elapsed_ms >= 50.0
