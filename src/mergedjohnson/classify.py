@@ -80,32 +80,43 @@ def _orthogonal_minus_order(m: int, q: int) -> int:
     return order
 
 
-def aut_descriptor(n: int, k: int, I) -> AutDescriptor:
-    ms = _check_bounds(n, k, I)
+def _aut_case(n: int, k: int, ms) -> int:
+    """The automorphism case of J(n,k)_I, the case_id of its descriptor,
+    without building the order."""
     I = ms.I
     if ms.is_complete:
+        return 0
+    if 2 * k == n:
+        if I in (frozenset({k}), frozenset(range(1, k))):
+            return 7
+        return 6 if ms.i_prime == ms.i_double_prime else 5
+    if (n, k) == (12, 4) and I in (frozenset({1, 3}), frozenset({2, 4})):
+        return 2
+    if 2 * k < n - 1:
+        return 1
+    # k = (n-1)/2, n odd
+    return 4 if frozenset(k + 1 - i for i in I) == I else 3
+
+
+def aut_descriptor(n: int, k: int, I) -> AutDescriptor:
+    case = _aut_case(n, k, _check_bounds(n, k, I))
+    if case == 0:
         return AutDescriptor(0, "Sym(%d)" % comb(n, k),
                              _power_factorial(0, comb(n, k), "C(%d,%d)!", n, k))
-    if 2 * k == n:
+    if case == 7:
         e = comb(n, k) // 2
-        special = I in (frozenset({k}), frozenset(range(1, k)))
-        if special:
-            return AutDescriptor(7, "S2 wr S%d" % e,
-                                 _power_factorial(e, e, "2^%d*%d!", e, e))
-        if ms.i_prime == ms.i_double_prime:
-            return AutDescriptor(6, "S2^%d : S%d" % (e, n),
-                                 _power_factorial(e, n, "2^%d*%d!", e, n))
+        return AutDescriptor(7, "S2 wr S%d" % e,
+                             _power_factorial(e, e, "2^%d*%d!", e, e))
+    if case == 6:
+        e = comb(n, k) // 2
+        return AutDescriptor(6, "S2^%d : S%d" % (e, n),
+                             _power_factorial(e, n, "2^%d*%d!", e, n))
+    if case == 5:
         return AutDescriptor(5, "S2 x S%d" % n, _power_factorial(1, n, "2*%d!", n))
-    if (n, k) == (12, 4) and I in (frozenset({1, 3}), frozenset({2, 4})):
+    if case == 2:
         return AutDescriptor(2, "GO-10(2)", _orthogonal_minus_order(5, 2))
-    if 2 * k < n - 1:
-        return AutDescriptor(1, "S%d" % n, _power_factorial(0, n, "%d!", n))
-    # k = (n-1)/2, n odd
-    reflected = frozenset(k + 1 - i for i in I)
-    if reflected == I:
-        return AutDescriptor(4, "S%d" % (n + 1),
-                             _power_factorial(0, n + 1, "%d!", n + 1))
-    return AutDescriptor(3, "S%d" % n, _power_factorial(0, n, "%d!", n))
+    m = n + 1 if case == 4 else n
+    return AutDescriptor(case, "S%d" % m, _power_factorial(0, m, "%d!", m))
 
 
 def only_an_sn(n: int, k: int, I) -> bool:
@@ -157,13 +168,13 @@ def is_connected_family(n: int, k: int, I) -> bool:
     return not (2 * k == n and ms.I == frozenset({k}))
 
 
-def _no_reason(n, k, I):
-    desc = aut_descriptor(n, k, I)
-    if desc.case_id == 2:
+def _no_reason(n, k, ms):
+    case = _aut_case(n, k, ms)
+    if case == 2:
         return "GO10-no-regular-subgroup"
-    if desc.case_id in (5, 6, 7):
+    if case in (5, 6, 7):
         return "n2k-lemma"
-    if desc.case_id == 4:
+    if case == 4:
         return "n-odd-half-lemma"
     return "aut-is-Sn-no-sharp-group"
 
@@ -192,7 +203,7 @@ def classify_cayley(n: int, k: int, I) -> CayleyVerdict:
     if cases:
         return CayleyVerdict(True, tuple(cases), witness_spec=specs[0],
                              disconnected=not is_connected_family(n, k, I))
-    return CayleyVerdict(False, reason=_no_reason(n, k, I))
+    return CayleyVerdict(False, reason=_no_reason(n, k, ms))
 
 
 TWO_REG_PSL28_MERGES = (frozenset({1, 4}), frozenset({2, 3}),
@@ -223,7 +234,7 @@ def classify_two_regular(n: int, k: int, I) -> TwoRegularVerdict:
                       "reflection" % (n, k))
     if cases:
         return TwoRegularVerdict(True, tuple(cases), witness_specs=tuple(specs))
-    return TwoRegularVerdict(False, reason=_no_reason(n, k, I))
+    return TwoRegularVerdict(False, reason=_no_reason(n, k, ms))
 
 
 # --------------------------------------------------------------------------
@@ -244,20 +255,22 @@ class DeficiencyResult:
 
 
 def cayley_deficiency(n: int, k: int, I) -> DeficiencyResult:
-    ms = _check_bounds(n, k, I)
-    cayley = classify_cayley(n, k, I)
+    return _deficiency(n, k, _check_bounds(n, k, I), classify_cayley(n, k, I),
+                       classify_two_regular(n, k, I))
+
+
+def _deficiency(n, k, ms, cayley: CayleyVerdict,
+                two_reg: TwoRegularVerdict) -> DeficiencyResult:
     if cayley.outcome:
         return DeficiencyResult(exact=1, witness=cayley.witness_spec,
                                 disconnected=cayley.disconnected)
-    two_reg = classify_two_regular(n, k, I)
     if two_reg.outcome:
         return DeficiencyResult(exact=2, witness=two_reg.witness_specs[0])
     upper = _power_factorial(-1, k, "%d!*%d!/2", k, n - k, m2=n - k)
-    desc = aut_descriptor(n, k, I)
-    if desc.case_id not in (1, 3):
+    if _aut_case(n, k, ms) not in (1, 3):
         # Aut J exceeds S_n; no exact minimum is known here
         return DeficiencyResult(interval=(3, upper))
-    if only_an_sn(n, k, I) or not catalog.degrees_d_k(k, n):
+    if only_an_sn(n, k, ms.I) or not catalog.degrees_d_k(k, n):
         return DeficiencyResult(exact=upper, witness="A%d" % n)
     value, witness = catalog.minimal_stabilizer_order(n, k)
     if value is None:
@@ -450,7 +463,7 @@ def classify_instance(n: int, k: int, I) -> dict:
     desc = aut_descriptor(n, k, I)
     cayley = classify_cayley(n, k, I)
     two_reg = classify_two_regular(n, k, I)
-    deficiency = cayley_deficiency(n, k, I)
+    deficiency = _deficiency(n, k, ms, cayley, two_reg)
     record = {
         "n": n,
         "k": k,

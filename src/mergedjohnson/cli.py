@@ -205,8 +205,7 @@ def group_psl28(delta):
     """PSL2(8) complement acting on the 252 vertices of J(10,5)."""
     data = cpl.build_cocycle_data(delta)
     g = cpl.complement_vertex_group(data)
-    _emit(_group_record(g, delta=delta,
-                        orbit_sizes=list(cpl.orbit_signature(data))),
+    _emit(_group_record(g, delta=delta, orbit_sizes=list(g.orbit_sizes())),
           sys.stdout)
 
 

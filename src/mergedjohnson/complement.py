@@ -224,8 +224,7 @@ def complement_vertex_group(data: CocycleData) -> PermutationGroup:
 
 
 def orbit_signature(data: CocycleData) -> tuple:
-    group = complement_vertex_group(data)
-    return tuple(sorted(len(o) for o in group.orbits()))
+    return complement_vertex_group(data).orbit_sizes()
 
 
 def global_flip() -> Permutation:

@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .subsets import all_masks, elements_of, ksubset_rank, ksubset_unrank, mask_of
+import numpy as np
+
+from .subsets import elements_of, ksubset_rank, ksubset_unrank, ksubsets, mask_of
 
 
 # --------------------------------------------------------------------------
@@ -65,12 +67,18 @@ def adjacent(n: int, k: int, I, K: int, Kp: int) -> bool:
 
 MATERIALIZE_LIMIT = 10 ** 6
 
+# entries of the (vertices, neighbours, k) block built at a time
+_BLOCK_ENTRIES = 1 << 21
+
 
 class MergedJohnsonGraph:
     """J(n,k)_I on C(n,k) vertices, immutable after build.
 
-    Edges are materialized only when the vertex count permits; adjacency
-    queries always work through the intersection test.
+    A materialized graph stores its neighbours as a (V, degree) int32
+    matrix: the graph is regular, so this is CSR with a constant row
+    length.  Row u lists u's neighbours in generation order (see
+    neighbors); edges and adjacency are views derived from it on first
+    use.  Adjacency queries always work through the intersection test.
     """
 
     def __init__(self, n: int, k: int, I, materialize: bool | None = None):
@@ -86,15 +94,14 @@ class MergedJohnsonGraph:
             materialize = self.num_vertices <= 10_000
         if materialize and self.num_vertices > MATERIALIZE_LIMIT:
             raise ValueError("refusing to materialize %d vertices" % self.num_vertices)
-        self._masks = None
+        self._neighbours = None
+        self._keys = None
         self._edges = None
         self._adjacency = None
         if materialize:
             self._materialize()
 
     def vertex_mask(self, rank: int) -> int:
-        if self._masks is not None:
-            return self._masks[rank]
         return ksubset_unrank(self.k, rank)
 
     def adjacent_ranks(self, u: int, v: int) -> bool:
@@ -102,48 +109,90 @@ class MergedJohnsonGraph:
 
     def neighbors(self, u: int):
         """Neighbor ranks of vertex u, by direct generation: replace an
-        i-subset of K with an i-subset of the complement, i ∈ I."""
+        i-subset of K with an i-subset of the complement, for i in sorted
+        I, the dropped subsets in lex order, for each the added ones in
+        lex order."""
+        if self._neighbours is not None:
+            return self._neighbours[u].tolist()
         K = self.vertex_mask(u)
-        inside = elements_of(K)
         outside = [x for x in range(self.n) if not (K >> x) & 1]
-        out = []
+        return self._neighbour_rows(np.array([elements_of(K)]),
+                                    np.array([outside]))[0].tolist()
+
+    def _neighbour_rows(self, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
+        """Neighbour ranks, in generation order, of the vertices whose
+        ascending element rows are inside, with complements outside."""
+        codec = ksubsets(self.n, self.k)
+        blocks = []
         for i in sorted(self.I):
-            for drop in combinations(inside, i):
-                base = K & ~mask_of(drop)
-                for add in combinations(outside, i):
-                    out.append(ksubset_rank(base | mask_of(add)))
-        return out
+            # the kept k-i elements of each dropped i-subset, and each added i-subset
+            keep = np.array([[x for x in range(self.k) if x not in drop]
+                             for drop in combinations(range(self.k), i)],
+                            dtype=np.intp).reshape(comb(self.k, i), self.k - i)
+            add = np.array(list(combinations(range(self.n - self.k), i)), dtype=np.intp)
+            kept = inside[:, keep][:, :, None, :]
+            added = outside[:, add][:, None, :, :]
+            shape = (len(inside), len(keep), len(add))
+            rows = np.concatenate([np.broadcast_to(kept, shape + (self.k - i,)),
+                                   np.broadcast_to(added, shape + (i,))], axis=-1)
+            blocks.append(codec.rank(np.sort(rows, axis=-1)).reshape(len(inside), -1))
+        return np.concatenate(blocks, axis=1)
 
     def _materialize(self):
-        self._masks = all_masks(self.n, self.k)
-        adjacency = [[] for _ in range(self.num_vertices)]
-        edges = []
-        for u in range(self.num_vertices):
-            for v in self.neighbors(u):
-                if v > u:
-                    edges.append((u, v))
-                adjacency[u].append(v)
-        for row in adjacency:
-            row.sort()
-            if len(row) != self.degree:
-                raise AssertionError("vertex degree disagrees with the closed form")
-        self._edges = edges
-        self._adjacency = adjacency
+        codec = ksubsets(self.n, self.k)
+        inside, outside = codec.elements, codec.complements()
+        nbrs = np.empty((self.num_vertices, self.degree), dtype=np.int32)
+        step = max(1, _BLOCK_ENTRIES // max(1, self.degree * self.k))
+        for lo in range(0, self.num_vertices, step):
+            nbrs[lo:lo + step] = self._neighbour_rows(inside[lo:lo + step],
+                                                      outside[lo:lo + step])
+        ordered = np.sort(nbrs, axis=1)
+        rows = np.arange(self.num_vertices)[:, None]
+        if (ordered == rows).any() or (ordered[:, 1:] == ordered[:, :-1]).any():
+            raise AssertionError("vertex degree disagrees with the closed form")
+        self._neighbours = nbrs
+        # u*V + v over the sorted rows: every ordered edge, ascending
+        self._keys = (rows * self.num_vertices + ordered).ravel()
 
     @property
     def materialized(self) -> bool:
-        return self._edges is not None
+        return self._neighbours is not None
+
+    def _matrix(self) -> np.ndarray:
+        if self._neighbours is None:
+            raise ValueError("graph is not materialized")
+        return self._neighbours
+
+    def edge_arrays(self) -> tuple:
+        """(u, v) int arrays of the edges u < v, in the order of edges."""
+        nbrs = self._matrix()
+        u = np.repeat(np.arange(self.num_vertices, dtype=np.int32), self.degree)
+        v = nbrs.ravel()
+        forward = v > u
+        return u[forward], v[forward]
+
+    def has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether each (a[i], b[i]) is an edge, by binary search in the
+        row-sorted neighbour keys u*V + v."""
+        self._matrix()
+        keys = self._keys
+        query = np.asarray(a, dtype=np.int64) * self.num_vertices + b
+        found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        return keys[found] == query
 
     @property
     def edges(self) -> list:
         if self._edges is None:
-            raise ValueError("graph is not materialized")
+            u, v = self.edge_arrays()
+            self._edges = list(zip(u.tolist(), v.tolist()))
         return self._edges
 
     @property
     def adjacency(self) -> list:
         if self._adjacency is None:
-            raise ValueError("graph is not materialized")
+            self._matrix()
+            rows = self._keys.reshape(self.num_vertices, self.degree)
+            self._adjacency = (rows % self.num_vertices).tolist()
         return self._adjacency
 
     # -- exports ----------------------------------------------------------

@@ -7,6 +7,8 @@ PermutationGroup carries a deterministic stabilizer chain (base points are
 the smallest moved points, level by level), giving exact order and a
 membership test.  Chain internals use numpy arrays so that desk-scale
 groups (orders up to ~10^7, degrees up to a few thousand) stay fast.
+Orbits, the closure and the stabilizer sweep run on int arrays of point
+images too, without transversals.
 """
 
 from __future__ import annotations
@@ -16,7 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subsets import all_masks, ksubset_rank, mask_image
+from .subsets import all_masks, ksubset_rank, ksubsets, mask_image
+
+# entries of the (elements, domain points[, k]) block compared at a time in
+# the stabilizer sweep
+_BLOCK_ENTRIES = 1 << 22
 
 
 class Permutation:
@@ -128,6 +134,34 @@ def invert_array(p: np.ndarray) -> np.ndarray:
     inv = np.empty_like(p)
     inv[p] = np.arange(len(p))
     return inv
+
+
+def frontier_bfs(start: int, step, seen: np.ndarray) -> np.ndarray:
+    """Orbit of start as an int array in breadth-first order, one level at
+    a time, with no transversal.
+
+    step(frontier) returns the images of the frontier points, all images
+    of the first point, then all of the second, and so on; seen is a bool
+    array over the domain and is updated in place.  Repeated images in a
+    level are removed without sorting: each writes its position into an
+    int32 slot array, last position first, and a position is kept when it
+    reads its own value back.  Whichever write wins, each point keeps one
+    position; numpy lets the last write win, so it is the first one, as
+    in a point-by-point search.
+    """
+    slot = np.empty(len(seen), dtype=np.int32)
+    frontier = np.array([start], dtype=np.intp)
+    seen[start] = True
+    levels = [frontier]
+    while frontier.size:
+        images = step(frontier)
+        images = images[~seen[images]]
+        position = np.arange(images.size, dtype=np.int32)
+        slot[images[::-1]] = position[::-1]
+        frontier = images[slot[images] == position]
+        seen[frontier] = True
+        levels.append(frontier)
+    return np.concatenate(levels)
 
 
 class _Level:
@@ -273,11 +307,6 @@ class ActionDomain:
             raise ValueError("k out of range")
         return cls("ksubsets", math.comb(n, k), k)
 
-    @property
-    def first(self) -> int:
-        """The rank-0 label: point 0, or the subset {0..k-1}."""
-        return (1 << self.k) - 1 if self.kind == "ksubsets" else 0
-
     def contains(self, label, degree: int) -> bool:
         """Whether label is in the domain on `degree` points, in O(1): a
         point below size, or a k-bit mask within `degree` bits."""
@@ -294,10 +323,6 @@ class ActionDomain:
         if self.kind == "points":
             return perm(label)
         return perm.act_mask(label)
-
-
-def _point_image(x: int, images) -> int:
-    return images[x]
 
 
 class PermutationGroup:
@@ -340,25 +365,41 @@ class PermutationGroup:
 
     # -- enumeration -----------------------------------------------------
 
+    def _generator_array(self) -> np.ndarray:
+        return np.array([g.images for g in self.generators], dtype=np.int32)
+
+    def _closure_levels(self, limit: int | None = None):
+        """The elements as (count, degree) int32 arrays of point images, one
+        per level of a breadth-first closure from the identity, told apart
+        by their bytes.  With a limit, ValueError as soon as the closure
+        has more than limit elements."""
+        gens = self._generator_array()
+        level = np.arange(self.degree, dtype=np.int32)[None, :]
+        seen = {level.tobytes()}
+        while len(level):
+            yield level
+            # x*g sends a point p to g[x[p]]; rows x by x, generators in order
+            products = gens[:, level].swapaxes(0, 1).reshape(-1, self.degree)
+            raw = products.tobytes()
+            width = len(raw) // len(products)
+            fresh = []
+            for i in range(len(products)):
+                key = raw[i * width:(i + 1) * width]
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(i)
+                    if limit is not None and len(seen) > limit:
+                        raise ValueError("closure exceeded limit %d" % limit)
+            level = products[fresh]
+
     def elements(self, limit: int | None = None) -> list[Permutation]:
-        """All group elements by closure BFS; intended for order <= ~10^5."""
+        """All group elements by closure BFS, sorted by their images;
+        intended for order <= ~10^5."""
         if self._elements is not None and limit is None:
             return self._elements
-        identity = Permutation.identity(self.degree)
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = x * g
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-                        if limit is not None and len(seen) > limit:
-                            raise ValueError("closure exceeded limit %d" % limit)
-            frontier = nxt
-        out = sorted(seen, key=lambda p: p.images)
+        rows = np.concatenate(list(self._closure_levels(limit)))
+        rows = rows[np.lexsort(rows.T[::-1])]
+        out = [Permutation(row) for row in rows.tolist()]
         if limit is None:
             self._elements = out
         return out
@@ -391,36 +432,48 @@ class PermutationGroup:
                     orbit_list.append(z)
         return orbit_list, transversal
 
-    def _orbit_search(self, x, domain: ActionDomain, seen: set) -> list:
-        """Orbit of x by breadth-first search over the generators' image
-        tuples, building no transversal.  Adds the orbit to seen."""
-        act = mask_image if domain.kind == "ksubsets" else _point_image
-        gen_images = [g.images for g in self.generators]
-        seen.add(x)
-        block = [x]
-        for y in block:
-            for images in gen_images:
-                z = act(y, images)
-                if z not in seen:
-                    seen.add(z)
-                    block.append(z)
-        return block
+    def _domain_generators(self, domain: ActionDomain) -> np.ndarray:
+        """(generators, domain size) array of the generators' images on the
+        domain's indices: points, or k-subset ranks."""
+        gens = self._generator_array()
+        if domain.kind == "ksubsets":
+            return ksubsets(self.degree, domain.k).image_ranks(gens)
+        return gens
+
+    def _orbit_blocks(self, domain: ActionDomain, starts=None):
+        """Orbits of the domain's indices as int arrays in breadth-first
+        order, from each start (default: every index) not yet reached."""
+        gens = self._domain_generators(domain)
+        seen = np.zeros(domain.size, dtype=bool)
+        for x in range(domain.size) if starts is None else starts:
+            if not seen[x]:
+                yield frontier_bfs(x, lambda f: gens[:, f].T.ravel(), seen)
+
+    def _orbit_size(self, domain: ActionDomain, x: int = 0) -> int:
+        """Size of the orbit of the domain index x (a point, or a rank)."""
+        return len(next(self._orbit_blocks(domain, [x])))
 
     def orbits(self, domain: ActionDomain | None = None):
-        """Partition of the domain into orbits (no transversals)."""
+        """Partition of the domain into orbits (no transversals): lists of
+        labels in breadth-first order, by first label."""
         if domain is None:
             domain = ActionDomain.points(self.degree)
-        seen = set()
-        parts = []
-        for x in domain.iter_labels(self.degree):
-            if x not in seen:
-                parts.append(self._orbit_search(x, domain, seen))
-        return parts
+        blocks = [block.tolist() for block in self._orbit_blocks(domain)]
+        if domain.kind == "ksubsets":
+            masks = all_masks(self.degree, domain.k)
+            blocks = [[masks[i] for i in block] for block in blocks]
+        return blocks
+
+    def orbit_sizes(self, domain: ActionDomain | None = None) -> tuple:
+        """Sorted orbit lengths on the domain."""
+        if domain is None:
+            domain = ActionDomain.points(self.degree)
+        return tuple(sorted(len(block) for block in self._orbit_blocks(domain)))
 
     def is_transitive(self, domain: ActionDomain | None = None) -> bool:
         if domain is None:
             domain = ActionDomain.points(self.degree)
-        return len(self._orbit_search(domain.first, domain, set())) == domain.size
+        return self._orbit_size(domain) == domain.size
 
     # -- induced subset action -------------------------------------------
 
@@ -431,14 +484,28 @@ class PermutationGroup:
         """
         if not 1 <= k <= self.degree:
             raise ValueError("k out of range")
-        masks = all_masks(self.degree, k)
-        induced = []
-        for g in self.generators:
-            images = [ksubset_rank(g.act_mask(m)) for m in masks]
-            induced.append(Permutation(images))
-        return PermutationGroup(induced, degree=len(masks))
+        codec = ksubsets(self.degree, k)
+        images = codec.image_ranks(self._generator_array())
+        return PermutationGroup([Permutation(row) for row in images.tolist()],
+                                degree=codec.size)
 
     # -- regularity ------------------------------------------------------
+
+    def _fixed_point_counts(self, domain: ActionDomain) -> np.ndarray:
+        """For each domain index, the number of group elements fixing it:
+        the elements come from the closure as int arrays, a level at a
+        time, and fixed points are counted per column."""
+        size = domain.size
+        counts = np.zeros(size, dtype=np.int64)
+        codec = ksubsets(self.degree, domain.k) if domain.kind == "ksubsets" else None
+        rows = max(1, _BLOCK_ENTRIES // (size * max(1, domain.k)))
+        for level in self._closure_levels():
+            for lo in range(0, len(level), rows):
+                images = level[lo:lo + rows]
+                if codec is not None:
+                    images = codec.image_ranks(images)
+                counts += (images == np.arange(size)).sum(axis=0)
+        return counts
 
     def regularity_degree(self, domain: ActionDomain | None = None,
                           exhaustive_limit: int = 20000) -> int | None:
@@ -450,8 +517,7 @@ class PermutationGroup:
         """
         if domain is None:
             domain = ActionDomain.points(self.degree)
-        orbit_list, _ = self.orbit(domain.first, domain)
-        if len(orbit_list) != domain.size:
+        if self._orbit_size(domain) != domain.size:
             return None
         order = self.order
         if order % domain.size != 0:
@@ -459,12 +525,7 @@ class PermutationGroup:
                                  % (domain.size, order))
         r = order // domain.size
         if order <= exhaustive_limit:
-            counts = {x: 0 for x in domain.iter_labels(self.degree)}
-            for el in self.elements():
-                for x in counts:
-                    if domain.apply(x, el) == x:
-                        counts[x] += 1
-            if any(c != r for c in counts.values()):
+            if (self._fixed_point_counts(domain) != r).any():
                 raise AssertionError("non-uniform stabilizer orders found")
         return r
 
@@ -472,11 +533,14 @@ class PermutationGroup:
         """Order of the stabilizer of one label, via orbit-stabilizer."""
         if domain is None:
             domain = ActionDomain.points(self.degree)
-        orbit_list, _ = self.orbit(x, domain)
+        if not domain.contains(x, self.degree):
+            raise ValueError("label outside the action domain")
+        index = ksubset_rank(x) if domain.kind == "ksubsets" else x
+        size = self._orbit_size(domain, index)
         order = self.order
-        if order % len(orbit_list) != 0:
+        if order % size != 0:
             raise AssertionError("orbit-stabilizer violation")
-        return order // len(orbit_list)
+        return order // size
 
     def __repr__(self):
         return "PermutationGroup(degree=%d, gens=%d)" % (self.degree, len(self.generators))

@@ -3,12 +3,19 @@
 Subsets of {0..n-1} are stored as integer bitmasks.  Ranks follow co-lex
 order: for a subset with elements e_0 < e_1 < ... < e_{k-1} the rank is
 sum(C(e_i, i+1)), so rank 0 is always {0..k-1} and ranking is O(k).
+
+`ksubsets(n, k)` is the same codec on arrays, for whole domains at once:
+the co-lex element table and a binomial table, so that the ranks of many
+subsets are one numpy expression.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+
+import numpy as np
 
 
 def mask_of(elements) -> int:
@@ -57,15 +64,13 @@ def ksubset_unrank(k: int, rank: int) -> int:
 
 def all_masks(n: int, k: int) -> list[int]:
     """All k-subset masks of {0..n-1} in co-lex (rank) order."""
-    combos = sorted(itertools.combinations(range(n), k), key=lambda c: c[::-1])
-    return [mask_of(c) for c in combos]
+    return [mask_of(row) for row in ksubsets(n, k).elements.tolist()]
 
 
 def complement_ranks(n: int, k: int) -> list[int]:
     """Co-lex rank of the complement of each k-subset of {0..n-1}, indexed
     by the k-subset's rank."""
-    full = (1 << n) - 1
-    return [ksubset_rank(full ^ m) for m in all_masks(n, k)]
+    return ksubsets(n, n - k).rank(ksubsets(n, k).complements()).tolist()
 
 
 def mask_image(mask: int, images) -> int:
@@ -82,3 +87,59 @@ def mask_image(mask: int, images) -> int:
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+class KSubsets:
+    """The k-subsets of {0..n-1} as arrays.  `elements` is the
+    (C(n,k), k) table of ascending rows in co-lex order, so row r is the
+    subset of rank r; `binomial` is B[e, j] = C(e, j) for e < n, j <= k.
+    Each table is built on first use; both are read-only."""
+
+    def __init__(self, n: int, k: int):
+        self.n = n
+        self.k = k
+        self.size = math.comb(n, k)
+
+    @functools.cached_property
+    def elements(self) -> np.ndarray:
+        # co-lex order of subsets is the reverse of the lex order of their
+        # mirror images x -> n-1-x, which itertools generates
+        lex = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(self.n), self.k)),
+            dtype=np.intp, count=self.size * self.k).reshape(self.size, self.k)
+        return _read_only((self.n - 1 - lex)[::-1, ::-1])
+
+    @functools.cached_property
+    def binomial(self) -> np.ndarray:
+        return _read_only(np.array([[math.comb(e, j) for j in range(self.k + 1)]
+                                    for e in range(self.n)], dtype=np.int64))
+
+    def rank(self, rows) -> np.ndarray:
+        """Co-lex ranks of k-subsets given as ascending rows along the last
+        axis: sum_i B[e_i, i + 1]."""
+        return self.binomial[rows, np.arange(1, self.k + 1)].sum(axis=-1)
+
+    def image_ranks(self, images) -> np.ndarray:
+        """Rank of the image of every k-subset, in rank order, under each
+        point map in images (shape (..., n)); result shape (..., C(n,k))."""
+        images = np.asarray(images)
+        return self.rank(np.sort(images[..., self.elements], axis=-1))
+
+    def complements(self) -> np.ndarray:
+        """The (C(n,k), n-k) table of each subset's complement, ascending
+        rows in the subsets' rank order."""
+        inside = np.zeros((self.size, self.n), dtype=bool)
+        inside[np.arange(self.size)[:, None], self.elements] = True
+        return np.nonzero(~inside)[1].reshape(self.size, self.n - self.k)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def ksubsets(n: int, k: int) -> KSubsets:
+    """The array codec of the k-subsets of {0..n-1}, one per (n, k)."""
+    return KSubsets(n, k)

@@ -22,7 +22,8 @@ from .complement import (build_cocycle_data, complement_vertex_group,
 from .johnson import MergedJohnsonGraph, build_graph
 from .nearfields import (EXCEPTIONAL_SPECS, affine_group, build_dickson,
                          exceptional_group)
-from .perms import ActionDomain, Permutation, PermutationGroup, closure
+from .perms import (ActionDomain, Permutation, PermutationGroup, closure,
+                    frontier_bfs)
 
 
 @dataclass(frozen=True)
@@ -60,11 +61,13 @@ def _broken_edge(perms, graph: MergedJohnsonGraph):
         if p.degree != graph.num_vertices:
             raise ValueError("degree %d does not match %d vertices"
                              % (p.degree, graph.num_vertices))
-    edges = {(u, v) for u, v in graph.edges} | {(v, u) for u, v in graph.edges}
+    u, v = graph.edge_arrays()
     for p in perms:
-        for u, v in graph.edges:
-            if (p.images[u], p.images[v]) not in edges:
-                return (u, v)
+        images = np.array(p.images)
+        kept = graph.has_edges(images[u], images[v])
+        if not kept.all():
+            first = int(np.argmin(kept))
+            return (int(u[first]), int(v[first]))
     return None
 
 
@@ -95,17 +98,14 @@ def sharply_two_transitive_check(group: PermutationGroup) -> OracleReport:
     t0 = time.perf_counter()
     n = group.degree
     claim = "sharply 2-transitive on %d points" % n
-    gens = [np.array(g.images, dtype=np.int64) for g in group.generators]
+    gens = np.array([g.images for g in group.generators], dtype=np.int64)
     seen = np.zeros(n * n, dtype=bool)
-    frontier = np.array([0 * n + 1], dtype=np.int64)
-    seen[frontier] = True
-    while frontier.size:
-        a, b = frontier // n, frontier % n
-        nxt = np.unique(np.concatenate([g[a] * n + g[b] for g in gens]))
-        nxt = nxt[~seen[nxt]]
-        seen[nxt] = True
-        frontier = nxt
-    orbit = int(seen.sum())
+
+    def step(pairs):
+        a, b = np.divmod(pairs, n)
+        return (gens[:, a] * n + gens[:, b]).ravel()
+
+    orbit = len(frontier_bfs(0 * n + 1, step, seen))
     ok = orbit == n * (n - 1) == group.order
     return _report(claim, ok, {"pair_orbit": orbit, "order": group.order}, t0)
 
@@ -369,7 +369,7 @@ def _psl28_complements(claim) -> OracleReport:
     others are 2-regular on J(10,5)_{1,4} and J(10,5)_{2,3}."""
     datas = [build_cocycle_data(label) for label in range(4)]
     groups = [complement_vertex_group(data) for data in datas]
-    sigs = [tuple(sorted(len(o) for o in g.orbits())) for g in groups]
+    sigs = [g.orbit_sizes() for g in groups]
     ok = sigs[0] == (126, 126)
     for group, sig in zip(groups[1:], sigs[1:]):
         ok &= group.order == 504 and sig == (252,)

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import time
 from math import lgamma, log
 
+import pytest
 from click.testing import CliRunner
 
 from mergedjohnson import verify
@@ -179,3 +181,35 @@ def test_verify_exits_1_on_a_refuted_claim(monkeypatch):
     assert result.exit_code == 1
     outcomes = [json.loads(line)["outcome"] for line in result.output.splitlines()]
     assert outcomes == ["confirmed", "refuted"]
+
+
+# SHA-256 of `graph export` stdout, recorded before graphs were stored as a
+# neighbour matrix: the edge order of every format is unchanged
+EXPORT_SHA256 = {
+    ("5", "2", "2"): ("ead279b31158ce8399b466361dcea21ec9bccba5629c39388ae67a8fcc3dce1a",
+                      "0ae24b4ea32c89187d7c7e336b54266cc5e66b2e2ef9e44f5e01af11cb281ad5",
+                      "412df2ed97e1f9d9dc2f4daa3ab203de7ecfd06d68cd69825d93d21f2125f2c5"),
+    ("7", "2", "1"): ("a2aaa722d936e412f99df972f7cfcc72dc4b2f9d63c01754b7fa43cffd3fe4df",
+                      "e70e5d6647a202504b87faccc44bf8501f6ce7f9c00d86c24c835bb367b37196",
+                      "cafc4fa753de7dce357e8bd02faed63eb8933b1b847e4d92e4ab632d2e252624"),
+    ("8", "3", "1,3"): ("d62be1e635e3d3071247c7cc3264f63e49d75dec6508f13b3b34bbc7523a2679",
+                        "e4236d0cb0c7cb121dc5468a75ab346e66a7ae82c94044bffd8679f624863711",
+                        "40880d9236c6cd6e14130af371ff8f48d876d643261761180273ba2c4ad472fa"),
+    ("9", "4", "2,4"): ("4b53e58ade186c553e5a5467c6bc9186530eb061134d8712c5f1eeb2d0d5da91",
+                        "a5f50cf34c80666b6d421642b54f3d4e11d85903752ce3ba82a13cea1f0445f5",
+                        "f99603fbf88fe3abb777fb5173fc195d76fd3d4784d5fb791fb5399178a00dc3"),
+    ("10", "5", "1,4"): ("f584724eb547cdf7756fb64675e8735fc068fe5c8eba722f1a9dfc55b2fd86f5",
+                         "aec2785472b0f90ca01b43c138e54c07bf8652601bebae9a952b0eccd6551b1c",
+                         "8adec01cb3ae905b6cb7d97b5176bbed303f4258bd08f1c69a0856a6a0fe2813"),
+    ("12", "4", "1,3"): ("0d022c05b44e9c9d4d37101f8cd97d15c514204c085253b3cee47ee03ae4a662",
+                         "e34b2eac2fca18fff4dd3b13ff1d9b0656d16fe49e1f73c505d2eb7d7fc13da6",
+                         "d22214a2e07619978c5616a459d862ee2032ada83c66ac7c7d2e19b04fb6657c"),
+}
+
+
+@pytest.mark.parametrize("n,k,merge", sorted(EXPORT_SHA256))
+def test_graph_export_matches_recorded_digests(n, k, merge):
+    for fmt, want in zip(("json", "edges", "dimacs"), EXPORT_SHA256[n, k, merge]):
+        result = run("graph", "export", "-n", n, "-k", k, "-I", merge, "--format", fmt)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.output.encode()).hexdigest() == want, fmt

@@ -1,14 +1,16 @@
+from itertools import combinations
 from math import comb
 
+import numpy as np
 import pytest
 
-from mergedjohnson.johnson import (all_equipartitions, build_graph,
+from mergedjohnson.johnson import (adjacent, all_equipartitions, build_graph,
                                    equipartition_bijection,
                                    equipartition_bijection_inverse,
                                    graph_stats, induced_subgraph_classes,
                                    johnson_distance_check, make_equipartition,
                                    merge_set)
-from mergedjohnson.subsets import mask_of
+from mergedjohnson.subsets import all_masks, mask_of
 
 
 def test_merge_set_derived_sets():
@@ -103,3 +105,41 @@ def test_invalid_merge_sets_rejected():
         build_graph(5, 2, set())
     with pytest.raises(ValueError):
         build_graph(5, 2, {3})
+
+
+def _merge_sets(k):
+    return [frozenset(c) for size in range(1, k + 1)
+            for c in combinations(range(1, k + 1), size)]
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_materialized_adjacency_follows_the_intersection_rule(n):
+    for k in range(2, n // 2 + 1):
+        masks = all_masks(n, k)
+        for I in _merge_sets(k):
+            g = build_graph(n, k, I)
+            assert len(g.adjacency) == g.num_vertices
+            for u, row in enumerate(g.adjacency):
+                want = [v for v in range(g.num_vertices)
+                        if v != u and adjacent(n, k, I, masks[u], masks[v])]
+                assert row == want
+                assert sorted(g.neighbors(u)) == want
+            assert g.edges == [(u, v) for u in range(g.num_vertices)
+                               for v in g.neighbors(u) if v > u]
+            assert len(g.edges) == g.num_vertices * g.degree // 2
+
+
+def test_unmaterialized_neighbors_match_the_matrix():
+    full = build_graph(9, 3, {1, 3})
+    lazy = build_graph(9, 3, {1, 3}, materialize=False)
+    assert not lazy.materialized
+    assert all(lazy.neighbors(u) == full.neighbors(u) for u in range(0, 84, 5))
+    with pytest.raises(ValueError):
+        lazy.edges
+
+
+def test_has_edges_against_the_adjacency_lists():
+    g = build_graph(8, 3, {1, 3})
+    a, b = np.divmod(np.arange(g.num_vertices ** 2), g.num_vertices)
+    found = g.has_edges(a, b).reshape(g.num_vertices, g.num_vertices)
+    assert [np.flatnonzero(row).tolist() for row in found] == g.adjacency

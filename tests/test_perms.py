@@ -103,3 +103,70 @@ def test_orbit_rejects_labels_outside_the_domain():
 def test_domain_membership_matches_its_labels(domain):
     labels = set(domain.iter_labels(6))
     assert [x for x in range(-4, 1 << 7) if domain.contains(x, 6)] == sorted(labels)
+
+
+# -- array orbits and the stabilizer sweep, against plain loops -------------
+
+def _fixed_points_by_loop(group, domain):
+    labels = list(domain.iter_labels(group.degree))
+    return [sum(1 for g in group.elements() if domain.apply(x, g) == x)
+            for x in labels]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("kind", ["points", "ksubsets"])
+def test_sweep_counts_match_a_loop_over_elements(n, kind):
+    domain = ActionDomain.points(n) if kind == "points" else ActionDomain.ksubsets(n, 2)
+    group = s_n(n)
+    counts = group._fixed_point_counts(domain)
+    assert counts.tolist() == _fixed_points_by_loop(group, domain)
+
+
+def test_sweep_counts_match_a_loop_for_a_j12_6_witness():
+    from mergedjohnson.classify import witness_group
+    dihedral = witness_group(12, 6, {6}, "two-regular")
+    domain = ActionDomain.points(dihedral.degree)
+    counts = dihedral._fixed_point_counts(domain)
+    assert counts.tolist() == _fixed_points_by_loop(dihedral, domain)
+    assert set(counts.tolist()) == {2}
+    assert dihedral.regularity_degree() == 2
+
+
+def _orbits_by_loop(group, domain):
+    seen = set()
+    parts = []
+    for x in domain.iter_labels(group.degree):
+        if x in seen:
+            continue
+        seen.add(x)
+        block = [x]
+        for y in block:
+            for g in group.generators:
+                z = domain.apply(y, g)
+                if z not in seen:
+                    seen.add(z)
+                    block.append(z)
+        parts.append(block)
+    return parts
+
+
+def test_orbits_match_a_point_by_point_search():
+    from mergedjohnson.catalog import psl2
+    groups = [s_n(5), psl2(8),
+              PermutationGroup([Permutation.from_cycles(7, [(0, 1, 2), (3, 4)])])]
+    for group in groups:
+        for domain in (ActionDomain.points(group.degree),
+                       ActionDomain.ksubsets(group.degree, 2),
+                       ActionDomain.ksubsets(group.degree, 3)):
+            want = _orbits_by_loop(group, domain)
+            assert group.orbits(domain) == want
+            assert group.orbit_sizes(domain) == tuple(sorted(map(len, want)))
+
+
+def test_elements_are_every_permutation_in_order():
+    import itertools
+    assert [g.images for g in s_n(4).elements()] == \
+        list(itertools.permutations(range(4)))
+    with pytest.raises(ValueError):
+        s_n(4).elements(limit=23)
+    assert len(s_n(4).elements(limit=24)) == 24

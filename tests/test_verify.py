@@ -181,3 +181,46 @@ def test_elapsed_ms_spans_the_whole_check(monkeypatch):
     monkeypatch.setattr(verify, "CLAIMS", (Claim("fast", "slow", slow_check),))
     (report,) = run_suite("fast")
     assert report.elapsed_ms >= 50.0
+
+
+def test_broken_edge_is_the_first_one_found():
+    # values recorded with the edge check that looked pairs up in a set
+    petersen = build_graph(5, 2, {2})
+    swap = PermutationGroup([Permutation.from_cycles(10, [(0, 5)])])
+    assert regular_action_check(swap, petersen, 1).evidence == {"broken_edge": [0, 8]}
+    # an automorphism first, then a rotation of the 21 vertices
+    from mergedjohnson.classify import witness_group
+    ahl7 = witness_group(7, 2, {1}, "cayley")
+    shift = Permutation((x + 1) % 21 for x in range(21))
+    report = regular_action_check(PermutationGroup(ahl7.generators + [shift]),
+                                  build_graph(7, 2, {1}), 1)
+    assert report.evidence == {"broken_edge": [0, 3]}
+    # the 2-regular witness of J(12,6)_{6} does not preserve J(12,6)_{1,3}
+    dihedral = witness_group(12, 6, {6}, "two-regular")
+    report = regular_action_check(dihedral, build_graph(12, 6, {1, 3}), 2)
+    assert report.evidence == {"broken_edge": [0, 467]}
+    assert regular_action_check(dihedral, build_graph(12, 6, {6}), 2).confirmed
+
+
+def _pair_orbit_by_set(group):
+    n = group.degree
+    start = (0, 1)
+    seen = {start}
+    queue = [start]
+    for a, b in queue:
+        for g in group.generators:
+            pair = (g(a), g(b))
+            if pair not in seen:
+                seen.add(pair)
+                queue.append(pair)
+    return len(seen)
+
+
+def test_pair_orbit_matches_a_set_search():
+    from mergedjohnson.nearfields import exceptional_group, exceptional_spec
+    s4 = PermutationGroup([Permutation.from_cycles(4, [(0, 1)]),
+                           Permutation.from_cycles(4, [(0, 1, 2, 3)])])
+    c5 = PermutationGroup([Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
+    for group in (s4, c5, exceptional_group(exceptional_spec(5, 1))):
+        report = sharply_two_transitive_check(group)
+        assert report.evidence["pair_orbit"] == _pair_orbit_by_set(group)
