@@ -14,11 +14,13 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial, lgamma, log
 
+import numpy as np
+
 from . import catalog
 from .fields import build_field, prime_power_decomposition
 from .johnson import merge_set
 from .nearfields import affine_group
-from .perms import Permutation, PermutationGroup
+from .perms import Permutation, PermutationGroup, invert_array
 from .subsets import complement_ranks
 
 
@@ -346,16 +348,9 @@ def _dihedral_coset_action(m: int) -> tuple:
 
 def _relabel_group(group: PermutationGroup, to_vertex: list) -> PermutationGroup:
     """Conjugate a degree-m group by the bijection point -> to_vertex[point]."""
-    inv = [0] * len(to_vertex)
-    for i, v in enumerate(to_vertex):
-        inv[v] = i
-    gens = []
-    for g in group.generators:
-        images = [0] * len(to_vertex)
-        for v in range(len(to_vertex)):
-            images[v] = to_vertex[g.images[inv[v]]]
-        gens.append(Permutation(images))
-    return PermutationGroup(gens)
+    to_vertex = np.asarray(to_vertex, dtype=np.intp)
+    images = to_vertex[group.generator_images[:, invert_array(to_vertex)]]
+    return PermutationGroup([Permutation(row) for row in images])
 
 
 def _matching_bijection(n: int, k: int, pairing: list) -> list:
@@ -421,13 +416,13 @@ def _cayley_witness(n: int, k: int, case: int) -> PermutationGroup:
     if case == 4:
         # cyclic group acting on itself; any vertex identification works on
         # a complete graph
-        return PermutationGroup([Permutation((x + 1) % m for x in range(m))])
+        return PermutationGroup([Permutation((np.arange(m) + 1) % m)])
     if case == 5:
         # cyclic group on itself, with the unique involution's pairing
         # aligned to complementation
         pairing = [(x + m // 2) % m for x in range(m)]
         to_vertex = _matching_bijection(n, k, pairing)
-        cyclic = PermutationGroup([Permutation((x + 1) % m for x in range(m))])
+        cyclic = PermutationGroup([Permutation((np.arange(m) + 1) % m)])
         return _relabel_group(cyclic, to_vertex)
     raise ValueError("unknown case %r" % case)
 

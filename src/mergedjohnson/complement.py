@@ -13,12 +13,15 @@ the witnesses for J(10,5)_I with I in {{1,4}, {2,3}, {1,4,5}, {2,3,5}}.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .catalog import moebius_generators, psl2
-from .johnson import Equipartition, all_equipartitions, make_equipartition
+from .johnson import Equipartition, all_equipartitions
 from .perms import Permutation, PermutationGroup
-from .subsets import all_masks, complement_ranks, ksubset_rank, mask_of
+from .subsets import complement_ranks, ksubset_rank, ksubsets, mask_of, read_only
 
 
 # --------------------------------------------------------------------------
@@ -48,16 +51,31 @@ def build_pointed_psl28() -> PointedPSL28:
 # Equipartitions and the cocycle data
 # --------------------------------------------------------------------------
 
-def _apply_to_equipartition(phi: Equipartition, perm: Permutation) -> Equipartition:
-    # labels are 1-based, permutation points 0-based
-    return make_equipartition(10, {perm.images[x - 1] + 1 for x in phi.key_part})
+@functools.cache
+def _equipartition_tables() -> tuple:
+    """(halves, phi_of_rank): each equipartition's key part as an ascending
+    row of points, by equipartition index (126 rows), and the index of the
+    equipartition each 5-subset is a half of, by co-lex rank (252 entries)."""
+    halves = np.array([sorted(x - 1 for x in phi.key_part)
+                       for phi in all_equipartitions(10)])
+    key_rank = ksubsets(10, 5).rank(halves)
+    phi_of_rank = np.empty(252, dtype=np.intp)
+    phi_of_rank[key_rank] = np.arange(126)
+    phi_of_rank[np.array(complement_ranks(10, 5))[key_rank]] = np.arange(126)
+    return read_only(halves), read_only(phi_of_rank)
+
+
+def _phi_images(images) -> np.ndarray:
+    """The index of phi * s for every equipartition phi, along the last
+    axis, under each point map s in images (shape (..., 10))."""
+    halves, phi_of_rank = _equipartition_tables()
+    return phi_of_rank[ksubsets(10, 5).rank(np.sort(images[..., halves], axis=-1))]
 
 
 @dataclass(frozen=True)
 class CocycleData:
     pointed: PointedPSL28
     equipartitions: tuple          # all 126, canonical order
-    index_of: dict                 # Equipartition -> index
     phi0_index: int
     V: tuple                       # the four stabilizer elements, identity first
     transversal: tuple             # index -> t_phi with phi0 * t_phi = phi
@@ -82,31 +100,31 @@ def equipartition_setup(pointed: PointedPSL28):
     phis = tuple(all_equipartitions(10))
     if len(phis) != 126:
         raise AssertionError("expected 126 equipartitions")
-    index_of = {phi: i for i, phi in enumerate(phis)}
     phi0_index = 0
-    phi0 = phis[phi0_index]
     identity = Permutation.identity(10)
+    gen_images = _phi_images(pointed.group.generator_images).tolist()
     transversal = [None] * 126
     transversal[phi0_index] = identity
     frontier = [phi0_index]
     while frontier:
         nxt = []
         for i in frontier:
-            for g in pointed.group.generators:
-                j = index_of[_apply_to_equipartition(phis[i], g)]
+            for g, images in zip(pointed.group.generators, gen_images):
+                j = images[i]
                 if transversal[j] is None:
                     transversal[j] = transversal[i] * g
                     nxt.append(j)
         frontier = nxt
     if any(t is None for t in transversal):
         raise AssertionError("equipartition action is not transitive")
-    stab = [s for s in pointed.group.elements()
-            if _apply_to_equipartition(phi0, s) == phi0]
+    elements = pointed.group.elements()
+    fixes = _phi_images(np.stack([s.images for s in elements]))[:, phi0_index]
+    stab = [s for s, phi in zip(elements, fixes) if phi == phi0_index]
     if len(stab) != 4 or any(s * s != identity for s in stab):
         raise AssertionError("stabilizer of phi0 is not a Klein four-group")
     V = tuple([identity] + sorted((s for s in stab if s != identity),
-                                  key=lambda s: s.images))
-    return phis, index_of, phi0_index, V, tuple(transversal)
+                                  key=lambda s: s.images.tolist()))
+    return phis, phi0_index, V, tuple(transversal)
 
 
 def build_cocycle_data(delta_label: int = 0,
@@ -115,9 +133,8 @@ def build_cocycle_data(delta_label: int = 0,
         raise ValueError("delta_label must be 0..3")
     if pointed is None:
         pointed = build_pointed_psl28()
-    phis, index_of, phi0_index, V, transversal = equipartition_setup(pointed)
-    return CocycleData(pointed, phis, index_of, phi0_index, V, transversal,
-                       delta_label)
+    phis, phi0_index, V, transversal = equipartition_setup(pointed)
+    return CocycleData(pointed, phis, phi0_index, V, transversal, delta_label)
 
 
 # --------------------------------------------------------------------------
@@ -135,21 +152,12 @@ def induced_cocycle(data: CocycleData, s: Permutation) -> tuple:
     """
     bits = [0] * 126
     v_set = set(data.V)
-    for i, phi in enumerate(data.equipartitions):
-        j = data.index_of[_apply_to_equipartition(phi, s)]
+    for i, j in enumerate(_phi_images(s.images).tolist()):
         v = data.transversal[i] * s * data.transversal[j].inverse()
         if v not in v_set:
             raise AssertionError("transversal decomposition left V")
         bits[j] = data.delta(v)
     return tuple(bits)
-
-
-def _mvector_twist(m: tuple, s_inv: Permutation, data: CocycleData) -> tuple:
-    """(m^s)(phi) = m(phi * s^{-1}), given s^{-1}."""
-    out = [0] * 126
-    for i, phi in enumerate(data.equipartitions):
-        out[i] = m[data.index_of[_apply_to_equipartition(phi, s_inv)]]
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -162,12 +170,13 @@ class ExtElement:
     data: CocycleData
 
     def __mul__(self, other: "ExtElement") -> "ExtElement":
-        twisted = _mvector_twist(self.m, other.s.inverse(), self.data)
-        m = tuple(a ^ b for a, b in zip(twisted, other.m))
+        # m1^{s2}(phi) = m1(phi * s2^{-1})
+        back = _phi_images(other.s.inverse().images).tolist()
+        m = tuple(self.m[j] ^ b for j, b in zip(back, other.m))
         return ExtElement(m, self.s * other.s, self.data)
 
     def key(self):
-        return (self.m, self.s.images)
+        return (self.m, self.s)
 
 
 def complement_elements(data: CocycleData) -> list:
@@ -191,11 +200,6 @@ def complement_elements(data: CocycleData) -> list:
 # Vertex action on the 252 five-subsets
 # --------------------------------------------------------------------------
 
-def _phi_index_of_mask(mask: int, data: CocycleData) -> int:
-    labels = {x + 1 for x in range(10) if (mask >> x) & 1}
-    return data.index_of[make_equipartition(10, labels)]
-
-
 def vertex_permutation(data: CocycleData, s: Permutation,
                        m: tuple | None = None) -> Permutation:
     """Action of (m, s) on 5-subsets: apply s, then flip to the complement
@@ -203,15 +207,10 @@ def vertex_permutation(data: CocycleData, s: Permutation,
     gamma(s)."""
     if m is None:
         m = induced_cocycle(data, s)
-    comp_rank = complement_ranks(10, 5)
-    images = []
-    for mask in all_masks(10, 5):
-        img = s.act_mask(mask)
-        rank = ksubset_rank(img)
-        if m[_phi_index_of_mask(img, data)]:
-            rank = comp_rank[rank]
-        images.append(rank)
-    return Permutation(images)
+    ranks = ksubsets(10, 5).image_ranks(s.images)
+    _, phi_of_rank = _equipartition_tables()
+    flip = np.array(m, dtype=bool)[phi_of_rank[ranks]]
+    return Permutation(np.where(flip, np.array(complement_ranks(10, 5))[ranks], ranks))
 
 
 def complement_vertex_group(data: CocycleData) -> PermutationGroup:
@@ -256,7 +255,7 @@ def frobenius_class_action(data: CocycleData) -> int:
         lifted = vertex_permutation(data, s_conj)
         conj = sigma_vertex.inverse() * lifted * sigma_vertex
         plain = ksubset_rank(v.act_mask(k0_mask))
-        image = conj.images[k0]
+        image = conj(k0)
         if image == plain:
             labels[idx] = 0
         elif image == comp_rank[plain]:

@@ -102,6 +102,8 @@ class MergedJohnsonGraph:
             self._materialize()
 
     def vertex_mask(self, rank: int) -> int:
+        if not 0 <= rank < self.num_vertices:
+            raise ValueError("vertex rank %r outside 0..%d" % (rank, self.num_vertices - 1))
         return ksubset_unrank(self.k, rank)
 
     def adjacent_ranks(self, u: int, v: int) -> bool:
@@ -112,9 +114,9 @@ class MergedJohnsonGraph:
         i-subset of K with an i-subset of the complement, for i in sorted
         I, the dropped subsets in lex order, for each the added ones in
         lex order."""
+        K = self.vertex_mask(u)  # rejects ranks outside the graph
         if self._neighbours is not None:
             return self._neighbours[u].tolist()
-        K = self.vertex_mask(u)
         outside = [x for x in range(self.n) if not (K >> x) & 1]
         return self._neighbour_rows(np.array([elements_of(K)]),
                                     np.array([outside]))[0].tolist()

@@ -3,12 +3,13 @@
 Permutations act on 0-based points {0..n-1}; all rendering for humans is
 1-based.  Composition is fixed left-to-right everywhere: x·(p*q) = (x·p)·q.
 
-PermutationGroup carries a deterministic stabilizer chain (base points are
-the smallest moved points, level by level), giving exact order and a
-membership test.  Chain internals use numpy arrays so that desk-scale
-groups (orders up to ~10^7, degrees up to a few thousand) stay fast.
-Orbits, the closure and the stabilizer sweep run on int arrays of point
-images too, without transversals.
+A Permutation is its read-only np.intp array of point images, and a
+PermutationGroup stacks its generators' images into one array, so the
+stabilizer chain, membership, orbits, the closure and the stabilizer sweep
+all index arrays with no other representation.  Scalar reads give Python
+ints through .tolist(); the hash is hash(tuple(images)).  The chain has
+deterministic base points (the smallest moved ones, level by level), and
+gives the exact order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subsets import all_masks, ksubset_rank, ksubsets, mask_image
+from .subsets import all_masks, ksubset_rank, ksubsets, mask_image, read_only
 
 # entries of the (elements, domain points[, k]) block compared at a time in
 # the stabilizer sweep
@@ -26,15 +27,24 @@ _BLOCK_ENTRIES = 1 << 22
 
 
 class Permutation:
-    """A bijection of {0..n-1}, stored as the tuple of point images."""
+    """A bijection of {0..n-1}: images[x] is the image of x."""
 
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
-        if sorted(images) != list(range(len(images))):
+        if not isinstance(images, np.ndarray):
+            images = list(images)
+        images = np.array(images, dtype=np.intp)
+        if not np.array_equal(np.sort(images), np.arange(len(images))):
             raise ValueError("images are not a bijection on 0..n-1")
-        self.images = images
+        self.images = read_only(images)
+
+    @classmethod
+    def _of(cls, images: np.ndarray) -> "Permutation":
+        """Wrap an intp array known to be a bijection, unchecked and uncopied."""
+        perm = object.__new__(cls)
+        perm.images = read_only(images)
+        return perm
 
     @property
     def degree(self) -> int:
@@ -42,7 +52,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
+        return cls._of(np.arange(degree, dtype=np.intp))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Permutation":
@@ -64,29 +74,25 @@ class Permutation:
 
     def extended(self, degree: int) -> "Permutation":
         """The same map on {0..degree-1}, fixing every added point."""
-        return Permutation(self.images + tuple(range(self.degree, degree)))
+        return Permutation._of(np.append(self.images, np.arange(self.degree, degree)))
 
     def to_one_based(self) -> list[int]:
-        return [x + 1 for x in self.images]
+        return (self.images + 1).tolist()
 
     def __call__(self, x: int) -> int:
-        return self.images[x]
+        return int(self.images[x])
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        o = other.images
-        return Permutation(o[x] for x in self.images)
+        return Permutation._of(other.images[self.images])
 
     def inverse(self) -> "Permutation":
-        images = [0] * self.degree
-        for x, y in enumerate(self.images):
-            images[y] = x
-        return Permutation(images)
+        return Permutation._of(invert_array(self.images))
 
     def act_mask(self, mask: int) -> int:
         """Image of a subset bitmask under this permutation."""
-        return mask_image(mask, self.images)
+        return mask_image(mask, self.images.tolist())
 
     def order(self) -> int:
         result = 1
@@ -96,26 +102,28 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, smallest point first."""
+        images = self.images.tolist()
         seen = set()
         out = []
         for start in range(self.degree):
-            if start in seen or self.images[start] == start:
+            if start in seen or images[start] == start:
                 continue
             cycle = [start]
             seen.add(start)
-            x = self.images[start]
+            x = images[start]
             while x != start:
                 cycle.append(x)
                 seen.add(x)
-                x = self.images[x]
+                x = images[x]
             out.append(tuple(cycle))
         return out
 
     def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
+        return (isinstance(other, Permutation)
+                and self.images.tobytes() == other.images.tobytes())
 
     def __hash__(self):
-        return hash(self.images)
+        return hash(tuple(self.images.tolist()))
 
     def __repr__(self):
         cycles = self.cycles()
@@ -123,11 +131,6 @@ class Permutation:
             return "Permutation(id, degree=%d)" % self.degree
         body = "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cycles)
         return "Permutation(%s, degree=%d)" % (body, self.degree)
-
-
-def compose_arrays(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Left-to-right composite of image arrays: x -> q[p[x]]."""
-    return q[p]
 
 
 def invert_array(p: np.ndarray) -> np.ndarray:
@@ -214,7 +217,7 @@ class StabilizerChain:
         u = self._identity if x == level.base else level.cache[x]
         may_cache = self.degree * (len(level.cache) + len(path)) < self._CACHE_BUDGET
         for x, gi in reversed(path):
-            u = compose_arrays(u, level.gens[gi])
+            u = level.gens[gi][u]
             if may_cache:
                 level.cache[x] = u
         return u
@@ -241,7 +244,7 @@ class StabilizerChain:
             if y not in level.transversal:
                 return g, i
             u = self._transversal_element(level, y)
-            g = compose_arrays(g, invert_array(u))
+            g = invert_array(u)[g]
         return g, len(self.levels)
 
     def _close(self, i: int) -> None:
@@ -260,7 +263,7 @@ class StabilizerChain:
                     g = level.gens[gi]
                     y = int(g[pt])
                     u_y = self._transversal_element(level, y)
-                    schreier = compose_arrays(compose_arrays(u_pt, g), invert_array(u_y))
+                    schreier = invert_array(u_y)[g[u_pt]]
                     residue, j = self._strip(schreier, i + 1)
                     if np.array_equal(residue, self._identity):
                         continue
@@ -326,7 +329,8 @@ class ActionDomain:
 
 
 class PermutationGroup:
-    """Group generated by permutations of a common degree.
+    """Group generated by permutations of a common degree, whose images
+    generator_images stacks into one read-only (generators, degree) array.
 
     The stabilizer chain is built lazily on first use of order/membership.
     """
@@ -342,6 +346,7 @@ class PermutationGroup:
                 raise ValueError("degree mismatch among generators")
         self.degree = degree
         self.generators = generators or [Permutation.identity(degree)]
+        self.generator_images = read_only(np.stack([g.images for g in self.generators]))
         self._chain: StabilizerChain | None = None
         self._elements: list[Permutation] | None = None
 
@@ -350,8 +355,7 @@ class PermutationGroup:
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            arrays = [np.array(g.images) for g in self.generators]
-            self._chain = StabilizerChain(arrays, self.degree)
+            self._chain = StabilizerChain(list(self.generator_images), self.degree)
         return self._chain
 
     @property
@@ -361,19 +365,16 @@ class PermutationGroup:
     def __contains__(self, perm: Permutation) -> bool:
         if perm.degree != self.degree:
             return False
-        return self.chain.contains_array(np.array(perm.images))
+        return self.chain.contains_array(perm.images)
 
     # -- enumeration -----------------------------------------------------
-
-    def _generator_array(self) -> np.ndarray:
-        return np.array([g.images for g in self.generators], dtype=np.int32)
 
     def _closure_levels(self, limit: int | None = None):
         """The elements as (count, degree) int32 arrays of point images, one
         per level of a breadth-first closure from the identity, told apart
         by their bytes.  With a limit, ValueError as soon as the closure
         has more than limit elements."""
-        gens = self._generator_array()
+        gens = self.generator_images.astype(np.int32)
         level = np.arange(self.degree, dtype=np.int32)[None, :]
         seen = {level.tobytes()}
         while len(level):
@@ -398,8 +399,8 @@ class PermutationGroup:
         if self._elements is not None and limit is None:
             return self._elements
         rows = np.concatenate(list(self._closure_levels(limit)))
-        rows = rows[np.lexsort(rows.T[::-1])]
-        out = [Permutation(row) for row in rows.tolist()]
+        rows = read_only(rows[np.lexsort(rows.T[::-1])].astype(np.intp))
+        out = [Permutation._of(row) for row in rows]
         if limit is None:
             self._elements = out
         return out
@@ -435,7 +436,7 @@ class PermutationGroup:
     def _domain_generators(self, domain: ActionDomain) -> np.ndarray:
         """(generators, domain size) array of the generators' images on the
         domain's indices: points, or k-subset ranks."""
-        gens = self._generator_array()
+        gens = self.generator_images
         if domain.kind == "ksubsets":
             return ksubsets(self.degree, domain.k).image_ranks(gens)
         return gens
@@ -485,8 +486,8 @@ class PermutationGroup:
         if not 1 <= k <= self.degree:
             raise ValueError("k out of range")
         codec = ksubsets(self.degree, k)
-        images = codec.image_ranks(self._generator_array())
-        return PermutationGroup([Permutation(row) for row in images.tolist()],
+        images = read_only(codec.image_ranks(self.generator_images).astype(np.intp, copy=False))
+        return PermutationGroup([Permutation._of(row) for row in images],
                                 degree=codec.size)
 
     # -- regularity ------------------------------------------------------

@@ -107,12 +107,12 @@ class KSubsets:
         lex = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(self.n), self.k)),
             dtype=np.intp, count=self.size * self.k).reshape(self.size, self.k)
-        return _read_only((self.n - 1 - lex)[::-1, ::-1])
+        return read_only((self.n - 1 - lex)[::-1, ::-1])
 
     @functools.cached_property
     def binomial(self) -> np.ndarray:
-        return _read_only(np.array([[math.comb(e, j) for j in range(self.k + 1)]
-                                    for e in range(self.n)], dtype=np.int64))
+        return read_only(np.array([[math.comb(e, j) for j in range(self.k + 1)]
+                                   for e in range(self.n)], dtype=np.int64))
 
     def rank(self, rows) -> np.ndarray:
         """Co-lex ranks of k-subsets given as ascending rows along the last
@@ -133,7 +133,8 @@ class KSubsets:
         return np.nonzero(~inside)[1].reshape(self.size, self.n - self.k)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
+def read_only(a: np.ndarray) -> np.ndarray:
+    """a as a C-contiguous array marked read-only; a itself if contiguous."""
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a

@@ -63,8 +63,7 @@ def _broken_edge(perms, graph: MergedJohnsonGraph):
                              % (p.degree, graph.num_vertices))
     u, v = graph.edge_arrays()
     for p in perms:
-        images = np.array(p.images)
-        kept = graph.has_edges(images[u], images[v])
+        kept = graph.has_edges(p.images[u], p.images[v])
         if not kept.all():
             first = int(np.argmin(kept))
             return (int(u[first]), int(v[first]))
@@ -98,7 +97,7 @@ def sharply_two_transitive_check(group: PermutationGroup) -> OracleReport:
     t0 = time.perf_counter()
     n = group.degree
     claim = "sharply 2-transitive on %d points" % n
-    gens = np.array([g.images for g in group.generators], dtype=np.int64)
+    gens = group.generator_images.astype(np.int64, copy=False)
     seen = np.zeros(n * n, dtype=bool)
 
     def step(pairs):
@@ -179,7 +178,7 @@ def regular_subgroup_nonexistence(ambient: PermutationGroup,
     identity = Permutation.identity(ambient.degree)
 
     def fixed_point_free(g):
-        return all(g.images[x] != x for x in range(g.degree))
+        return bool((g.images != np.arange(g.degree)).all())
 
     # a regular subgroup consists of fixed-point-free elements plus the
     # identity, with element orders dividing |V|
@@ -271,7 +270,7 @@ def all_subgroups(group: PermutationGroup) -> list:
                     found.add(grown)
                     nxt.append(grown)
         frontier = nxt
-    return sorted(found, key=lambda s: (len(s), sorted(p.images for p in s)))
+    return sorted(found, key=lambda s: (len(s), sorted(p.images.tolist() for p in s)))
 
 
 def lemma_regorbits_exhaustive_n4() -> OracleReport:

@@ -213,3 +213,29 @@ def test_graph_export_matches_recorded_digests(n, k, merge):
         result = run("graph", "export", "-n", n, "-k", k, "-I", merge, "--format", fmt)
         assert result.exit_code == 0
         assert hashlib.sha256(result.output.encode()).hexdigest() == want, fmt
+
+
+# SHA-256 of `group` stdout, recorded while permutations were image tuples:
+# the generator images and their order are unchanged
+GROUP_SHA256 = {
+    "agl -q 8": "7d4a0675b063774282b8fe71fb0267432583af679f72c3a28c00387720f1829c",
+    "ahl -q 7": "5d25fd811d3e086cba23ec572a3318eb4fb331fb7605635e01c52fa5de3f3871",
+    "agammal -q 9": "ed9b1485f7d951851aa236a747da33718683baae65e9ee3b29ce2dec027e6314",
+    "agl -q 3 -d 2": "af5ef712feb58385cc9be1aa2ef1f130be4d1b15437dadcac2a6ef7ed43f1238",
+    "exceptional -p 5": "e7bec28787f9a15e158fc349efc42dfc9e0eba7e4d32dba62166c29be27672f7",
+    "psl28-complement --delta 0":
+        "5c9b0fb52656a90a8ac77fd1dc5ec74ad755f53b65c8a731f73e6dbd18907edc",
+    "psl28-complement --delta 1":
+        "1b9f63308bb232fdad6179767f969186b839536c674d8416acfa606319a9a017",
+    "psl28-complement --delta 2":
+        "fabc9bfc44453be242913b3350aae054c7374e8b8e73aa9bb45534f562208b51",
+    "psl28-complement --delta 3":
+        "a3a13efdb06ed4625c8e7fe3c26067cecf5c022ba1748d2a77253e265a157456",
+}
+
+
+@pytest.mark.parametrize("args", sorted(GROUP_SHA256))
+def test_group_output_matches_recorded_digests(args):
+    result = run("group", *args.split())
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == GROUP_SHA256[args]

@@ -154,7 +154,7 @@ PINNED = {
 
 
 def digest(perms):
-    images = json.dumps([list(p.images) for p in perms])
+    images = json.dumps([p.images.tolist() for p in perms])
     return hashlib.sha256(images.encode()).hexdigest()
 
 

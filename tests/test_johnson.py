@@ -143,3 +143,18 @@ def test_has_edges_against_the_adjacency_lists():
     a, b = np.divmod(np.arange(g.num_vertices ** 2), g.num_vertices)
     found = g.has_edges(a, b).reshape(g.num_vertices, g.num_vertices)
     assert [np.flatnonzero(row).tolist() for row in found] == g.adjacency
+
+
+def test_vertex_ranks_outside_the_graph_are_rejected():
+    full = build_graph(5, 2, {2})
+    lazy = build_graph(5, 2, {2}, materialize=False)
+    for g in (full, lazy):
+        for bad in (-1, 10):
+            with pytest.raises(ValueError):
+                g.neighbors(bad)
+            with pytest.raises(ValueError):
+                g.adjacent_ranks(0, bad)
+            with pytest.raises(ValueError):
+                g.adjacent_ranks(bad, 0)
+        assert g.neighbors(9) == full.neighbors(9)
+        assert g.adjacent_ranks(0, 9)

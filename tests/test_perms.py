@@ -69,7 +69,7 @@ def test_stabilizer_order_on_subsets():
 def test_from_map_and_extended():
     cycle = Permutation.from_map("abc", {"a": "b", "b": "c", "c": "a"}.get)
     assert cycle == Permutation.from_cycles(3, [(0, 1, 2)])
-    assert cycle.extended(5).images == (1, 2, 0, 3, 4)
+    assert cycle.extended(5).images.tolist() == [1, 2, 0, 3, 4]
 
 
 def test_transitivity_on_ksubsets_matches_orbits():
@@ -165,8 +165,23 @@ def test_orbits_match_a_point_by_point_search():
 
 def test_elements_are_every_permutation_in_order():
     import itertools
-    assert [g.images for g in s_n(4).elements()] == \
+    assert [tuple(g.images.tolist()) for g in s_n(4).elements()] == \
         list(itertools.permutations(range(4)))
     with pytest.raises(ValueError):
         s_n(4).elements(limit=23)
     assert len(s_n(4).elements(limit=24)) == 24
+
+
+def test_hash_is_the_image_tuple_hash_and_images_are_read_only():
+    a = Permutation([1, 2, 0, 4, 3])
+    b = Permutation.from_cycles(5, [(0, 4)])
+    group = PermutationGroup([a, b])
+    built = [a, b, Permutation.identity(5), a.extended(7)]
+    derived = [a * b, b.inverse(), *group.elements(),
+               *group.induced_subset_action(2).generators]
+    for p in built + derived:
+        assert hash(p) == hash(tuple(p.images.tolist()))
+        with pytest.raises(ValueError):
+            p.images[0] = p.images[1]
+    with pytest.raises(ValueError):
+        group.generator_images[0, 0] = 1
