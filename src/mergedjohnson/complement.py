@@ -36,6 +36,12 @@ class PointedPSL28:
     group: PermutationGroup
     frobenius: Permutation
 
+    @functools.cached_property
+    def setup(self) -> tuple:
+        """equipartition_setup of this group, computed once: the four
+        cocycle classes over it differ only in delta."""
+        return equipartition_setup(self)
+
 
 def build_pointed_psl28() -> PointedPSL28:
     """catalog.psl2(8) on P^1(F_8), plus the fixed point 9; frobenius is
@@ -127,14 +133,19 @@ def equipartition_setup(pointed: PointedPSL28):
     return phis, phi0_index, V, tuple(transversal)
 
 
+@functools.cache
+def _default_pointed() -> PointedPSL28:
+    """One pointed PSL2(8) per process, for callers that pass none."""
+    return build_pointed_psl28()
+
+
 def build_cocycle_data(delta_label: int = 0,
                        pointed: PointedPSL28 | None = None) -> CocycleData:
     if delta_label not in (0, 1, 2, 3):
         raise ValueError("delta_label must be 0..3")
     if pointed is None:
-        pointed = build_pointed_psl28()
-    phis, phi0_index, V, transversal = equipartition_setup(pointed)
-    return CocycleData(pointed, phis, phi0_index, V, transversal, delta_label)
+        pointed = _default_pointed()
+    return CocycleData(pointed, *pointed.setup, delta_label)
 
 
 # --------------------------------------------------------------------------

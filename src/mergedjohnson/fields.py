@@ -5,12 +5,22 @@ first.  The modulus is the lowest-lexicographic monic irreducible of degree
 e, except GF(8) which is pinned to t^3 + t + 1 so that coordinates match
 the classical presentation F_2(t).  A discrete-log table over a primitive
 element makes multiplication and powering O(1) after construction.
+
+Element i is the i-th element in that order, so i = sum(c_j p^j) over its
+coefficients.  The same arithmetic on element indices comes from three
+read-only arrays, each built on first use: the base-p `digits` of every
+index, `exp` (exp[k] is the index of omega^k) and its inverse `log`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+
+import numpy as np
+
+from .subsets import read_only
 
 
 def is_prime(n: int) -> bool:
@@ -115,8 +125,7 @@ class FiniteField:
         self.zero = (0,) * e
         self.one = tuple([1] + [0] * (e - 1))
 
-        self.omega = self._find_primitive()
-        self.omega_powers = self._powers_of(self.omega)
+        self.omega, self.omega_powers = self._find_primitive()
         self.dlog_table = {el: i for i, el in enumerate(self.omega_powers)}
 
     @staticmethod
@@ -177,33 +186,39 @@ class FiniteField:
             return self.zero
         return self.pow(a, pow(q, i, self.order - 1) if self.order > 2 else 0)
 
+    # -- index arrays -----------------------------------------------------
+
+    @functools.cached_property
+    def digits(self) -> np.ndarray:
+        """(order, e): row i holds the coefficients of element i."""
+        return read_only(np.arange(self.order)[:, None]
+                         // self.p ** np.arange(self.e) % self.p)
+
+    @functools.cached_property
+    def exp(self) -> np.ndarray:
+        """exp[k] is the index of omega^k, for 0 <= k < order - 1."""
+        return read_only(np.array(self.omega_powers) @ self.p ** np.arange(self.e))
+
+    @functools.cached_property
+    def log(self) -> np.ndarray:
+        """log[i] is the discrete log of element i; log[0] is a placeholder 0,
+        as zero has none."""
+        log = np.zeros(self.order, dtype=np.intp)
+        log[self.exp] = np.arange(self.order - 1)
+        return read_only(log)
+
     # -- bootstrap helpers ------------------------------------------------
 
-    def _powers_of(self, a):
-        out = [self.one]
-        x = self.one
-        for _ in range(self.order - 2):
-            x = self._mul_poly(x, a)
-            out.append(x)
-        return out
-
-    def _multiplicative_order(self, a) -> int:
-        x = a
-        k = 1
-        while x != self.one:
-            x = self._mul_poly(x, a)
-            k += 1
-            if k > self.order:
-                raise AssertionError("order computation ran away")
-        return k
-
     def _find_primitive(self):
-        target = self.order - 1
-        for el in self.elements:
-            if el == self.zero:
-                continue
-            if self._multiplicative_order(el) == target:
-                return el
+        """(omega, [1, omega, omega^2, ...]): the first element in element
+        order whose powers reach all order - 1 nonzero elements."""
+        for a in self.elements[1:]:
+            powers, x = [self.one], a
+            while x != self.one and len(powers) < self.order:
+                powers.append(x)
+                x = self._mul_poly(x, a)
+            if len(powers) == self.order - 1:
+                return a, powers
         raise AssertionError("no primitive element found")
 
     def __repr__(self):

@@ -20,8 +20,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fields import FiniteField, build_field, prime_power_decomposition
-from .perms import Permutation, PermutationGroup
+import numpy as np
+
+from .fields import FiniteField, build_field, is_prime, prime_power_decomposition
+from .perms import Permutation, PermutationGroup, closure
+from .subsets import read_only
 
 
 # --------------------------------------------------------------------------
@@ -34,18 +37,8 @@ def is_dickson_pair(q: int, d: int) -> bool:
         raise ValueError("q = %d is not a prime power" % q)
     if d < 1:
         raise ValueError("d must be positive")
-    r = 2
-    dd = d
-    while dd > 1:
-        if dd % r == 0:
-            if (q - 1) % r != 0:
-                return False
-            while dd % r == 0:
-                dd //= r
-        r += 1
-    if d % 4 == 0 and (q - 1) % 4 != 0:
-        return False
-    return True
+    return (all((q - 1) % r == 0 for r in range(2, d + 1) if d % r == 0 and is_prime(r))
+            and (d % 4 != 0 or (q - 1) % 4 == 0))
 
 
 @dataclass(frozen=True)
@@ -71,13 +64,18 @@ class DicksonPair:
 
     def m_of(self, i: int) -> int:
         """m(i) = (q^i - 1) / (q - 1), the coset exponent for level i."""
-        if self.q == 1:
-            return i
         return (self.q ** i - 1) // (self.q - 1)
 
 
 class NearField:
-    """Finite near-field: GF(q^d) addition with Dickson-twisted product."""
+    """Finite near-field: GF(q^d) addition with Dickson-twisted product.
+
+    Point i is the i-th element of the base field.  The near-field is two
+    read-only int32 tables over these indices: add_table[a, b] is a + b,
+    added digit by digit in base p, and mul_table[g, h] is g ∘ h, read off
+    the base field's exp and log arrays as
+    exp[(log g · q^j(h) + log h) mod (n - 1)], with zero absorbing.
+    """
 
     def __init__(self, pair: DicksonPair):
         self.pair = pair
@@ -85,16 +83,15 @@ class NearField:
         self.base = build_field(p, f * pair.d)
         if self.base.order != pair.n:
             raise AssertionError("field order mismatch")
-        self.order = pair.n
-        d = pair.d
-        # coset_of(h) = the unique i with dlog(h) ≡ m(i) mod d
-        residue_to_level = {pair.m_of(i) % d: i for i in range(d)}
-        self._coset = [0] * (self.order - 1)
-        for dlog in range(self.order - 1):
-            self._coset[dlog] = residue_to_level[dlog % d]
+        self.order = n = pair.n
         self.elements = self.base.elements
         self.zero = self.base.zero
         self.one = self.base.one
+        # h lies in coset level j when log h ≡ m(j) mod d; scales[log h % d]
+        # is then the twist exponent q^j, reduced mod n - 1
+        level = {pair.m_of(j) % pair.d: j for j in range(pair.d)}
+        self.scales = np.array([pow(pair.q, level[r], n - 1) for r in range(pair.d)])
+        self.add_table, self.mul_table = self._tables()
         self._verify_build()
 
     @property
@@ -105,20 +102,21 @@ class NearField:
     def d(self) -> int:
         return self.pair.d
 
-    def coset_of(self, h) -> int:
-        if h == self.zero:
-            raise ValueError("zero has no coset level")
-        return self._coset[self.base.discrete_log(h)]
-
-    def add(self, a, b):
-        return self.base.add(a, b)
+    def _tables(self):
+        base, n = self.base, self.order
+        add = np.zeros((n, n), dtype=np.int32)
+        for j in range(base.e):
+            digit = base.digits[:, j]
+            add += (digit[:, None] + digit) % base.p * base.p ** j
+        logs = base.log[1:]
+        mul = np.zeros((n, n), dtype=np.int32)
+        mul[1:, 1:] = base.exp[(logs[:, None] * self.scales[logs % self.d] + logs) % (n - 1)]
+        return read_only(add), read_only(mul)
 
     def multiply(self, g, h):
         """g ∘ h = g^(q^j) · h with j the coset level of h; 0 absorbs."""
-        if g == self.zero or h == self.zero:
-            return self.zero
-        j = self.coset_of(h)
-        return self.base.mul(self.base.frobenius_power(g, j, self.q), h)
+        index_of = self.base.index_of
+        return self.elements[self.mul_table[index_of[g], index_of[h]]]
 
     # -- build-time verification ------------------------------------------
 
@@ -137,64 +135,41 @@ class NearField:
         else:
             self.verify_axioms(exhaustive=False, samples=100000)
 
-    def _index_tables(self):
-        """Addition and twisted-multiplication tables over element indices,
-        as numpy arrays, for vectorized axiom checking."""
-        import numpy as np
-
-        if hasattr(self, "_tables"):
-            return self._tables
-        n = self.order
-        index_of = {el: i for i, el in enumerate(self.elements)}
-        add_t = np.empty((n, n), dtype=np.int32)
-        mul_t = np.empty((n, n), dtype=np.int32)
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                add_t[i, j] = index_of[self.add(a, b)]
-                mul_t[i, j] = index_of[self.multiply(a, b)]
-        self._tables = (add_t, mul_t)
-        return self._tables
-
     def verify_axioms(self, exhaustive: bool = True, samples: int = 0):
-        """Near-field axioms: associativity, identity, inverses, right
-        distributivity.  Exhaustive up to order 729, sampled above."""
-        import numpy as np
-
-        nonzero = [el for el in self.elements if el != self.zero]
-        for h in nonzero:
-            if self.multiply(h, self.one) != h or self.multiply(self.one, h) != h:
-                raise AssertionError("identity axiom fails")
-        # inverses: the right-multiplication maps are bijections on nonzero
-        for h in nonzero:
-            images = {self.multiply(g, h) for g in nonzero}
-            if len(images) != len(nonzero):
-                raise AssertionError("multiplication by %r is not a bijection" % (h,))
-            if images != set(nonzero):
-                raise AssertionError("multiplication leaves the nonzero set")
-
-        n = self.order
-        add_t, mul_t = self._index_tables()
+        """Near-field axioms on the tables, in this order: identity, every
+        right multiplication a bijection of the nonzero elements, then
+        associativity and right distributivity for every triple whose first
+        entry is in the swept rows.  All rows up to order 729, a seeded
+        sample above."""
+        n, add, mul = self.order, self.add_table, self.mul_table
+        one = self.base.index_of[self.one]
+        nonzero = np.arange(1, n)
+        if not (np.array_equal(mul[1:, one], nonzero)
+                and np.array_equal(mul[one, 1:], nonzero)):
+            raise AssertionError("identity axiom fails")
+        # inverses: each column restricted to the nonzero rows is a
+        # permutation of the nonzero elements
+        bad = np.flatnonzero((np.sort(mul[1:, 1:], axis=0) != nonzero[:, None]).any(axis=0))
+        if bad.size:
+            raise AssertionError("multiplication by %r is not a bijection of the "
+                                 "nonzero elements" % (self.elements[bad[0] + 1],))
         if exhaustive:
-            a_values = np.arange(n)
+            rows = range(n)
         else:
             rng = np.random.default_rng(0)
-            a_values = rng.integers(0, n, size=max(1, samples // (n * n)) + 1)
-        b = np.arange(n)[:, None]
-        c = np.arange(n)[None, :]
-        # chunk over the first coordinate to bound memory at O(n^2) per step
-        for a in a_values:
-            ab = mul_t[a]  # row: a*b for all b
-            if not np.array_equal(mul_t[ab[:, None], c], mul_t[a, mul_t[b, c]]):
+            rows = rng.integers(0, n, size=max(1, samples // (n * n)) + 1).tolist()
+        # row a as (b, c) arrays: (a∘b)∘c against a∘(b∘c), then
+        # (a+b)∘c against a∘c + b∘c, the sum read from the flat add table
+        for a in rows:
+            if not np.array_equal(mul[mul[a]], mul[a][mul]):
                 raise AssertionError("associativity fails in row a=%d" % a)
-            lhs = mul_t[add_t[a][:, None], c]
-            rhs = add_t[mul_t[a, c], mul_t[b, c]]
-            if not np.array_equal(lhs, rhs):
+        add_flat = add.ravel()
+        for a in rows:
+            if not np.array_equal(mul[add[a]], add_flat[mul[a] * n + mul]):
                 raise AssertionError("right distributivity fails in row a=%d" % a)
 
     def is_commutative(self) -> bool:
-        nonzero = [el for el in self.elements if el != self.zero]
-        return all(self.multiply(a, b) == self.multiply(b, a)
-                   for a in nonzero for b in nonzero)
+        return np.array_equal(self.mul_table, self.mul_table.T)
 
     def export_json(self) -> str:
         data = {
@@ -203,9 +178,8 @@ class NearField:
             "modulus": list(self.base.modulus),
         }
         if self.order <= 81:
-            table = [[list(self.multiply(a, b)) for b in self.elements]
-                     for a in self.elements]
-            data["multiplication_table"] = table
+            data["multiplication_table"] = [[list(self.elements[x]) for x in row]
+                                            for row in self.mul_table.tolist()]
         return json.dumps(data)
 
 
@@ -219,55 +193,55 @@ def build_dickson(q: int, d: int) -> NearField:
 # Affine groups over fields and near-fields
 # --------------------------------------------------------------------------
 
-def _as_structure(f):
-    """Accept a FiniteField or NearField, return (elements, add, multiply,
-    base field, near-field flag)."""
-    if isinstance(f, NearField):
-        return f.elements, f.add, f.multiply, f.base, True
-    if isinstance(f, FiniteField):
-        return f.elements, f.add, f.mul, f, False
-    raise TypeError("expected FiniteField or NearField")
-
-
 def affine_group(f, kind: str = "AGL") -> PermutationGroup:
     """The affine maps t -> (t ∘ a) + b as a permutation group on f.
 
     kind: AGL (all a != 0), AHL (a a nonzero square; needs order ≡ 3 mod 4),
     AGammaL (AGL extended by Frobenius; genuine fields only).
-    Point i is the i-th element of f's canonical element order.
+    Point i is the i-th element of f's canonical element order.  Every
+    generator is built from the base field's digits, exp and log arrays; a
+    field is the near-field with d = 1, where every twist scale is 1.
     """
-    elements, add, multiply, base, is_near = _as_structure(f)
-    n = len(elements)
-    omega = base.omega
+    if isinstance(f, NearField):
+        base, scales = f.base, f.scales
+    elif isinstance(f, FiniteField):
+        base, scales = f, np.ones(1, dtype=np.intp)
+    else:
+        raise TypeError("expected FiniteField or NearField")
+    n, p, d = base.order, base.p, len(scales)
 
-    def translation(b):
-        return Permutation.from_map(elements, lambda t: add(t, b))
+    def power_map(scale, shift):
+        """t -> omega^(log t · scale + shift), fixing 0."""
+        images = np.zeros(n, dtype=np.intp)
+        images[1:] = base.exp[(base.log[1:] * scale + shift) % (n - 1)]
+        return Permutation(images)
 
-    def right_mult(a):
-        return Permutation.from_map(elements, lambda t: multiply(t, a))
+    def right_mult(k):
+        """t -> t ∘ omega^k."""
+        return power_map(scales[k % d], k)
 
     # translations by the additive basis generate the translation group
-    basis = [tuple(1 if i == j else 0 for i in range(base.e)) for j in range(base.e)]
-    gens = [translation(b) for b in basis]
+    digits = base.digits
+    gens = [Permutation(np.arange(n) + ((digits[:, j] + 1) % p - digits[:, j]) * p ** j)
+            for j in range(base.e)]
 
     if kind == "AGL":
-        gens.append(right_mult(omega))
-        if is_near and f.d > 1:
-            gens.append(right_mult(base.pow(omega, f.d)))
+        gens.append(right_mult(1))
+        if d > 1:
+            gens.append(right_mult(d))
         group = PermutationGroup(gens)
         expected = n * (n - 1)
     elif kind == "AHL":
         if n % 4 != 3:
             raise ValueError("AHL needs order ≡ 3 mod 4, got %d" % n)
-        gens.extend(_half_multiplier_gens(elements, right_mult, base))
+        gens.extend(_half_multiplier_gens(right_mult, base.log[1:].tolist()))
         group = PermutationGroup(gens)
         expected = n * (n - 1) // 2
     elif kind == "AGammaL":
-        if is_near and f.d > 1:
+        if d > 1:
             raise ValueError("AGammaL is defined here over genuine fields only")
-        gens.append(right_mult(omega))
-        gens.append(Permutation.from_map(elements, lambda t: base.pow(t, base.p)
-                                         if t != base.zero else base.zero))
+        gens.append(right_mult(1))
+        gens.append(power_map(p, 0))
         group = PermutationGroup(gens)
         expected = n * (n - 1) * base.e
     else:
@@ -279,15 +253,13 @@ def affine_group(f, kind: str = "AGL") -> PermutationGroup:
     return group
 
 
-def _half_multiplier_gens(elements, right_mult, base):
+def _half_multiplier_gens(right_mult, logs):
     """Generators for the index-2 'square multipliers' subgroup of the
-    multiplicative part: all maps t -> t ∘ a with a a nonzero square."""
-    squares = [el for el in elements
-               if el != base.zero and base.discrete_log(el) % 2 == 0]
-    target = {right_mult(a) for a in squares}
-    gens = [right_mult(base.pow(base.omega, 2))]
-    from .perms import closure
-
+    multiplicative part: all maps t -> t ∘ a with a a nonzero square.
+    right_mult(k) is the map for a = omega^k, and logs lists the discrete
+    logs of the nonzero elements in element order."""
+    target = {right_mult(k) for k in logs if k % 2 == 0}
+    gens = [right_mult(2)]
     current = set(closure(gens))
     # greedy completion; the square maps form a group, so this terminates
     while len(current) < len(target):
@@ -450,28 +422,9 @@ def _scalar_of_order(p, z):
         return (1, 0, 0, 1)
     if (p - 1) % z != 0:
         raise AssertionError("no scalar of order %d mod %d" % (z, p))
-    g = 2
-    while True:
-        if pow(g, p - 1, p) == 1 and all(pow(g, (p - 1) // r, p) != 1
-                                         for r in _prime_divisors(p - 1)):
-            break
-        g += 1
-    lam = pow(g, (p - 1) // z, p)
+    # the primitive element of GF(p) is its smallest primitive root
+    lam = pow(build_field(p, 1).omega[0], (p - 1) // z, p)
     return (lam, 0, 0, lam)
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def find_multiplicative_group(spec: ExceptionalSpec) -> set:
@@ -515,13 +468,12 @@ def exceptional_group(spec: ExceptionalSpec) -> PermutationGroup:
     """Sharply 2-transitive group of degree p^2: translations ⋊ G0."""
     p = spec.p
     g0 = find_multiplicative_group(spec)
-    vectors = [(a, b) for a in range(p) for b in range(p)]
+    x, y = np.divmod(np.arange(p * p), p)  # point a·p + b is the vector (a, b)
 
     def affine_map(m, t=(0, 0)):
         """v -> v m + t on the row vectors of F_p^2."""
-        return Permutation.from_map(vectors, lambda v: (
-            (v[0] * m[0] + v[1] * m[2] + t[0]) % p,
-            (v[0] * m[1] + v[1] * m[3] + t[1]) % p))
+        return Permutation((x * m[0] + y * m[2] + t[0]) % p * p
+                           + (x * m[1] + y * m[3] + t[1]) % p)
 
     identity = (1, 0, 0, 1)
     gens = [affine_map(identity, (1, 0)), affine_map(identity, (0, 1))]

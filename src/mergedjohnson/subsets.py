@@ -134,10 +134,12 @@ class KSubsets:
 
 
 def read_only(a: np.ndarray) -> np.ndarray:
-    """a as a C-contiguous array marked read-only; a itself if contiguous."""
+    """A read-only view of a, made C-contiguous, whose writeable flag
+    cannot be set back: a itself (or its contiguous copy) is frozen, and
+    numpy refuses the flag on a view of a frozen array."""
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
-    return a
+    return a.view()
 
 
 @functools.cache

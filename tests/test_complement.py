@@ -26,6 +26,17 @@ def test_pointed_group(pointed):
     assert all(g.images[9] == 9 for g in pointed.group.generators)
 
 
+def test_cocycle_classes_share_one_pointed_group_and_setup(datas):
+    defaults = [build_cocycle_data(label) for label in range(4)]
+    for classes in (defaults, [datas[label] for label in range(4)]):
+        assert all(d.pointed is classes[0].pointed for d in classes)
+        assert all(d.transversal is classes[0].transversal for d in classes)
+    # the default pointed group gives the same setup as a freshly built one
+    assert [d.V for d in defaults] == [datas[label].V for label in range(4)]
+    assert [d.transversal for d in defaults] == \
+        [datas[label].transversal for label in range(4)]
+
+
 def test_split_complement_has_two_orbits(datas):
     assert orbit_signature(datas[0]) == (126, 126)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from mergedjohnson.fields import prime_power_decomposition
 from mergedjohnson.nearfields import (EXCEPTIONAL_SPECS, affine_group,
                                       build_dickson, exceptional_group,
                                       exceptional_spec, is_dickson_pair)
@@ -70,3 +71,49 @@ def test_half_group_has_index_two():
     agl = affine_group(nf11, "AGL")
     ahl = affine_group(nf11, "AHL")
     assert agl.order == 2 * ahl.order
+
+
+# Each swap of two table entries breaks one axiom and leaves the axioms that
+# verify_axioms checks before it intact (identity, bijection, associativity,
+# right distributivity, in that order), so the error must name that axiom.
+@pytest.mark.parametrize("q", [3, 5])  # orders 9 and 25
+@pytest.mark.parametrize("axiom,table,x,y", [
+    ("identity", "mul_table", (2, 1), (3, 1)),         # 2 ∘ 1 = 3
+    ("bijection", "mul_table", (2, 2), (2, 3)),        # column 2 repeats 2 ∘ 3
+    ("associativity", "mul_table", (2, 2), (3, 2)),    # column 2 still a bijection
+    ("distributivity", "add_table", (2, 2), (2, 3)),   # the product is untouched
+])
+def test_axiom_sweep_catches_a_swapped_entry(q, axiom, table, x, y):
+    nf = build_dickson(q, 2)
+    broken = getattr(nf, table).copy()
+    broken[x], broken[y] = broken[y], broken[x]
+    setattr(nf, table, broken)
+    with pytest.raises(AssertionError, match=axiom):
+        nf.verify_axioms()
+
+
+def _dickson_pairs(max_order):
+    return [(q, d) for q in range(2, max_order + 1) if prime_power_decomposition(q)
+            for d in range(1, max_order.bit_length())
+            if q ** d <= max_order and is_dickson_pair(q, d)]
+
+
+@pytest.mark.parametrize("q,d,step", [(q, d, 1) for q, d in _dickson_pairs(121)]
+                         + [(7, 3, 7)])
+def test_tables_match_the_scalar_definition(q, d, step):
+    """Every step-th row of both tables against the tuple arithmetic of the
+    base field: a + b, and g ∘ h = g^(q^j) · h with j the level of the coset
+    of d-th powers holding h, that is log h ≡ m(j) mod d."""
+    nf = build_dickson(q, d)
+    base, elements = nf.base, nf.elements
+    level = {nf.pair.m_of(j) % d: j for j in range(d)}
+    for g in range(0, nf.order, step):
+        a = elements[g]
+        for h, b in enumerate(elements):
+            assert elements[nf.add_table[g, h]] == base.add(a, b)
+            if b == base.zero:
+                want = base.zero
+            else:
+                j = level[base.discrete_log(b) % d]
+                want = base.mul(base.frobenius_power(a, j, q), b)
+            assert elements[nf.mul_table[g, h]] == want

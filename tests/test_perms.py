@@ -183,5 +183,9 @@ def test_hash_is_the_image_tuple_hash_and_images_are_read_only():
         assert hash(p) == hash(tuple(p.images.tolist()))
         with pytest.raises(ValueError):
             p.images[0] = p.images[1]
+        with pytest.raises(ValueError):
+            p.images.flags.writeable = True
     with pytest.raises(ValueError):
         group.generator_images[0, 0] = 1
+    with pytest.raises(ValueError):
+        group.generator_images.flags.writeable = True
