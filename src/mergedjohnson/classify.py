@@ -336,8 +336,6 @@ def _dihedral_coset_action(m: int) -> tuple:
         return Permutation(images)
 
     group = PermutationGroup([coset_perm((1, 1)), coset_perm((-1, 0))])
-    if group.order != 2 * m:
-        raise AssertionError("dihedral coset action has order %d" % group.order)
     pairing = None
     if m % 2 == 0:
         z = (1, m // 2)
@@ -445,7 +443,11 @@ def _two_regular_witness(n: int, k: int, case: int) -> PermutationGroup:
             to_vertex = _matching_bijection(n, k, pairing)
         else:
             to_vertex = list(range(m))
-        return _relabel_group(group, to_vertex)
+        # checked on the relabelled group, whose chain regularity_degree reuses
+        group = _relabel_group(group, to_vertex)
+        if group.order != 2 * m:
+            raise AssertionError("dihedral coset action has order %d" % group.order)
+        return group
     raise ValueError("unknown case %r" % case)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -77,8 +78,10 @@ class MergedJohnsonGraph:
     A materialized graph stores its neighbours as a (V, degree) int32
     matrix: the graph is regular, so this is CSR with a constant row
     length.  Row u lists u's neighbours in generation order (see
-    neighbors); edges and adjacency are views derived from it on first
-    use.  Adjacency queries always work through the intersection test.
+    neighbors).  The matrix is built when edges, adjacency, neighbors,
+    edge_arrays or has_edges first reads it; edges and adjacency are views
+    derived from it on first use.  Adjacency queries always work through
+    the intersection test.
     """
 
     def __init__(self, n: int, k: int, I, materialize: bool | None = None):
@@ -94,12 +97,11 @@ class MergedJohnsonGraph:
             materialize = self.num_vertices <= 10_000
         if materialize and self.num_vertices > MATERIALIZE_LIMIT:
             raise ValueError("refusing to materialize %d vertices" % self.num_vertices)
+        self.materialized = bool(materialize)
         self._neighbours = None
         self._keys = None
         self._edges = None
         self._adjacency = None
-        if materialize:
-            self._materialize()
 
     def vertex_mask(self, rank: int) -> int:
         if not 0 <= rank < self.num_vertices:
@@ -115,8 +117,8 @@ class MergedJohnsonGraph:
         I, the dropped subsets in lex order, for each the added ones in
         lex order."""
         K = self.vertex_mask(u)  # rejects ranks outside the graph
-        if self._neighbours is not None:
-            return self._neighbours[u].tolist()
+        if self.materialized:
+            return self._matrix()[u].tolist()
         outside = [x for x in range(self.n) if not (K >> x) & 1]
         return self._neighbour_rows(np.array([elements_of(K)]),
                                     np.array([outside]))[0].tolist()
@@ -156,14 +158,19 @@ class MergedJohnsonGraph:
         # u*V + v over the sorted rows: every ordered edge, ascending
         self._keys = (rows * self.num_vertices + ordered).ravel()
 
-    @property
-    def materialized(self) -> bool:
-        return self._neighbours is not None
-
     def _matrix(self) -> np.ndarray:
-        if self._neighbours is None:
+        if not self.materialized:
             raise ValueError("graph is not materialized")
+        if self._neighbours is None:
+            self._materialize()
         return self._neighbours
+
+    @cached_property
+    def complement(self) -> MergedJohnsonGraph | None:
+        """J(n,k)_{[k]∖I}, whose edges are this graph's non-edges, with the
+        same materialize policy; None when I = [k] leaves no non-edges."""
+        rest = set(range(1, self.k + 1)) - self.I
+        return MergedJohnsonGraph(self.n, self.k, rest, self.materialized) if rest else None
 
     def edge_arrays(self) -> tuple:
         """(u, v) int arrays of the edges u < v, in the order of edges."""

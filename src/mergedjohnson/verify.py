@@ -55,12 +55,40 @@ def _report(claim, ok, evidence, t0=None) -> OracleReport:
 # --------------------------------------------------------------------------
 
 def _broken_edge(perms, graph: MergedJohnsonGraph):
-    """The first edge (u, v) that one of perms, in order, maps to a
-    non-edge, or None when every perm is an automorphism."""
+    """The first edge (u, v), in the order of graph.edges, that one of
+    perms, in order, maps to a non-edge, or None when every perm is an
+    automorphism.
+
+    A bijection of the vertices keeps the edges exactly when it keeps the
+    non-edges, so when the complement J(n,k)_{[k]∖I} has fewer edges the
+    perms are checked on it, and graph is scanned only to name the first
+    broken edge.
+    """
+    size = graph.num_vertices
     for p in perms:
-        if p.degree != graph.num_vertices:
-            raise ValueError("degree %d does not match %d vertices"
-                             % (p.degree, graph.num_vertices))
+        if p.degree != size:
+            raise ValueError("degree %d does not match %d vertices" % (p.degree, size))
+    if not graph.materialized:
+        raise ValueError("graph is not materialized")
+    if not all(_is_bijection(p.images) for p in perms):
+        raise ValueError("images are not a bijection on 0..%d" % (size - 1))
+    if size - 1 - graph.degree < graph.degree:
+        rest = graph.complement
+        if rest is None or _first_broken(perms, rest) is None:
+            return None
+    return _first_broken(perms, graph)
+
+
+def _is_bijection(images: np.ndarray) -> bool:
+    """Whether images permutes 0..len(images)-1, in linear time: every
+    point is the image of one of the len(images) entries."""
+    hit = np.zeros(len(images), dtype=bool)
+    hit[images[(images >= 0) & (images < len(images))]] = True
+    return bool(hit.all())
+
+
+def _first_broken(perms, graph: MergedJohnsonGraph):
+    """The first edge of graph that one of perms maps to a non-edge."""
     u, v = graph.edge_arrays()
     for p in perms:
         kept = graph.has_edges(p.images[u], p.images[v])
@@ -97,7 +125,9 @@ def sharply_two_transitive_check(group: PermutationGroup) -> OracleReport:
     t0 = time.perf_counter()
     n = group.degree
     claim = "sharply 2-transitive on %d points" % n
-    gens = group.generator_images.astype(np.int64, copy=False)
+    # pair keys a*n + b stay below n*n: int32 up to degree 46340
+    dtype = np.int32 if n * n < 2 ** 31 else np.int64
+    gens = group.generator_images.astype(dtype, copy=False)
     seen = np.zeros(n * n, dtype=bool)
 
     def step(pairs):

@@ -138,6 +138,17 @@ def test_unmaterialized_neighbors_match_the_matrix():
         lazy.edges
 
 
+@pytest.mark.parametrize("read", [
+    lambda g: g.edges, lambda g: g.adjacency, lambda g: g.neighbors(3),
+    lambda g: g.edge_arrays(), lambda g: g.has_edges([0], [1]),
+])
+def test_the_matrix_is_built_when_first_read(read):
+    g = build_graph(8, 3, {1, 3})
+    assert g.materialized and g._neighbours is None
+    read(g)
+    assert g._neighbours.shape == (56, g.degree)
+
+
 def test_has_edges_against_the_adjacency_lists():
     g = build_graph(8, 3, {1, 3})
     a, b = np.divmod(np.arange(g.num_vertices ** 2), g.num_vertices)

@@ -2,12 +2,14 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mergedjohnson import verify
-from mergedjohnson.johnson import build_graph
+from mergedjohnson.classify import census_instances
+from mergedjohnson.johnson import adjacent, build_graph
 from mergedjohnson.perms import Permutation, PermutationGroup
-from mergedjohnson.verify import (Claim, OracleReport,
+from mergedjohnson.verify import (Claim, OracleReport, _broken_edge,
                                   bruteforce_automorphism_group,
                                   is_automorphism,
                                   lemma_regorbits_exhaustive_n4,
@@ -224,3 +226,66 @@ def test_pair_orbit_matches_a_set_search():
     for group in (s4, c5, exceptional_group(exceptional_spec(5, 1))):
         report = sharply_two_transitive_check(group)
         assert report.evidence["pair_orbit"] == _pair_orbit_by_set(group)
+
+
+def _first_broken_by_rule(perms, graph):
+    """The first broken edge by a scan of graph.edges under the adjacency
+    rule, perm by perm."""
+    masks = [graph.vertex_mask(r) for r in range(graph.num_vertices)]
+    for p in perms:
+        image = p.images.tolist()
+        for u, v in graph.edges:
+            if not adjacent(graph.n, graph.k, graph.I, masks[image[u]], masks[image[v]]):
+                return (u, v)
+    return None
+
+
+def _induced(rng, n, k):
+    """The action on k-subsets of a random element of S_n."""
+    point_map = Permutation(rng.permutation(n))
+    return PermutationGroup([point_map]).induced_subset_action(k).generators[0]
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_broken_edge_matches_a_scan_of_every_edge(n):
+    rng = np.random.default_rng(n)
+    for m, k, I in census_instances(n):
+        if m < n:
+            continue
+        graph = build_graph(n, k, I)
+        size = graph.num_vertices
+        swap = np.arange(size)
+        a, b = rng.choice(size, 2, replace=False)
+        swap[[a, b]] = swap[[b, a]]
+        shuffled = Permutation(rng.permutation(size))
+        induced = _induced(rng, n, k)
+        for perms in ([induced], [shuffled], [Permutation(swap)],
+                      [induced, shuffled], [_induced(rng, n, k), Permutation(swap)]):
+            want = _first_broken_by_rule(perms, graph)
+            assert _broken_edge(perms, graph) == want, (n, k, sorted(I))
+        assert _broken_edge([induced], graph) is None
+
+
+def test_complete_graph_is_checked_without_its_matrix():
+    rng = np.random.default_rng(0)
+    complete = build_graph(9, 4, {1, 2, 3, 4})
+    assert _broken_edge([_induced(rng, 9, 4)], complete) is None
+    assert _broken_edge([Permutation(rng.permutation(126))], complete) is None
+    assert complete._neighbours is None
+
+
+def test_broken_edge_rejects_a_non_bijection():
+    petersen = build_graph(5, 2, {2})
+    images = np.arange(10)
+    images[3] = 4
+    for graph in (petersen, build_graph(5, 2, {1, 2})):
+        with pytest.raises(ValueError, match="bijection"):
+            _broken_edge([Permutation._of(images)], graph)
+        with pytest.raises(ValueError, match="bijection"):
+            _broken_edge([Permutation._of(np.arange(1, 11))], graph)
+
+
+def test_broken_edge_needs_a_materialized_graph():
+    lazy = build_graph(6, 3, {1, 2, 3}, materialize=False)
+    with pytest.raises(ValueError, match="not materialized"):
+        _broken_edge([Permutation.identity(20)], lazy)
