@@ -99,6 +99,18 @@ class CocycleData:
         # delta_label i > 0 means the kernel is {identity, V[i]}
         return 0 if v == self.V[self.delta_label] else 1
 
+    @functools.cached_property
+    def arrays(self) -> tuple:
+        """(transversal, inverses, V, delta of each V) as arrays: the
+        transversal's images and their inverses by equipartition index,
+        V's four rows of images and their delta bits."""
+        transversal = np.stack([t.images for t in self.transversal])
+        inverses = np.empty_like(transversal)
+        np.put_along_axis(inverses, transversal, np.arange(10), axis=1)
+        v_rows = np.stack([v.images for v in self.V])
+        bits = np.array([self.delta(v) for v in self.V])
+        return tuple(read_only(a) for a in (transversal, inverses, v_rows, bits))
+
 
 def equipartition_setup(pointed: PointedPSL28):
     """phi0, its Klein four stabilizer and a transversal over the single
@@ -161,14 +173,16 @@ def induced_cocycle(data: CocycleData, s: Permutation) -> tuple:
     semidirect twisting convention; recording at the source would satisfy
     the mirror identity instead and fail closure.
     """
-    bits = [0] * 126
-    v_set = set(data.V)
-    for i, j in enumerate(_phi_images(s.images).tolist()):
-        v = data.transversal[i] * s * data.transversal[j].inverse()
-        if v not in v_set:
-            raise AssertionError("transversal decomposition left V")
-        bits[j] = data.delta(v)
-    return tuple(bits)
+    transversal, inverses, v_rows, delta_bits = data.arrays
+    j = _phi_images(s.images)
+    # v_i = t_i * s * t_j^-1 sends p to t_j^-1[s[t_i[p]]], for all i at once
+    v = np.take_along_axis(inverses[j], s.images[transversal], axis=1)
+    match = (v[:, None, :] == v_rows).all(axis=2)
+    if not match.any(axis=1).all():
+        raise AssertionError("transversal decomposition left V")
+    bits = np.empty(126, dtype=np.intp)
+    bits[j] = delta_bits[match.argmax(axis=1)]
+    return tuple(bits.tolist())
 
 
 @dataclass(frozen=True)

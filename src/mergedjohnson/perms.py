@@ -9,11 +9,18 @@ stabilizer chain, membership, orbits, the closure and the stabilizer sweep
 all index arrays with no other representation.  Scalar reads give Python
 ints through .tolist(); the hash is hash(tuple(images)).  The chain has
 deterministic base points (the smallest moved ones, level by level), and
-gives the exact order.
+gives the exact order; a Schreier generator along a transversal tree edge
+is 1 and is not sifted.  The closure is Dimino's coset enumeration (Butler,
+Fundamental Algorithms for Permutation Groups, LNCS 559, 1991): powers of
+the first generator by doubling, then whole cosets x[H] of the subgroup H
+generated so far, one gather each, with hashed membership.  It shares
+nothing with the chain, so the stabilizer sweep that counts fixed points
+over it is an independent check of the chain's order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +31,9 @@ from .subsets import all_masks, ksubset_rank, ksubsets, mask_image, read_only
 # entries of the (elements, domain points[, k]) block compared at a time in
 # the stabilizer sweep
 _BLOCK_ENTRIES = 1 << 22
+# entries of a uint32 index array gathered at a time: numpy copies such an
+# array to intp before it gathers, and this bounds the copy
+_GATHER_ENTRIES = 1 << 16
 
 
 class Permutation:
@@ -45,6 +55,18 @@ class Permutation:
         perm = object.__new__(cls)
         perm.images = read_only(images)
         return perm
+
+    @classmethod
+    def _of_rows(cls, rows: np.ndarray) -> list["Permutation"]:
+        """Wrap each row of a read-only (count, degree) intp array of
+        bijections: a row view of a frozen array is read-only already, and
+        numpy refuses the writeable flag on it."""
+        out = []
+        for row in rows:
+            perm = object.__new__(cls)
+            perm.images = row
+            out.append(perm)
+        return out
 
     @property
     def degree(self) -> int:
@@ -95,9 +117,19 @@ class Permutation:
         return mask_image(mask, self.images.tolist())
 
     def order(self) -> int:
+        """The lcm of the cycle lengths, by one walk over the images: it
+        runs once per closure, and building cycles() costs more."""
+        images = self.images.tolist()
+        seen = [False] * len(images)
         result = 1
-        for cycle in self.cycles():
-            result = math.lcm(result, len(cycle))
+        for start in range(len(images)):
+            length, x = 0, start
+            while not seen[x]:
+                seen[x] = True
+                x = images[x]
+                length += 1
+            if length > 1:
+                result = math.lcm(result, length)
         return result
 
     def cycles(self) -> list[tuple[int, ...]]:
@@ -167,6 +199,89 @@ def frontier_bfs(start: int, step, seen: np.ndarray) -> np.ndarray:
     return np.concatenate(levels)
 
 
+def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray | None = None):
+    """table[index], into out if given, _GATHER_ENTRIES entries at a time."""
+    # every index is valid; mode="clip" only spares take() a buffer.  A small
+    # index is one take(): the slice loop adds about 1.5 us a call, and the
+    # small closures of the subgroup searches make thousands of calls
+    if index.size <= _GATHER_ENTRIES:
+        return table.take(index, out=out, mode="clip")
+    if out is None:
+        out = np.empty(index.shape, dtype=table.dtype)
+    step = max(1, _GATHER_ENTRIES // index.shape[-1])
+    for lo in range(0, len(index), step):
+        table.take(index[lo:lo + step], out=out[lo:lo + step], mode="clip")
+    return out
+
+
+def _powers(g: np.ndarray, order: int) -> np.ndarray:
+    """The rows g^0 .. g^(order-1) of the images of g's powers, by
+    doubling: with g^0 .. g^(m-1) known, g^m .. g^(2m-1) is one gather."""
+    rows = np.empty((order, len(g)), dtype=g.dtype)
+    rows[0] = np.arange(len(g))
+    power, known = g, 1  # power is g^known
+    while known < order:
+        take = min(known, order - known)
+        # g^i * g^known sends p to power[g^i[p]]
+        _gather(power, rows[:take], out=rows[known:known + take])
+        known += take
+        if known < order:
+            power = power[power]
+    return rows
+
+
+@functools.cache
+def _fingerprint_weights(degree: int) -> np.ndarray:
+    return read_only(np.random.default_rng(degree).integers(
+        0, 1 << 32, degree, dtype=np.uint32))
+
+
+class _Cosets:
+    """A union of right cosets H·x of a group H, given as uint32 rows of
+    point images: the block x[H] for each representative x in the order
+    added, and a dict from each element's fingerprint (its images dotted
+    with fixed pseudo-random weights, mod 2^32) to its position, so that a
+    membership test is one hashed lookup and one row compare."""
+
+    def __init__(self, subgroup: np.ndarray):
+        self.weights = _fingerprint_weights(subgroup.shape[1])
+        self.subgroup = subgroup
+        self.blocks = [subgroup]
+        self.index = dict(zip(self.fingerprints(subgroup), range(len(subgroup))))
+
+    def __len__(self) -> int:
+        return len(self.subgroup) * len(self.blocks)
+
+    def fingerprints(self, rows: np.ndarray) -> list[int]:
+        return (rows @ self.weights).tolist()
+
+    def add(self, x: np.ndarray, limit: int | None) -> None:
+        """Add the coset H·x, whose rows are x[H]; with a limit, ValueError
+        first if the union would have more than limit elements."""
+        start = len(self)
+        if limit is not None and start + len(self.subgroup) > limit:
+            raise ValueError("closure exceeded limit %d" % limit)
+        block = _gather(x, self.subgroup)
+        self.index.update(zip(self.fingerprints(block), range(start, start + len(block))))
+        self.blocks.append(block)
+
+    def contains(self, y: np.ndarray, fingerprint: int) -> bool:
+        position = self.index.get(fingerprint)
+        if position is None:
+            return False
+        block, row = divmod(position, len(self.subgroup))
+        if self.blocks[block][row].tobytes() == y.tobytes():
+            return True
+        # another element has the same fingerprint: compare with them all
+        return any((rows == y).all(axis=1).any() for rows in self.blocks)
+
+    def close(self) -> None:
+        """Make the union the new H; every position stays."""
+        if len(self.blocks) > 1:
+            self.subgroup = np.concatenate(self.blocks)
+            self.blocks = [self.subgroup]
+
+
 class _Level:
     __slots__ = ("base", "gens", "transversal", "orbit_order", "done", "cache")
 
@@ -194,6 +309,10 @@ class StabilizerChain:
             for g in nontrivial:
                 self.levels[0].gens.append(g)
             self._close(0)
+            # the cached transversal elements served the sifting; a later
+            # membership test rebuilds the ones it needs
+            for level in self.levels:
+                level.cache.clear()
 
     # -- construction ----------------------------------------------------
 
@@ -258,10 +377,12 @@ class StabilizerChain:
                     if (pt, gi) in level.done:
                         continue
                     level.done.add((pt, gi))
-                    if u_pt is None:
-                        u_pt = self._transversal_element(level, pt)
                     g = level.gens[gi]
                     y = int(g[pt])
+                    if level.transversal[y] == (pt, gi):
+                        continue  # tree edge: u_pt·g is u_y, so the generator is 1
+                    if u_pt is None:
+                        u_pt = self._transversal_element(level, pt)
                     u_y = self._transversal_element(level, y)
                     schreier = invert_array(u_y)[g[u_pt]]
                     residue, j = self._strip(schreier, i + 1)
@@ -346,7 +467,7 @@ class PermutationGroup:
                 raise ValueError("degree mismatch among generators")
         self.degree = degree
         self.generators = generators or [Permutation.identity(degree)]
-        self.generator_images = read_only(np.stack([g.images for g in self.generators]))
+        self.generator_images = read_only(np.array([g.images for g in self.generators]))
         self._chain: StabilizerChain | None = None
         self._elements: list[Permutation] | None = None
 
@@ -369,38 +490,53 @@ class PermutationGroup:
 
     # -- enumeration -----------------------------------------------------
 
-    def _closure_levels(self, limit: int | None = None):
-        """The elements as (count, degree) int32 arrays of point images, one
-        per level of a breadth-first closure from the identity, told apart
-        by their bytes.  With a limit, ValueError as soon as the closure
-        has more than limit elements."""
-        gens = self.generator_images.astype(np.int32)
-        level = np.arange(self.degree, dtype=np.int32)[None, :]
-        seen = {level.tobytes()}
-        while len(level):
-            yield level
-            # x*g sends a point p to g[x[p]]; rows x by x, generators in order
-            products = gens[:, level].swapaxes(0, 1).reshape(-1, self.degree)
-            raw = products.tobytes()
-            width = len(raw) // len(products)
-            fresh = []
-            for i in range(len(products)):
-                key = raw[i * width:(i + 1) * width]
-                if key not in seen:
-                    seen.add(key)
-                    fresh.append(i)
-                    if limit is not None and len(seen) > limit:
-                        raise ValueError("closure exceeded limit %d" % limit)
-            level = products[fresh]
+    def _closure_blocks(self, limit: int | None = None):
+        """The elements as (count, degree) uint32 arrays of point images, by
+        Dimino's coset enumeration: ⟨g1⟩ by doubling, then for each later
+        generator g not yet reached, the right cosets H·x of the group H
+        generated so far, until their union is closed under every generator
+        used.  The last group's cosets are yielded one block each.  With a
+        limit, ValueError as soon as the closure has more than limit
+        elements."""
+        gens = self.generator_images.astype(np.uint32)
+        cyclic = self.generators[0].order()
+        if limit is not None and cyclic > limit:
+            raise ValueError("closure exceeded limit %d" % limit)
+        first = _powers(gens[0], cyclic)
+        if len(gens) == 1:
+            yield first
+            return
+        cosets = _Cosets(first)
+        for i, fingerprint in enumerate(cosets.fingerprints(gens[1:]), 1):
+            g = gens[i]
+            if cosets.contains(g, fingerprint):
+                continue
+            cosets.close()
+            used = gens[:i + 1]
+            # H·1 is H and H·g is new; then each new representative x times
+            # each generator s lies in a coset already listed or starts one
+            cosets.add(g, limit)
+            reps = [g]
+            for x in reps:
+                products = used.take(x, axis=1)  # x*s sends p to s[x[p]]
+                for y, fingerprint in zip(products, cosets.fingerprints(products)):
+                    if not cosets.contains(y, fingerprint):
+                        cosets.add(y, limit)
+                        reps.append(y)
+        # hand each block over and keep no reference to it
+        blocks = cosets.blocks
+        del cosets, first
+        while blocks:
+            yield blocks.pop(0)
 
     def elements(self, limit: int | None = None) -> list[Permutation]:
-        """All group elements by closure BFS, sorted by their images;
+        """All group elements by coset closure, sorted by their images;
         intended for order <= ~10^5."""
         if self._elements is not None and limit is None:
             return self._elements
-        rows = np.concatenate(list(self._closure_levels(limit)))
-        rows = read_only(rows[np.lexsort(rows.T[::-1])].astype(np.intp))
-        out = [Permutation._of(row) for row in rows]
+        rows = np.concatenate(list(self._closure_blocks(limit)), dtype=np.intp)
+        rows = read_only(rows[np.lexsort(rows.T[::-1])])
+        out = Permutation._of_rows(rows)
         if limit is None:
             self._elements = out
         return out
@@ -487,25 +623,24 @@ class PermutationGroup:
             raise ValueError("k out of range")
         codec = ksubsets(self.degree, k)
         images = read_only(codec.image_ranks(self.generator_images).astype(np.intp, copy=False))
-        return PermutationGroup([Permutation._of(row) for row in images],
-                                degree=codec.size)
+        return PermutationGroup(Permutation._of_rows(images), degree=codec.size)
 
     # -- regularity ------------------------------------------------------
 
     def _fixed_point_counts(self, domain: ActionDomain) -> np.ndarray:
         """For each domain index, the number of group elements fixing it:
-        the elements come from the closure as int arrays, a level at a
-        time, and fixed points are counted per column."""
+        the elements come from the coset closure as int arrays, a coset at
+        a time, and fixed points are counted per column."""
         size = domain.size
         counts = np.zeros(size, dtype=np.int64)
         codec = ksubsets(self.degree, domain.k) if domain.kind == "ksubsets" else None
         rows = max(1, _BLOCK_ENTRIES // (size * max(1, domain.k)))
-        for level in self._closure_levels():
-            for lo in range(0, len(level), rows):
-                images = level[lo:lo + rows]
+        for block in self._closure_blocks():
+            for lo in range(0, len(block), rows):
+                images = block[lo:lo + rows]
                 if codec is not None:
                     images = codec.image_ranks(images)
-                counts += (images == np.arange(size)).sum(axis=0)
+                counts += (images == np.arange(size, dtype=images.dtype)).sum(axis=0)
         return counts
 
     def regularity_degree(self, domain: ActionDomain | None = None,

@@ -282,23 +282,25 @@ def lemma_two_orbit_check(group: PermutationGroup, r_max: int = 4) -> OracleRepo
 
 
 def all_subgroups(group: PermutationGroup) -> list:
-    """Every subgroup, as frozensets of elements (small groups only)."""
+    """Every subgroup, as frozensets of elements (small groups only).  Each
+    one found is kept with the generators it was closed from, so that
+    <sub, g> is closed from those generators and g."""
     elements = group.elements()
     identity = Permutation.identity(group.degree)
     trivial = frozenset({identity})
 
     found = {trivial}
-    frontier = [trivial]
+    frontier = [(trivial, [])]
     while frontier:
         nxt = []
-        for sub in frontier:
+        for sub, gens in frontier:
             for g in elements:
                 if g in sub:
                     continue
-                grown = frozenset(closure(sub | {g}))
+                grown = frozenset(closure(gens + [g]))
                 if grown not in found:
                     found.add(grown)
-                    nxt.append(grown)
+                    nxt.append((grown, gens + [g]))
         frontier = nxt
     return sorted(found, key=lambda s: (len(s), sorted(p.images.tolist() for p in s)))
 

@@ -1,10 +1,13 @@
+import dataclasses
+
 import pytest
 
-from mergedjohnson.complement import (build_cocycle_data, build_pointed_psl28,
-                                      complement_elements,
+from mergedjohnson.complement import (_phi_images, build_cocycle_data,
+                                      build_pointed_psl28, complement_elements,
                                       complement_vertex_group,
                                       frobenius_class_action, global_flip,
-                                      orbit_signature, vertex_permutation)
+                                      induced_cocycle, orbit_signature,
+                                      vertex_permutation)
 from mergedjohnson.johnson import build_graph
 from mergedjohnson.verify import is_automorphism
 
@@ -51,6 +54,31 @@ def test_twisted_complements_are_2_regular(datas, label):
 
 def test_complement_element_count(datas):
     assert len(complement_elements(datas[1])) == 504
+
+
+def _cocycle_by_loop(data, s):
+    """gamma(s) from its definition, one equipartition at a time."""
+    bits = [None] * 126
+    for i, j in enumerate(_phi_images(s.images).tolist()):
+        v = data.transversal[i] * s * data.transversal[j].inverse()
+        assert v in data.V
+        bits[j] = data.delta(v)
+    return tuple(bits)
+
+
+@pytest.mark.parametrize("label", [0, 1, 2, 3])
+def test_cocycle_matches_its_definition(datas, label):
+    for s in datas[label].pointed.group.elements()[::25]:
+        assert induced_cocycle(datas[label], s) == _cocycle_by_loop(datas[label], s)
+
+
+def test_cocycle_refuses_a_decomposition_outside_v(datas):
+    data = datas[1]
+    # a V with one element replaced: some t_i s t_j^-1 lands outside it
+    wrong = dataclasses.replace(data, V=data.V[:3] + (data.transversal[1],))
+    with pytest.raises(AssertionError, match="left V"):
+        for s in data.pointed.group.elements():
+            induced_cocycle(wrong, s)
 
 
 @pytest.mark.parametrize("I", [(1, 4), (2, 3), (1, 4, 5), (2, 3, 5)])

@@ -1,8 +1,14 @@
+import functools
+import hashlib
+import json
 from math import comb
 
+import numpy as np
 import pytest
 
+from mergedjohnson import perms
 from mergedjohnson.perms import ActionDomain, Permutation, PermutationGroup
+from mergedjohnson.subsets import mask_image
 
 
 def s_n(n):
@@ -107,10 +113,44 @@ def test_domain_membership_matches_its_labels(domain):
 
 # -- array orbits and the stabilizer sweep, against plain loops -------------
 
-def _fixed_points_by_loop(group, domain):
-    labels = list(domain.iter_labels(group.degree))
-    return [sum(1 for g in group.elements() if domain.apply(x, g) == x)
-            for x in labels]
+def _closure_by_loop(generators):
+    """Every element of the group the generators generate, as image tuples:
+    products of the generators grown from the identity in plain Python."""
+    gens = [g.images.tolist() for g in generators]
+    identity = tuple(range(len(gens[0])))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        grown = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(map(g.__getitem__, x))  # x*g sends p to g[x[p]]
+                if y not in seen:
+                    seen.add(y)
+                    grown.append(y)
+        frontier = grown
+    return seen
+
+
+@functools.cache
+def _witness(n, k, I, kind, case):
+    from mergedjohnson.classify import witness_group
+    return witness_group(n, k, frozenset(I), kind, case)
+
+
+@functools.cache
+def _closure_of(name):
+    """_closure_by_loop of CLOSURE_GROUPS[name], computed once."""
+    return _closure_by_loop(CLOSURE_GROUPS[name]().generators)
+
+
+def _fixed_points_by_loop(group, domain, elements=None):
+    if elements is None:
+        elements = _closure_by_loop(group.generators)
+    if domain.kind == "points":
+        return [sum(1 for t in elements if t[x] == x) for x in range(domain.size)]
+    return [sum(1 for t in elements if mask_image(x, t) == x)
+            for x in domain.iter_labels(group.degree)]
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -123,11 +163,11 @@ def test_sweep_counts_match_a_loop_over_elements(n, kind):
 
 
 def test_sweep_counts_match_a_loop_for_a_j12_6_witness():
-    from mergedjohnson.classify import witness_group
-    dihedral = witness_group(12, 6, {6}, "two-regular")
+    dihedral = CLOSURE_GROUPS["J(12,6) dihedral"]()
     domain = ActionDomain.points(dihedral.degree)
     counts = dihedral._fixed_point_counts(domain)
-    assert counts.tolist() == _fixed_points_by_loop(dihedral, domain)
+    elements = _closure_of("J(12,6) dihedral")
+    assert counts.tolist() == _fixed_points_by_loop(dihedral, domain, elements)
     assert set(counts.tolist()) == {2}
     assert dihedral.regularity_degree() == 2
 
@@ -172,6 +212,86 @@ def test_elements_are_every_permutation_in_order():
     assert len(s_n(4).elements(limit=24)) == 24
 
 
+def _cycle(degree, *cycles):
+    return Permutation.from_cycles(degree, cycles)
+
+
+def _affine_induced(kind, k):
+    from mergedjohnson.fields import build_field
+    from mergedjohnson.nearfields import affine_group
+    return affine_group(build_field(2, 3), kind).induced_subset_action(k)
+
+
+CLOSURE_GROUPS = {
+    "C7": lambda: PermutationGroup([_cycle(7, tuple(range(7)))]),
+    "C12 on 7 points": lambda: PermutationGroup([_cycle(7, (0, 1, 2), (3, 4, 5, 6))]),
+    "C30 on 10 points": lambda: PermutationGroup([_cycle(10, (0, 1), (2, 3, 4),
+                                                         (5, 6, 7, 8, 9))]),
+    "S4": lambda: s_n(4),
+    "S5": lambda: s_n(5),
+    "S5 from a transposition last": lambda: PermutationGroup(
+        [_cycle(5, (0, 1, 2, 3, 4)), _cycle(5, (0, 1))]),
+    "fixes point 0": lambda: PermutationGroup(
+        [_cycle(8, (1, 2, 3, 4)), _cycle(8, (1, 2), (5, 6)), _cycle(8, (6, 7))]),
+    "identity and repeated generators": lambda: PermutationGroup(
+        [Permutation.identity(5), _cycle(5, (0, 1, 2)), _cycle(5, (0, 1, 2)),
+         _cycle(5, (3, 4)), Permutation.identity(5), _cycle(5, (0, 1)),
+         _cycle(5, (3, 4))]),
+    "J(12,6) cyclic": lambda: _witness(12, 6, (1, 2, 3, 4, 5, 6), "cayley", 4),
+    "J(12,6) cyclic relabelled": lambda: _witness(12, 6, (6,), "cayley", 5),
+    "J(12,6) dihedral": lambda: _witness(12, 6, (6,), "two-regular", 4),
+    "J(12,6) dihedral unrelabelled": lambda: _witness(12, 6, (1, 2, 3, 4, 5, 6),
+                                                      "two-regular", 5),
+    "AHL1(7) on 2-subsets": lambda: _witness(7, 2, (1,), "cayley", 1),
+    "AGL1(8) on 2-subsets": lambda: _witness(8, 2, (1,), "two-regular", 1),
+    "AGL1(8) on 3-subsets": lambda: _affine_induced("AGL", 3),
+    "AGammaL1(8) on 3-subsets": lambda: _affine_induced("AGammaL", 3),
+}
+
+
+def _element_rows(group, limit=None):
+    return [tuple(g.images.tolist()) for g in group.elements(limit)]
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+def test_elements_match_a_closure_grown_in_plain_python(name):
+    group = CLOSURE_GROUPS[name]()
+    want = _closure_of(name)
+    assert _element_rows(group) == sorted(want)
+    assert len(want) == group.order
+
+
+def test_elements_limit_when_the_first_generator_overflows(monkeypatch):
+    c = _cycle(12, tuple(range(12)))
+    group = PermutationGroup([c, c * c * c * c * c])  # C12, twice
+    with monkeypatch.context() as patched:
+        # the first generator's order exceeds the limit: no coset is built
+        patched.setattr(perms, "_Cosets", None)
+        with pytest.raises(ValueError):
+            group.elements(limit=11)
+    assert len(group.elements(limit=12)) == 12
+
+
+@pytest.mark.parametrize("name", ["S4", "J(12,6) dihedral"])
+def test_elements_limit_when_a_coset_overflows(name):
+    group = CLOSURE_GROUPS[name]()
+    assert group.generators[0].order() < group.order
+    with pytest.raises(ValueError):
+        group.elements(limit=group.order - 1)
+    with pytest.raises(ValueError):
+        perms.closure(group.generators, limit=group.order - 1)
+    assert len(group.elements(limit=group.order)) == group.order
+
+
+@pytest.mark.parametrize("name", ["S5", "fixes point 0", "AGL1(8) on 3-subsets"])
+def test_closure_is_exact_when_every_fingerprint_collides(monkeypatch, name):
+    want = _element_rows(CLOSURE_GROUPS[name]())
+    monkeypatch.setattr(perms, "_fingerprint_weights",
+                        lambda degree: np.zeros(degree, dtype=np.uint32))
+    # with the limit, a coset added twice raises instead of looping on
+    assert _element_rows(CLOSURE_GROUPS[name](), limit=len(want)) == want
+
+
 def test_hash_is_the_image_tuple_hash_and_images_are_read_only():
     a = Permutation([1, 2, 0, 4, 3])
     b = Permutation.from_cycles(5, [(0, 4)])
@@ -189,3 +309,252 @@ def test_hash_is_the_image_tuple_hash_and_images_are_read_only():
         group.generator_images[0, 0] = 1
     with pytest.raises(ValueError):
         group.generator_images.flags.writeable = True
+
+
+# -- the stabilizer chain, pinned --------------------------------------------
+
+# Per level (base point, orbit length, strong generators) and the SHA-256 of
+# every level's strong generators, recorded while every Schreier generator
+# was sifted, tree edges included: skipping the tree edges, which give 1 by
+# construction, must leave the chain exactly as it was.  The witnesses are
+# every distinct (n, k, kind, case) of the YES verdicts with n <= 12, each
+# under the first merge set that has it.
+CHAIN_STRUCTURE = {
+    "complement 0": [(0, 126, 3), (1, 4, 2)],
+    "complement 1": [(0, 252, 3), (1, 2, 1)],
+    "complement 2": [(0, 252, 3), (1, 2, 1)],
+    "complement 3": [(0, 252, 3), (1, 2, 1)],
+    "dickson 7 3 AHL": [(0, 343, 5), (1, 171, 2)],
+    "exceptional 11 1": [(0, 121, 4), (1, 120, 2)],
+    "exceptional 11 2": [(0, 121, 6), (1, 120, 4)],
+    "exceptional 23 1": [(0, 529, 6), (1, 528, 4)],
+    "exceptional 29 1": [(0, 841, 5), (1, 840, 3)],
+    "exceptional 5 1": [(0, 25, 5), (1, 24, 3)],
+    "exceptional 7 1": [(0, 49, 5), (1, 48, 3)],
+    "witness 10 2 1,2 cayley 4": [(0, 45, 1)],
+    "witness 10 2 1,2 two-regular 5": [(0, 45, 2), (1, 2, 1)],
+    "witness 10 3 1,2,3 cayley 4": [(0, 120, 1)],
+    "witness 10 3 1,2,3 two-regular 5": [(0, 120, 2), (1, 2, 1)],
+    "witness 10 4 1,2,3,4 cayley 4": [(0, 210, 1)],
+    "witness 10 4 1,2,3,4 two-regular 5": [(0, 210, 2), (1, 2, 1)],
+    "witness 10 5 1,2,3,4,5 cayley 4": [(0, 252, 1)],
+    "witness 10 5 1,2,3,4,5 two-regular 5": [(0, 252, 2), (1, 2, 1)],
+    "witness 10 5 1,4 two-regular 3": [(0, 252, 3), (1, 2, 1)],
+    "witness 10 5 5 cayley 5": [(0, 252, 1)],
+    "witness 10 5 5 two-regular 4": [(0, 252, 2), (1, 2, 1)],
+    "witness 11 2 1 cayley 1": [(0, 55, 2)],
+    "witness 11 2 1 two-regular 1": [(0, 55, 2), (1, 2, 1)],
+    "witness 11 3 1,2,3 cayley 4": [(0, 165, 1)],
+    "witness 11 3 1,2,3 two-regular 5": [(0, 165, 2), (1, 2, 1)],
+    "witness 11 4 1,2,3,4 cayley 4": [(0, 330, 1)],
+    "witness 11 4 1,2,3,4 two-regular 5": [(0, 330, 2), (1, 2, 1)],
+    "witness 11 5 1,2,3,4,5 cayley 4": [(0, 462, 1)],
+    "witness 11 5 1,2,3,4,5 two-regular 5": [(0, 462, 2), (1, 2, 1)],
+    "witness 12 2 1,2 cayley 4": [(0, 66, 1)],
+    "witness 12 2 1,2 two-regular 5": [(0, 66, 2), (1, 2, 1)],
+    "witness 12 3 1,2,3 cayley 4": [(0, 220, 1)],
+    "witness 12 3 1,2,3 two-regular 5": [(0, 220, 2), (1, 2, 1)],
+    "witness 12 4 1,2,3,4 cayley 4": [(0, 495, 1)],
+    "witness 12 4 1,2,3,4 two-regular 5": [(0, 495, 2), (1, 2, 1)],
+    "witness 12 5 1,2,3,4,5 cayley 4": [(0, 792, 1)],
+    "witness 12 5 1,2,3,4,5 two-regular 5": [(0, 792, 2), (1, 2, 1)],
+    "witness 12 6 1,2,3,4,5,6 cayley 4": [(0, 924, 1)],
+    "witness 12 6 1,2,3,4,5,6 two-regular 5": [(0, 924, 2), (1, 2, 1)],
+    "witness 12 6 6 cayley 5": [(0, 924, 1)],
+    "witness 12 6 6 two-regular 4": [(0, 924, 2), (1, 2, 1)],
+    "witness 4 2 1 cayley 5": [(0, 6, 1)],
+    "witness 4 2 1 two-regular 1": [(0, 6, 3), (1, 2, 1)],
+    "witness 4 2 1,2 cayley 4": [(0, 6, 1)],
+    "witness 5 2 1 two-regular 1": [(0, 10, 2), (1, 2, 1)],
+    "witness 5 2 1,2 cayley 4": [(0, 10, 1)],
+    "witness 6 2 1,2 cayley 4": [(0, 15, 1)],
+    "witness 6 2 1,2 two-regular 5": [(0, 15, 2), (1, 2, 1)],
+    "witness 6 3 1 two-regular 2": [(0, 20, 3), (1, 2, 1)],
+    "witness 6 3 1,2,3 cayley 4": [(0, 20, 1)],
+    "witness 6 3 3 cayley 5": [(0, 20, 1)],
+    "witness 7 2 1 cayley 1": [(0, 21, 2)],
+    "witness 7 2 1 two-regular 1": [(0, 21, 2), (1, 2, 1)],
+    "witness 7 3 1,2,3 cayley 4": [(0, 35, 1)],
+    "witness 7 3 1,2,3 two-regular 5": [(0, 35, 2), (1, 2, 1)],
+    "witness 8 2 1 two-regular 1": [(0, 28, 4), (1, 2, 1)],
+    "witness 8 2 1,2 cayley 4": [(0, 28, 1)],
+    "witness 8 3 1 cayley 2": [(0, 56, 4)],
+    "witness 8 3 1,2,3 two-regular 5": [(0, 56, 2), (1, 2, 1)],
+    "witness 8 4 1,2,3,4 cayley 4": [(0, 70, 1)],
+    "witness 8 4 1,2,3,4 two-regular 5": [(0, 70, 2), (1, 2, 1)],
+    "witness 8 4 4 cayley 5": [(0, 70, 1)],
+    "witness 8 4 4 two-regular 4": [(0, 70, 2), (1, 2, 1)],
+    "witness 9 2 1 two-regular 1": [(0, 36, 3), (1, 2, 1)],
+    "witness 9 2 1,2 cayley 4": [(0, 36, 1)],
+    "witness 9 3 1,2,3 cayley 4": [(0, 84, 1)],
+    "witness 9 3 1,2,3 two-regular 5": [(0, 84, 2), (1, 2, 1)],
+    "witness 9 4 1,2,3,4 cayley 4": [(0, 126, 1)],
+    "witness 9 4 1,2,3,4 two-regular 5": [(0, 126, 2), (1, 2, 1)],
+}
+CHAIN_GENERATORS_SHA256 = {
+    "complement 0":
+        "9f1baad89a9f5a8866daf4e0ad2c07e82ab598070e824832aa7989c6f7269fb4",
+    "complement 1":
+        "5b155e94b3210fe28aa9cf441a3f7e7ce11ca24a83f0a85ce3c802bdc0a2c9ae",
+    "complement 2":
+        "800b246c705f25f8a1a464f162bdc9e5b2d98d74152dd9e0cbef6c9b72372883",
+    "complement 3":
+        "5c212f1278fa78d8d9975cb29d65697d4a40eb665a64e29022a52d41e8a9798d",
+    "dickson 7 3 AHL":
+        "bbfd0ddc0688e8082335331f52f2aa0a719c65e7b6a9f6d5ae5065b45d75c563",
+    "exceptional 11 1":
+        "9d5c4f83082645adaba0ab4b4de9c40810b7209d142ddfe5c33fa08003af8baa",
+    "exceptional 11 2":
+        "a4528f02a7aeccc4bfb380aadcbf280d811affae24b72ba0457fc003642b2814",
+    "exceptional 23 1":
+        "203ecd783adfd50c75a92d43df84a42ed971286f42f49a37457b45263a429f02",
+    "exceptional 29 1":
+        "ba2316309de2b1629ffca55347c94444cb74a7b6eef19598afdad74ca22ac1ed",
+    "exceptional 5 1":
+        "aef19e8131070cc349dabf3325b2c2e9b80aa3ab0c8c7a5cd928fc9bde55cda7",
+    "exceptional 7 1":
+        "dcdc0c5c789eaf64a5763bafe903b598babffe180e6dd006549978175c7fb977",
+    "witness 10 2 1,2 cayley 4":
+        "41190378011001bef2ecf3883ca5e9a01d9e4e4f090444a5d188fa6cc56f9468",
+    "witness 10 2 1,2 two-regular 5":
+        "46421670a52b527e351708ca31f69c347ede2877fd0f41ab2f2e94308a07998d",
+    "witness 10 3 1,2,3 cayley 4":
+        "381105b81d17b2214f3b929d1ee3513088bde6d96241d7c5d0f605175c5d5621",
+    "witness 10 3 1,2,3 two-regular 5":
+        "3d2e2452a9cb235e5322bf88e3fa96764a527f00560767b5c2c229112f6315d2",
+    "witness 10 4 1,2,3,4 cayley 4":
+        "7a22fe986b037afe6b55a450da5e45d952b6fd4a0bd3ac035c949096633dbf5c",
+    "witness 10 4 1,2,3,4 two-regular 5":
+        "be16d4bcea56c0ba3f77a9ea722e31c5057ee3d95a1c7a458bfbb5a4251e8c85",
+    "witness 10 5 1,2,3,4,5 cayley 4":
+        "fad7cbb002859038955e9214065a79a9b110e06dabe092738c3c5116666ed4b8",
+    "witness 10 5 1,2,3,4,5 two-regular 5":
+        "179e6af3dfa2c93a0be20234fa81d09f3025c5fb996895179f63c2ac270fb056",
+    "witness 10 5 1,4 two-regular 3":
+        "5b155e94b3210fe28aa9cf441a3f7e7ce11ca24a83f0a85ce3c802bdc0a2c9ae",
+    "witness 10 5 5 cayley 5":
+        "f5b632113b264a6e6b9b93a0159aab3dd6487072d331da53b934c76387c9a376",
+    "witness 10 5 5 two-regular 4":
+        "53f9d70a6597f56363538bacc78db282c568a311897b8738e4f999d8b799508b",
+    "witness 11 2 1 cayley 1":
+        "9b5d24ddba2297da981c611138be39bcf18d70b8c928d21917a086bf7682be4b",
+    "witness 11 2 1 two-regular 1":
+        "9bc339002b4e650f75ea8c099eb90c71ea6b0747307f0c820257f9db888d5e96",
+    "witness 11 3 1,2,3 cayley 4":
+        "a724a5fbc9a467333e012a1ef9f4ce8c408b05e1a5057a4f5ef443fac4f7291b",
+    "witness 11 3 1,2,3 two-regular 5":
+        "ae9a9467109d2528fedeba83b790adfa0b7a2f4c0e4dfb3289d86604d9cc3eb3",
+    "witness 11 4 1,2,3,4 cayley 4":
+        "3e21d0df1513c95079b9eeef6cf81efdcf01dbf4ed3ca94a39670c3281515309",
+    "witness 11 4 1,2,3,4 two-regular 5":
+        "e30fcc58fcb7cb7cce0513df9dd5ac4f1d976b4b28083374055573fb5265c1a0",
+    "witness 11 5 1,2,3,4,5 cayley 4":
+        "8fa21ee01b6debdd1d6837e00ae73615f3f6e6abccc5a0c7a2b01b488ff9f888",
+    "witness 11 5 1,2,3,4,5 two-regular 5":
+        "20cec65058f0f5766e5a1474134495df4d5ca75a80a326fee5110d5042c91191",
+    "witness 12 2 1,2 cayley 4":
+        "d627934f47ccda31d7a16d6390c38f1003479ae3ac4c2b41d6c31fe7905d970a",
+    "witness 12 2 1,2 two-regular 5":
+        "36374aa35d2e530b00bdf2b1c5ec081b244613de076e8e217c80f16f410ecd01",
+    "witness 12 3 1,2,3 cayley 4":
+        "a4229422c4fbcb68d3f79ee88dc63ea2192875d602fbf3c2d258122333800dca",
+    "witness 12 3 1,2,3 two-regular 5":
+        "9b647b80ee02d5f4748acdf1504592b90d8fa0b72931621a47c0ca08f73e7c46",
+    "witness 12 4 1,2,3,4 cayley 4":
+        "3881feba37e6f8cf171cb8de2fadab2a42ab324d99eb9a41317b522d681e894a",
+    "witness 12 4 1,2,3,4 two-regular 5":
+        "a7c2c5bde925eb0f42acd153a06528b7d7b00f9a50901bbe76de03d1a4b473f1",
+    "witness 12 5 1,2,3,4,5 cayley 4":
+        "27ba65af127e2c56d8a5f36b6cfbb29ba1492fe5df539237c5c4884bc609135b",
+    "witness 12 5 1,2,3,4,5 two-regular 5":
+        "2870357c6fca68d71c42f04772c04ddc1260dae1059cc3f99f06a19aa3478c43",
+    "witness 12 6 1,2,3,4,5,6 cayley 4":
+        "e2dd834bba686d764c700cdeb34c838dbe2c31012ca36176d8afbea1c31f9c77",
+    "witness 12 6 1,2,3,4,5,6 two-regular 5":
+        "6bad32bd80ae0df7b9d882aad620340f44a39831eb68f570ad48ff99327a3215",
+    "witness 12 6 6 cayley 5":
+        "6b087f8acfe250c4bd831934e2480127c912722ebdae94f97a0f485d6b35f371",
+    "witness 12 6 6 two-regular 4":
+        "3660ce9cc7ad0c9658ddc5990c3ca818fe3874dd2b708190842cd2786036ef34",
+    "witness 4 2 1 cayley 5":
+        "90bdb89c0bd9e211f2f8f79eed66b1bfc8801be2f80328a1f6ecac2809ad0639",
+    "witness 4 2 1 two-regular 1":
+        "dc58c355aeecbe96ba2175373c358d24b666bb91acc27834e056268df2efe6a2",
+    "witness 4 2 1,2 cayley 4":
+        "2527968dd36e671b3d2095c4dae9ee22bb10c3c85c5e39fb1affbca87a73d8f7",
+    "witness 5 2 1 two-regular 1":
+        "a56add8deb21827f59bbfb48b3212e050cd7ab68ffab0847688fd5c0fadc0115",
+    "witness 5 2 1,2 cayley 4":
+        "3aa2ff841719041bc82a18ba57eabf219536f33ea946adbdf25348ca71f2ba3a",
+    "witness 6 2 1,2 cayley 4":
+        "2d9d5f11f3d3850431177a188fd4dcefffdb521eabb139e8817e4835ad374bb5",
+    "witness 6 2 1,2 two-regular 5":
+        "bf666f5ae724ea99a8b37dd46cbe21fb488726f1a4cdc08ab46af37813341e65",
+    "witness 6 3 1 two-regular 2":
+        "a978c48dd8b1ac21e5c16d604d5c96272170b70d676db51b46585dc983db11db",
+    "witness 6 3 1,2,3 cayley 4":
+        "86f724c5ab2d5391029772189b8d8032ad60e7c8fd76914b89910676e98195b1",
+    "witness 6 3 3 cayley 5":
+        "5d6a851f29cb81a2b8472a75a4fcb6695bcdb9b1ca9b44d56e8ec0e876c9efc8",
+    "witness 7 2 1 cayley 1":
+        "003e77acbbfc35a0836434d6e76b6ea785bef1341cece221b44f1968d944c473",
+    "witness 7 2 1 two-regular 1":
+        "2b7f405f4f371ac3deb3db4c67ceda56fd57f43e25771910740b7bd4b52b8d08",
+    "witness 7 3 1,2,3 cayley 4":
+        "46297ae245bc00d5066cc7a9abe0c43a8c311f6e9233c143bd9ece042b521927",
+    "witness 7 3 1,2,3 two-regular 5":
+        "702e1ac29a4d6fe04501c75e64c5e0119faa3dc7e02b1d68bdd39899aba35a6c",
+    "witness 8 2 1 two-regular 1":
+        "98486ecb91e2bb037c29047e0ed12ee752aeb7e5b22350346bb3f13ed4c922ab",
+    "witness 8 2 1,2 cayley 4":
+        "9700399dc3856b988da29791b93065cb7629170bc66dd5e06083fe83556da700",
+    "witness 8 3 1 cayley 2":
+        "edd4a7ffe3cb2515f71d29bed60dfc75011907607bf1d40d692aaf4649836831",
+    "witness 8 3 1,2,3 two-regular 5":
+        "119dae52678f1c12a2580592bd8ea550cd9218d57fcfdeb3dbe25dee8425b844",
+    "witness 8 4 1,2,3,4 cayley 4":
+        "a0c150bf4b112017befaead06058e88a8c298a8ae7e6814a2abbb47003c6f97e",
+    "witness 8 4 1,2,3,4 two-regular 5":
+        "7eee934e57ad5b2a9b1d3ff32a68c792e5bfc387d16ad275ca530a84e5464835",
+    "witness 8 4 4 cayley 5":
+        "57adc9c2d081936e9c848ba9e29fb99292a72af4091009b4954e6a2bea42ca60",
+    "witness 8 4 4 two-regular 4":
+        "810b728c379114116a9f4293f424c49c44c08c314c77baea99c0c4bc55f8a0f7",
+    "witness 9 2 1 two-regular 1":
+        "638429b9e33e99fe3e0a7a70b569592dfe3e2043120a9dda30a6fff9deb3c7b7",
+    "witness 9 2 1,2 cayley 4":
+        "6dffb2a5582adb949027b94a599d853249c859e55ea93cf26a175edbab904e91",
+    "witness 9 3 1,2,3 cayley 4":
+        "c82209a6b30436f208caefbe8fcb37c010a78a40e7b9ff28ed51ba3018ffd9c8",
+    "witness 9 3 1,2,3 two-regular 5":
+        "ec8b940ce80ed05f01165c2f1cf244ecc21509d6c799bdcd925c3f26e106d269",
+    "witness 9 4 1,2,3,4 cayley 4":
+        "630f52d48435a980e6691288150111543114e95d10562376a23f302629437886",
+    "witness 9 4 1,2,3,4 two-regular 5":
+        "2cad9263fa0e6873e0ad9de356f4891a0b20f7bb16da80ed16516ee558b3474c",
+}
+
+
+def _chain_group(key):
+    from mergedjohnson import complement, nearfields
+    kind, *args = key.split()
+    if kind == "witness":
+        n, k, merge, verdict, case = args
+        return _witness(int(n), int(k), tuple(map(int, merge.split(","))),
+                        verdict, int(case))
+    if kind == "dickson":
+        return nearfields.affine_group(nearfields.build_dickson(7, 3), "AHL")
+    if kind == "exceptional":
+        spec = nearfields.exceptional_spec(int(args[0]), int(args[1]))
+        return nearfields.exceptional_group(spec)
+    data = complement.build_cocycle_data(int(args[0]))
+    return complement.complement_vertex_group(data)
+
+
+@pytest.mark.parametrize("key", sorted(CHAIN_STRUCTURE))
+def test_chain_structure_pinned(key):
+    levels = _chain_group(key).chain.levels
+    assert [(lv.base, len(lv.transversal), len(lv.gens)) for lv in levels] == \
+        CHAIN_STRUCTURE[key]
+    gens = json.dumps([[g.tolist() for g in lv.gens] for lv in levels])
+    assert hashlib.sha256(gens.encode()).hexdigest() == CHAIN_GENERATORS_SHA256[key]
