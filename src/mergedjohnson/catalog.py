@@ -334,16 +334,19 @@ def _projective_line_records(min_homog):
 
 
 def _affine_line_records():
+    # AGL1(8), AGammaL1(8) and AGammaL1(32), 3-homogeneous, are on the H_3
+    # list already and are skipped here.
     out = []
     for n in range(5, 65):
         dec = prime_power_decomposition(n)
         if dec is None:
             continue
         p, e = dec
-        out.append(HomogRecord("AGL1(%d)" % n, n, n * (n - 1), 2, 2, True))
+        if n not in (8,):
+            out.append(HomogRecord("AGL1(%d)" % n, n, n * (n - 1), 2, 2, True))
         if n % 4 == 3:
             out.append(HomogRecord("AHL1(%d)" % n, n, n * (n - 1) // 2, 2, 1, True))
-        if e > 1:
+        if e > 1 and n not in (8, 32):
             out.append(HomogRecord("AGammaL1(%d)" % n, n, n * (n - 1) * e, 2, 2, True))
     return out
 

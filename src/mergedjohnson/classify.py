@@ -5,6 +5,10 @@ decides whether J is a Cayley graph and whether it has a 2-regular group
 of automorphisms, constructs explicit witness groups on the vertex set,
 and evaluates the Cayley deficiency d(J), the least vertex-stabilizer
 order over all vertex-transitive automorphism groups.
+
+Most witnesses are induced actions on k-subsets.  For n = 2k the cyclic
+and dihedral ones act on Z_m, m = C(n, k), and one index array relabels
+Z_m onto the vertices so that x <-> x + m/2 is complementation.
 """
 
 from __future__ import annotations
@@ -299,81 +303,27 @@ def _projective_line6_group() -> PermutationGroup:
     return group
 
 
-def _dihedral_coset_action(m: int) -> tuple:
-    """Dihedral group of order 2m acting on the m right cosets of the
-    reflection subgroup H = <x -> -x>; returns (group, pairing) where
-    pairing maps each coset index to its image under the central rotation
-    (m even) or None (m odd)."""
-    # elements (eps, c) act as x -> eps*x + c on Z_m; composition left to
-    # right: (e1,c1)(e2,c2) = (e1*e2, e2*c1 + c2)
-    elements = [(eps, c) for eps in (1, -1) for c in range(m)]
-    index_of = {el: i for i, el in enumerate(elements)}
-
-    def mul(a, b):
-        return (a[0] * b[0], (b[0] * a[1] + b[1]) % m)
-
-    h = [(1, 0), (-1, 0)]
-    coset_of = {}
-    cosets = []
-    for el in elements:
-        members = frozenset(index_of[mul(hh, el)] for hh in h)
-        if members not in coset_of:
-            coset_of[members] = len(cosets)
-            cosets.append(members)
-    if len(cosets) != m:
-        raise AssertionError("coset count mismatch")
-
-    member_to_coset = {}
-    for ci, members in enumerate(cosets):
-        for ei in members:
-            member_to_coset[ei] = ci
-
-    def coset_perm(g):
-        images = [0] * m
-        for ci, members in enumerate(cosets):
-            ei = next(iter(members))
-            images[ci] = member_to_coset[index_of[mul(elements[ei], g)]]
-        return Permutation(images)
-
-    group = PermutationGroup([coset_perm((1, 1)), coset_perm((-1, 0))])
-    pairing = None
-    if m % 2 == 0:
-        z = (1, m // 2)
-        pairing = [member_to_coset[index_of[mul(elements[next(iter(cosets[ci]))], z)]]
-                   for ci in range(m)]
-    return group, pairing
+def _dihedral_coset_action(m: int) -> PermutationGroup:
+    """Dihedral group of order 2m, the maps x -> eps*x + c on Z_m, on the m
+    right cosets of H = <x -> -x>: the coset H(eps, c) is numbered c, so
+    x -> x + 1 and x -> -x act on coset numbers as on Z_m."""
+    points = np.arange(m)
+    return PermutationGroup([Permutation((points + 1) % m), Permutation(-points % m)])
 
 
-def _relabel_group(group: PermutationGroup, to_vertex: list) -> PermutationGroup:
+def _relabel_group(group: PermutationGroup, to_vertex: np.ndarray) -> PermutationGroup:
     """Conjugate a degree-m group by the bijection point -> to_vertex[point]."""
-    to_vertex = np.asarray(to_vertex, dtype=np.intp)
     images = to_vertex[group.generator_images[:, invert_array(to_vertex)]]
     return PermutationGroup([Permutation(row) for row in images])
 
 
-def _matching_bijection(n: int, k: int, pairing: list) -> list:
-    """Bijection point -> vertex rank matching the pairing point <-> paired
-    point with the pairing vertex <-> complementary vertex."""
-    m = comb(n, k)
-    comp_rank = complement_ranks(n, k)
-    to_vertex = [None] * m
-    used = [False] * m
-    next_vertex = 0
-    for pt in range(m):
-        if to_vertex[pt] is not None:
-            continue
-        while used[next_vertex]:
-            next_vertex += 1
-        v = next_vertex
-        to_vertex[pt] = v
-        used[v] = True
-        partner = pairing[pt]
-        cv = comp_rank[v]
-        if to_vertex[partner] is not None or used[cv]:
-            raise AssertionError("pairing mismatch while matching cosets")
-        to_vertex[partner] = cv
-        used[cv] = True
-    return to_vertex
+def _matching_bijection(n: int, k: int) -> np.ndarray:
+    """Bijection point -> vertex rank for n = 2k taking x <-> x + m/2 to
+    complementation: x < m/2 goes to the x-th vertex below its complement,
+    in rank order, and x + m/2 to that vertex's complement."""
+    comp = np.array(complement_ranks(n, k))
+    low = np.flatnonzero(np.arange(len(comp)) < comp)
+    return np.concatenate([low, comp[low]])
 
 
 def witness_group(n: int, k: int, I, kind: str = "cayley",
@@ -411,17 +361,12 @@ def _cayley_witness(n: int, k: int, case: int) -> PermutationGroup:
         return affine_group(build_field(2, 3), "AGL").induced_subset_action(3)
     if case == 3:
         return affine_group(build_field(2, 5), "AGammaL").induced_subset_action(3)
-    if case == 4:
-        # cyclic group acting on itself; any vertex identification works on
-        # a complete graph
-        return PermutationGroup([Permutation((np.arange(m) + 1) % m)])
-    if case == 5:
-        # cyclic group on itself, with the unique involution's pairing
-        # aligned to complementation
-        pairing = [(x + m // 2) % m for x in range(m)]
-        to_vertex = _matching_bijection(n, k, pairing)
+    if case in (4, 5):
+        # the cyclic group on itself: any vertex identification works on
+        # case 4's complete graph, and case 5 aligns its involution's
+        # pairing x <-> x + m/2 with complementation
         cyclic = PermutationGroup([Permutation((np.arange(m) + 1) % m)])
-        return _relabel_group(cyclic, to_vertex)
+        return cyclic if case == 4 else _relabel_group(cyclic, _matching_bijection(n, k))
     raise ValueError("unknown case %r" % case)
 
 
@@ -438,13 +383,10 @@ def _two_regular_witness(n: int, k: int, case: int) -> PermutationGroup:
         data = build_cocycle_data(delta_label=1)
         return complement_vertex_group(data)
     if case in (4, 5):
-        group, pairing = _dihedral_coset_action(m)
+        group = _dihedral_coset_action(m)
         if case == 4:
-            to_vertex = _matching_bijection(n, k, pairing)
-        else:
-            to_vertex = list(range(m))
-        # checked on the relabelled group, whose chain regularity_degree reuses
-        group = _relabel_group(group, to_vertex)
+            group = _relabel_group(group, _matching_bijection(n, k))
+        # checked on the returned group, whose chain regularity_degree reuses
         if group.order != 2 * m:
             raise AssertionError("dihedral coset action has order %d" % group.order)
         return group

@@ -7,6 +7,7 @@ verification claim, 2 usage error.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -17,7 +18,7 @@ from . import verify as vfy
 from .johnson import build_graph
 from .nearfields import (affine_group, build_dickson, exceptional_group,
                          exceptional_spec, is_dickson_pair)
-from .perms import PermutationGroup
+from .perms import PermutationGroup, StabilizerChain
 
 
 def _parse_merge(value: str, k: int) -> frozenset:
@@ -146,8 +147,18 @@ def group():
     """Witness group construction."""
 
 
+# Largest near-field order that `group` builds: past it, n^2 exceeds the
+# stabilizer chain's transversal cache budget (16 M entries), so a chain at
+# degree n takes minutes, and two n x n int32 near-field tables come first.
+MAX_NEARFIELD_ORDER = math.isqrt(StabilizerChain._CACHE_BUDGET)
+
+
 def _dickson(q, d):
     """The Dickson near-field of order q^d; ValueError on bad input."""
+    # q^d >= 2^d, so capping the exponent decides even a huge d at once
+    if q >= 2 and q ** min(d, MAX_NEARFIELD_ORDER.bit_length()) > MAX_NEARFIELD_ORDER:
+        raise ValueError("near-field order %d^%d exceeds %d, the largest "
+                         "order that group builds" % (q, d, MAX_NEARFIELD_ORDER))
     if not is_dickson_pair(q, d):
         raise ValueError("(%d, %d) is not a Dickson pair" % (q, d))
     return build_dickson(q, d)

@@ -9,6 +9,11 @@ the Klein four-group V stabilizing a base equipartition phi0.  The zero
 delta gives the standard complement with two vertex orbits of size 126;
 the three nonzero delta give 2-regular groups on all 252 five-subsets,
 the witnesses for J(10,5)_I with I in {{1,4}, {2,3}, {1,4,5}, {2,3,5}}.
+
+E is never multiplied out: (gamma(s), s) is handled as its action on the
+252 five-subsets, s followed by the complement swaps that gamma(s) marks.
+The transversal from phi0 is perms.transversal_bfs over the index table
+of the action on the 126 equipartitions.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .catalog import moebius_generators, psl2
 from .johnson import Equipartition, all_equipartitions
-from .perms import Permutation, PermutationGroup
+from .perms import Permutation, PermutationGroup, transversal_bfs
 from .subsets import complement_ranks, ksubset_rank, ksubsets, mask_of, read_only
 
 
@@ -119,30 +124,20 @@ def equipartition_setup(pointed: PointedPSL28):
     if len(phis) != 126:
         raise AssertionError("expected 126 equipartitions")
     phi0_index = 0
-    identity = Permutation.identity(10)
-    gen_images = _phi_images(pointed.group.generator_images).tolist()
-    transversal = [None] * 126
-    transversal[phi0_index] = identity
-    frontier = [phi0_index]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for g, images in zip(pointed.group.generators, gen_images):
-                j = images[i]
-                if transversal[j] is None:
-                    transversal[j] = transversal[i] * g
-                    nxt.append(j)
-        frontier = nxt
-    if any(t is None for t in transversal):
+    group = pointed.group
+    orbit, transversal = transversal_bfs(
+        phi0_index, _phi_images(group.generator_images), group.generators)
+    if len(orbit) != 126:
         raise AssertionError("equipartition action is not transitive")
-    elements = pointed.group.elements()
+    identity = Permutation.identity(10)
+    elements = group.elements()
     fixes = _phi_images(np.stack([s.images for s in elements]))[:, phi0_index]
     stab = [s for s, phi in zip(elements, fixes) if phi == phi0_index]
     if len(stab) != 4 or any(s * s != identity for s in stab):
         raise AssertionError("stabilizer of phi0 is not a Klein four-group")
     V = tuple([identity] + sorted((s for s in stab if s != identity),
                                   key=lambda s: s.images.tolist()))
-    return phis, phi0_index, V, tuple(transversal)
+    return phis, phi0_index, V, tuple(transversal[i] for i in range(126))
 
 
 @functools.cache
@@ -170,8 +165,9 @@ def induced_cocycle(data: CocycleData, s: Permutation) -> tuple:
 
     Recording the value at the image equipartition makes gamma satisfy
     gamma(s1 s2) = gamma(s1)^{s2} + gamma(s2), the identity matching the
-    semidirect twisting convention; recording at the source would satisfy
-    the mirror identity instead and fail closure.
+    semidirect twisting convention (m1, s1)(m2, s2) = (m1^{s2} + m2, s1 s2);
+    recording at the source would satisfy the mirror identity instead, and
+    the 504 vertex lifts (gamma(s), s) would not form a group.
     """
     transversal, inverses, v_rows, delta_bits = data.arrays
     j = _phi_images(s.images)
@@ -183,42 +179,6 @@ def induced_cocycle(data: CocycleData, s: Permutation) -> tuple:
     bits = np.empty(126, dtype=np.intp)
     bits[j] = delta_bits[match.argmax(axis=1)]
     return tuple(bits.tolist())
-
-
-@dataclass(frozen=True)
-class ExtElement:
-    """Element (m, s) of E = M : S with the right twisting convention
-    (m1, s1)(m2, s2) = (m1^{s2} + m2, s1 s2)."""
-
-    m: tuple
-    s: Permutation
-    data: CocycleData
-
-    def __mul__(self, other: "ExtElement") -> "ExtElement":
-        # m1^{s2}(phi) = m1(phi * s2^{-1})
-        back = _phi_images(other.s.inverse().images).tolist()
-        m = tuple(self.m[j] ^ b for j, b in zip(back, other.m))
-        return ExtElement(m, self.s * other.s, self.data)
-
-    def key(self):
-        return (self.m, self.s)
-
-
-def complement_elements(data: CocycleData) -> list:
-    """The 504 elements {(gamma(s), s)}; closure under ExtElement
-    multiplication is asserted, validating the twisting convention."""
-    out = [ExtElement(induced_cocycle(data, s), s, data)
-           for s in data.pointed.group.elements()]
-    keys = {el.key() for el in out}
-    if len(keys) != 504:
-        raise AssertionError("complement candidate has repeated elements")
-    sample = out[:8] + out[250:258]
-    for a in sample:
-        for b in sample:
-            if (a * b).key() not in keys:
-                raise AssertionError("complement set is not closed; twisting "
-                                     "convention mismatch")
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -270,8 +230,7 @@ def frobenius_class_action(data: CocycleData) -> int:
         if sigma.inverse() * g * sigma not in S:
             raise AssertionError("sigma does not normalize PSL2(8)")
     sigma_vertex = vertex_permutation(data, sigma, m=(0,) * 126)
-    k0_mask = mask_of(x - 1 for x in data.phi0.key_part)
-    k0 = ksubset_rank(k0_mask)
+    k0 = ksubset_rank(mask_of(x - 1 for x in data.phi0.key_part))
     comp_rank = complement_ranks(10, 5)
     labels = {}
     for idx in (1, 2, 3):
@@ -279,7 +238,7 @@ def frobenius_class_action(data: CocycleData) -> int:
         s_conj = sigma * v * sigma.inverse()
         lifted = vertex_permutation(data, s_conj)
         conj = sigma_vertex.inverse() * lifted * sigma_vertex
-        plain = ksubset_rank(v.act_mask(k0_mask))
+        plain = int(ksubsets(10, 5).image_ranks(v.images)[k0])
         image = conj(k0)
         if image == plain:
             labels[idx] = 0

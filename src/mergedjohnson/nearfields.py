@@ -113,11 +113,6 @@ class NearField:
         mul[1:, 1:] = base.exp[(logs[:, None] * self.scales[logs % self.d] + logs) % (n - 1)]
         return read_only(add), read_only(mul)
 
-    def multiply(self, g, h):
-        """g ∘ h = g^(q^j) · h with j the coset level of h; 0 absorbs."""
-        index_of = self.base.index_of
-        return self.elements[self.mul_table[index_of[g], index_of[h]]]
-
     # -- build-time verification ------------------------------------------
 
     def _verify_build(self):

@@ -16,6 +16,10 @@ the first generator by doubling, then whole cosets x[H] of the subgroup H
 generated so far, one gather each, with hashed membership.  It shares
 nothing with the chain, so the stabilizer sweep that counts fixed points
 over it is an independent check of the chain's order.
+
+A group acts on points, k-subsets (by co-lex rank) or any indexed set
+through one index table, row i holding generator i's images of the indices:
+frontier_bfs walks it for orbits, transversal_bfs for one with a transversal.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subsets import all_masks, ksubset_rank, ksubsets, mask_image, read_only
+from .subsets import all_masks, ksubset_rank, ksubsets, read_only
 
 # entries of the (elements, domain points[, k]) block compared at a time in
 # the stabilizer sweep
@@ -112,10 +116,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._of(invert_array(self.images))
 
-    def act_mask(self, mask: int) -> int:
-        """Image of a subset bitmask under this permutation."""
-        return mask_image(mask, self.images.tolist())
-
     def order(self) -> int:
         """The lcm of the cycle lengths, by one walk over the images: it
         runs once per closure, and building cycles() costs more."""
@@ -197,6 +197,23 @@ def frontier_bfs(start: int, step, seen: np.ndarray) -> np.ndarray:
         seen[frontier] = True
         levels.append(frontier)
     return np.concatenate(levels)
+
+
+def transversal_bfs(start: int, table: np.ndarray, generators) -> tuple[list, dict]:
+    """(orbit, transversal): the orbit of the index start in breadth-first
+    order, and for each y in it a product of generators carrying start to
+    y, the identity for start.  Row i of table holds generators[i]'s images
+    of the domain's indices."""
+    rows = table.tolist()
+    transversal = {start: Permutation.identity(generators[0].degree)}
+    orbit = [start]
+    for y in orbit:
+        for g, images in zip(generators, rows):
+            z = images[y]
+            if z not in transversal:
+                transversal[z] = transversal[y] * g
+                orbit.append(z)
+    return orbit, transversal
 
 
 def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray | None = None):
@@ -415,7 +432,8 @@ class StabilizerChain:
 
 @dataclass(frozen=True)
 class ActionDomain:
-    """What a group acts on: natural points, or k-subsets as bitmasks."""
+    """What a group acts on: natural points, or k-subsets, labelled by
+    bitmasks and indexed by co-lex rank."""
 
     kind: str  # "points" | "ksubsets"
     size: int
@@ -437,16 +455,6 @@ class ActionDomain:
         if self.kind == "points":
             return 0 <= label < self.size
         return label >= 0 and label >> degree == 0 and label.bit_count() == self.k
-
-    def iter_labels(self, degree: int):
-        if self.kind == "points":
-            return range(self.size)
-        return iter(all_masks(degree, self.k))
-
-    def apply(self, label, perm: Permutation):
-        if self.kind == "points":
-            return perm(label)
-        return perm.act_mask(label)
 
 
 class PermutationGroup:
@@ -543,31 +551,24 @@ class PermutationGroup:
 
     # -- orbits ----------------------------------------------------------
 
-    def orbit(self, x, domain: ActionDomain | None = None, apply=None):
-        """Orbit of x plus a transversal mapping x to each orbit point.
+    def orbit(self, x, domain: ActionDomain | None = None):
+        """Orbit of the label x plus a transversal mapping x to each orbit
+        label, by transversal_bfs over the domain's indices.
 
         Returns (orbit_list, transversal) with transversal[y] a Permutation
         carrying x to y and transversal[x] the identity.
         """
         if domain is None:
             domain = ActionDomain.points(self.degree)
-        if apply is None:
-            apply = domain.apply
         if not domain.contains(x, self.degree):
             raise ValueError("label outside the action domain")
-        identity = Permutation.identity(self.degree)
-        transversal = {x: identity}
-        orbit_list = [x]
-        qi = 0
-        while qi < len(orbit_list):
-            y = orbit_list[qi]
-            qi += 1
-            for g in self.generators:
-                z = apply(y, g)
-                if z not in transversal:
-                    transversal[z] = transversal[y] * g
-                    orbit_list.append(z)
-        return orbit_list, transversal
+        if domain.kind == "points":
+            return transversal_bfs(x, self.generator_images, self.generators)
+        masks = all_masks(self.degree, domain.k)
+        orbit_list, transversal = transversal_bfs(
+            ksubset_rank(x), self._domain_generators(domain), self.generators)
+        return ([masks[i] for i in orbit_list],
+                {masks[i]: t for i, t in transversal.items()})
 
     def _domain_generators(self, domain: ActionDomain) -> np.ndarray:
         """(generators, domain size) array of the generators' images on the
@@ -664,19 +665,6 @@ class PermutationGroup:
             if (self._fixed_point_counts(domain) != r).any():
                 raise AssertionError("non-uniform stabilizer orders found")
         return r
-
-    def stabilizer_order(self, x, domain: ActionDomain | None = None) -> int:
-        """Order of the stabilizer of one label, via orbit-stabilizer."""
-        if domain is None:
-            domain = ActionDomain.points(self.degree)
-        if not domain.contains(x, self.degree):
-            raise ValueError("label outside the action domain")
-        index = ksubset_rank(x) if domain.kind == "ksubsets" else x
-        size = self._orbit_size(domain, index)
-        order = self.order
-        if order % size != 0:
-            raise AssertionError("orbit-stabilizer violation")
-        return order // size
 
     def __repr__(self):
         return "PermutationGroup(degree=%d, gens=%d)" % (self.degree, len(self.generators))

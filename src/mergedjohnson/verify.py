@@ -260,19 +260,20 @@ def lemma_two_orbit_check(group: PermutationGroup, r_max: int = 4) -> OracleRepo
     claim = "two r-regular orbits on %d-subsets of %d points" % (n // 2, n)
     if n % 2 != 0:
         raise ValueError("degree must be even")
-    k = n // 2
-    domain = ActionDomain.ksubsets(n, k)
-    parts = group.orbits(domain)
+    domain = ActionDomain.ksubsets(n, n // 2)
+    parts = list(group._orbit_blocks(domain))
     if len(parts) != 2:
         return _report(claim, False, {"orbit_count": len(parts)}, t0)
+    # stabilizer orders counted over the enumerated elements, independent
+    # of the chain's order
+    stabilizers = group._fixed_point_counts(domain)
     rs = []
     for part in parts:
         if group.order % len(part) != 0:
             return _report(claim, False, {"orbit_size": len(part),
                                           "order": group.order}, t0)
         r = group.order // len(part)
-        stab_orders = {len([g for g in group.elements()
-                            if domain.apply(x, g) == x]) for x in part}
+        stab_orders = set(stabilizers[part].tolist())
         if stab_orders != {r}:
             return _report(claim, False, {"nonuniform": sorted(stab_orders)}, t0)
         rs.append(r)

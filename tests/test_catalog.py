@@ -37,6 +37,12 @@ def test_h4_includes_m11_and_m23():
     assert ("PGammaL2(32)", 33) in names
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_catalog_lists_each_group_once(k):
+    keys = [(r.name, r.degree) for r in homogeneous_catalog(k)["records"]]
+    assert len(keys) == len(set(keys))
+
+
 def test_degrees_d_k():
     assert degrees_d_k(5, 12)
     assert degrees_d_k(5, 24)

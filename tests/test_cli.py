@@ -145,6 +145,21 @@ def test_group_non_prime_power_is_usage_error():
     _usage_error(run("group", "ahl", "-q", "5"))
 
 
+@pytest.mark.parametrize("args", [("agl", "-q", "4096"), ("agl", "-q", "65536"),
+                                  ("dickson", "-q", "251", "-d", "2"),
+                                  ("agammal", "-q", "2", "-d", "1000000000")])
+def test_group_too_large_is_refused_unbuilt(monkeypatch, args):
+    from mergedjohnson import cli
+
+    def refuse(q, d):
+        raise AssertionError("built a near-field of order %d^%d" % (q, d))
+
+    monkeypatch.setattr(cli, "build_dickson", refuse)
+    t0 = time.perf_counter()
+    _usage_error(run("group", *args))
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_graph_export_unmaterialized_is_usage_error():
     _usage_error(run("graph", "export", "-n", "50", "-k", "3", "-I", "1"))
 

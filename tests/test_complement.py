@@ -3,8 +3,7 @@ import dataclasses
 import pytest
 
 from mergedjohnson.complement import (_phi_images, build_cocycle_data,
-                                      build_pointed_psl28, complement_elements,
-                                      complement_vertex_group,
+                                      build_pointed_psl28, complement_vertex_group,
                                       frobenius_class_action, global_flip,
                                       induced_cocycle, orbit_signature,
                                       vertex_permutation)
@@ -53,7 +52,18 @@ def test_twisted_complements_are_2_regular(datas, label):
 
 
 def test_complement_element_count(datas):
-    assert len(complement_elements(datas[1])) == 504
+    # the lifts (gamma(s), s) of all 504 elements s form the complement: they
+    # are distinct, each lies in the group its generators' lifts generate, and
+    # lifting is multiplicative, which holds only with the twisting convention
+    # gamma satisfies
+    for data in (datas[1], datas[2], datas[3]):
+        group = complement_vertex_group(data)
+        elements = data.pointed.group.elements()
+        lifts = {s: vertex_permutation(data, s) for s in elements}
+        assert len(set(lifts.values())) == 504
+        assert all(lift in group for lift in lifts.values())
+        sample = elements[:8] + elements[250:258]
+        assert all(lifts[a] * lifts[b] == lifts[a * b] for a in sample for b in sample)
 
 
 def _cocycle_by_loop(data, s):

@@ -8,7 +8,7 @@ import pytest
 
 from mergedjohnson import perms
 from mergedjohnson.perms import ActionDomain, Permutation, PermutationGroup
-from mergedjohnson.subsets import mask_image
+from mergedjohnson.subsets import all_masks, mask_image
 
 
 def s_n(n):
@@ -65,13 +65,6 @@ def test_regularity_degree_values():
     assert fix.regularity_degree() is None
 
 
-def test_stabilizer_order_on_subsets():
-    from mergedjohnson.subsets import mask_of
-    g = s_n(4)
-    domain = ActionDomain.ksubsets(4, 2)
-    assert g.stabilizer_order(mask_of([0, 1]), domain) == 24 // 6
-
-
 def test_from_map_and_extended():
     cycle = Permutation.from_map("abc", {"a": "b", "b": "c", "c": "a"}.get)
     assert cycle == Permutation.from_cycles(3, [(0, 1, 2)])
@@ -107,11 +100,25 @@ def test_orbit_rejects_labels_outside_the_domain():
 @pytest.mark.parametrize("domain", [ActionDomain.points(6),
                                     ActionDomain.ksubsets(6, 3)])
 def test_domain_membership_matches_its_labels(domain):
-    labels = set(domain.iter_labels(6))
+    labels = set(_labels(domain, 6))
     assert [x for x in range(-4, 1 << 7) if domain.contains(x, 6)] == sorted(labels)
 
 
 # -- array orbits and the stabilizer sweep, against plain loops -------------
+
+def _labels(domain, degree):
+    """The domain's labels by index: points, or k-subset masks by rank."""
+    if domain.kind == "points":
+        return list(range(domain.size))
+    return all_masks(degree, domain.k)
+
+
+def _image(label, domain, images):
+    """The image of a label under a point map, one label at a time."""
+    if domain.kind == "points":
+        return images[label]
+    return mask_image(label, images)
+
 
 def _closure_by_loop(generators):
     """Every element of the group the generators generate, as image tuples:
@@ -147,10 +154,8 @@ def _closure_of(name):
 def _fixed_points_by_loop(group, domain, elements=None):
     if elements is None:
         elements = _closure_by_loop(group.generators)
-    if domain.kind == "points":
-        return [sum(1 for t in elements if t[x] == x) for x in range(domain.size)]
-    return [sum(1 for t in elements if mask_image(x, t) == x)
-            for x in domain.iter_labels(group.degree)]
+    return [sum(1 for t in elements if _image(x, domain, t) == x)
+            for x in _labels(domain, group.degree)]
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -173,16 +178,17 @@ def test_sweep_counts_match_a_loop_for_a_j12_6_witness():
 
 
 def _orbits_by_loop(group, domain):
+    gens = [g.images.tolist() for g in group.generators]
     seen = set()
     parts = []
-    for x in domain.iter_labels(group.degree):
+    for x in _labels(domain, group.degree):
         if x in seen:
             continue
         seen.add(x)
         block = [x]
         for y in block:
-            for g in group.generators:
-                z = domain.apply(y, g)
+            for g in gens:
+                z = _image(y, domain, g)
                 if z not in seen:
                     seen.add(z)
                     block.append(z)
@@ -201,6 +207,29 @@ def test_orbits_match_a_point_by_point_search():
             want = _orbits_by_loop(group, domain)
             assert group.orbits(domain) == want
             assert group.orbit_sizes(domain) == tuple(sorted(map(len, want)))
+
+
+def test_orbit_lists_its_block_with_a_transversal_into_it():
+    from mergedjohnson.catalog import psl2
+    groups = [s_n(5), psl2(8),
+              PermutationGroup([Permutation.from_cycles(7, [(0, 1, 2), (3, 4)])])]
+    for group in groups:
+        for domain in (ActionDomain.points(group.degree),
+                       ActionDomain.ksubsets(group.degree, 2),
+                       ActionDomain.ksubsets(group.degree, 3)):
+            blocks = group.orbits(domain)
+            for x in _labels(domain, group.degree):
+                orbit, transversal = group.orbit(x, domain)
+                block = next(b for b in blocks if x in b)
+                assert sorted(orbit) == sorted(block)
+                assert len(orbit) == len(set(orbit))
+                assert orbit[0] == x
+                if x == block[0]:
+                    assert orbit == block  # the same breadth-first order
+                assert sorted(transversal) == sorted(orbit)
+                assert transversal[x] == Permutation.identity(group.degree)
+                for y, t in transversal.items():
+                    assert _image(x, domain, t.images.tolist()) == y
 
 
 def test_elements_are_every_permutation_in_order():

@@ -108,6 +108,37 @@ def test_lemma_two_orbit_refutes_transitive_group():
     assert not lemma_two_orbit_check(s4).confirmed
 
 
+def _lemma_group(name):
+    from mergedjohnson.complement import build_pointed_psl28
+    from mergedjohnson.nearfields import affine_group, build_dickson
+    if name == "AGL1(5) and a fixed point":
+        agl5 = affine_group(build_dickson(5, 1), "AGL")
+        return PermutationGroup([g.extended(6) for g in agl5.generators])
+    if name == "pointed PSL2(8)":
+        return build_pointed_psl28().group
+    cycles = {"C3": [[(0, 1, 2)]], "S3": [[(0, 1, 2)], [(0, 1)]],
+              "S4": [[(0, 1)], [(0, 1, 2, 3)]], "D4": [[(0, 1, 2, 3)], [(0, 2)]]}
+    return PermutationGroup([Permutation.from_cycles(4, c) for c in cycles[name]])
+
+
+# the whole report, as the per-element stabilizer loop over the group's
+# elements gave it
+LEMMA_REPORTS = {
+    "C3": ("confirmed", {"orbit_sizes": [3, 3], "r": 1}),
+    "S3": ("confirmed", {"orbit_sizes": [3, 3], "r": 2}),
+    "S4": ("refuted", {"orbit_count": 1}),
+    "D4": ("refuted", {"orbit_sizes": [4, 2], "r": [2, 4]}),
+    "AGL1(5) and a fixed point": ("confirmed", {"orbit_sizes": [10, 10], "r": 2}),
+    "pointed PSL2(8)": ("confirmed", {"orbit_sizes": [126, 126], "r": 4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEMMA_REPORTS))
+def test_lemma_two_orbit_evidence_is_pinned(name):
+    report = lemma_two_orbit_check(_lemma_group(name))
+    assert (report.outcome, report.evidence) == LEMMA_REPORTS[name]
+
+
 def test_exhaustive_n4_sweep():
     report = lemma_regorbits_exhaustive_n4()
     assert report.confirmed
