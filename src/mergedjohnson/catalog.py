@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
+import numpy as np
+
 from .fields import build_field, prime_power_decomposition
 from .nearfields import affine_group
 from .perms import ActionDomain, Permutation, PermutationGroup
@@ -53,28 +55,13 @@ def moebius_generators(q: int):
     scale_by_square, invert, frobenius)."""
     p, e = prime_power_decomposition(q)
     field = build_field(p, e)
-    zero, one, omega = field.zero, field.one, field.omega
-    points = list(field.elements) + ["inf"]
-
-    def affine(fn):
-        return Permutation.from_map(points, lambda pt: "inf" if pt == "inf" else fn(pt))
-
-    omega2 = field.mul(omega, omega)
-    minus_one = field.neg(one)
-
-    def invert(pt):
-        # t -> -1/t, an element of PSL2; 0 and infinity swap
-        if pt == "inf":
-            return zero
-        if pt == zero:
-            return "inf"
-        return field.mul(minus_one, field.inv(pt))
-
-    return (affine(lambda t: field.add(t, one)),
-            affine(lambda t: field.mul(t, omega)),
-            affine(lambda t: field.mul(t, omega2)),
-            Permutation.from_map(points, invert),
-            affine(lambda t: field.pow(t, p)))
+    # each map fixes infinity but t -> -1/t, an element of PSL2, which swaps
+    # it with 0; -1 is element p - 1
+    rows = np.full((5, q + 1), q, dtype=np.intp)
+    rows[:, :q] = [field.translation(0), field.power_map(1, 1), field.power_map(1, 2),
+                   field.power_map(-1, field.log[p - 1]), field.power_map(p, 0)]
+    rows[3, [0, q]] = q, 0
+    return tuple(Permutation(row) for row in rows)
 
 
 def psl2(q: int) -> PermutationGroup:

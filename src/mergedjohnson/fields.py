@@ -10,6 +10,8 @@ Element i is the i-th element in that order, so i = sum(c_j p^j) over its
 coefficients.  The same arithmetic on element indices comes from three
 read-only arrays, each built on first use: the base-p `digits` of every
 index, `exp` (exp[k] is the index of omega^k) and its inverse `log`.
+`power_map` and `translation` read the point maps of the affine and
+projective-line groups off them as image arrays.
 """
 
 from __future__ import annotations
@@ -206,6 +208,19 @@ class FiniteField:
         log = np.zeros(self.order, dtype=np.intp)
         log[self.exp] = np.arange(self.order - 1)
         return read_only(log)
+
+    def power_map(self, scale: int, shift: int) -> np.ndarray:
+        """Images of t -> omega^(log t · scale + shift) on the element
+        indices, fixing 0."""
+        images = np.zeros(self.order, dtype=np.intp)
+        images[1:] = self.exp[(self.log[1:] * scale + shift) % (self.order - 1)]
+        return images
+
+    def translation(self, j: int) -> np.ndarray:
+        """Images of t -> t + x^j on the element indices: digit j goes up
+        by one mod p."""
+        digit = self.digits[:, j]
+        return np.arange(self.order) + ((digit + 1) % self.p - digit) * self.p ** j
 
     # -- bootstrap helpers ------------------------------------------------
 

@@ -8,13 +8,19 @@ restricting a to nonzero squares (n ≡ 3 mod 4) gives the index-2 subgroup
 that acts regularly on 2-subsets.
 
 The seven exceptional near-fields of order p^2 are realized through their
-multiplicative groups: binary polyhedral subgroups of GL_2(p), optionally
-times a scalar cyclic factor, found by a deterministic capped-closure
-search and accepted only when regular on the nonzero vectors.
+multiplicative groups G0: binary polyhedral subgroups of GL_2(p),
+optionally times a scalar cyclic factor, accepted only when regular on the
+nonzero vectors.  Every matrix is the permutation v -> vM of the p^2
+vectors, and so is every affine map.  An element of GL_2(p) is fixed by
+its images of the basis e1, e2, so the orbit of that pair of points has
+one entry per element: the deterministic search sizes its candidate
+groups by that orbit, capped, and G0's regularity and generators are read
+off it.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -22,8 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import FiniteField, build_field, is_prime, prime_power_decomposition
-from .perms import Permutation, PermutationGroup, closure
+from .fields import FiniteField, build_field, prime_power_decomposition
+from .perms import Permutation, PermutationGroup, closure, frontier_bfs
 from .subsets import read_only
 
 
@@ -37,8 +43,20 @@ def is_dickson_pair(q: int, d: int) -> bool:
         raise ValueError("q = %d is not a prime power" % q)
     if d < 1:
         raise ValueError("d must be positive")
-    return (all((q - 1) % r == 0 for r in range(2, d + 1) if d % r == 0 and is_prime(r))
+    return (all((q - 1) % r == 0 for r in _prime_divisors(d))
             and (d % 4 != 0 or (q - 1) % 4 == 0))
+
+
+def _prime_divisors(d: int) -> list[int]:
+    """The primes dividing d >= 1, by trial division up to sqrt(d)."""
+    primes, r = [], 2
+    while r * r <= d:
+        if d % r == 0:
+            primes.append(r)
+            while d % r == 0:
+                d //= r
+        r += 1
+    return primes + [d] if d > 1 else primes
 
 
 @dataclass(frozen=True)
@@ -180,8 +198,12 @@ class NearField:
         return json.dumps(data)
 
 
+_DESK_BOUND = 2 ** 16
+
+
 def build_dickson(q: int, d: int) -> NearField:
-    if q ** d > 2 ** 16:
+    # q^d >= 2^d, so capping the exponent decides even a huge d at once
+    if q >= 2 and q ** min(d, _DESK_BOUND.bit_length()) > _DESK_BOUND:
         raise ValueError("near-field order exceeds the desk bound 2^16")
     return NearField(DicksonPair(q, d))
 
@@ -207,20 +229,12 @@ def affine_group(f, kind: str = "AGL") -> PermutationGroup:
         raise TypeError("expected FiniteField or NearField")
     n, p, d = base.order, base.p, len(scales)
 
-    def power_map(scale, shift):
-        """t -> omega^(log t · scale + shift), fixing 0."""
-        images = np.zeros(n, dtype=np.intp)
-        images[1:] = base.exp[(base.log[1:] * scale + shift) % (n - 1)]
-        return Permutation(images)
-
     def right_mult(k):
         """t -> t ∘ omega^k."""
-        return power_map(scales[k % d], k)
+        return Permutation(base.power_map(scales[k % d], k))
 
     # translations by the additive basis generate the translation group
-    digits = base.digits
-    gens = [Permutation(np.arange(n) + ((digits[:, j] + 1) % p - digits[:, j]) * p ** j)
-            for j in range(base.e)]
+    gens = [Permutation(base.translation(j)) for j in range(base.e)]
 
     if kind == "AGL":
         gens.append(right_mult(1))
@@ -238,7 +252,7 @@ def affine_group(f, kind: str = "AGL") -> PermutationGroup:
         if d > 1:
             raise ValueError("AGammaL is defined here over genuine fields only")
         gens.append(right_mult(1))
-        gens.append(power_map(p, 0))
+        gens.append(Permutation(base.power_map(p, 0)))
         group = PermutationGroup(gens)
         expected = n * (n - 1) * base.e
     else:
@@ -301,38 +315,36 @@ def exceptional_spec(p: int, variant: int = 1) -> ExceptionalSpec:
     raise ValueError("no exceptional near-field with p=%d variant=%d" % (p, variant))
 
 
-def _mat_mul(a, b, p):
-    return ((a[0] * b[0] + a[1] * b[2]) % p, (a[0] * b[1] + a[1] * b[3]) % p,
-            (a[2] * b[0] + a[3] * b[2]) % p, (a[2] * b[1] + a[3] * b[3]) % p)
+def _affine_map(p, m, t=(0, 0)) -> Permutation:
+    """v -> v m + t on the row vectors of F_p^2, where point a·p + b is the
+    vector (a, b) and m = (m0, m1, m2, m3) is the matrix [[m0, m1], [m2, m3]]."""
+    x, y = np.divmod(np.arange(p * p), p)
+    return Permutation((x * m[0] + y * m[2] + t[0]) % p * p
+                       + (x * m[1] + y * m[3] + t[1]) % p)
 
 
-def _mat_order(m, p, cap=300):
-    ident = (1, 0, 0, 1)
-    x = m
-    for k in range(1, cap + 1):
-        if x == ident:
-            return k
-        x = _mat_mul(x, m, p)
-    raise AssertionError("matrix order exceeded cap")
+def _linear_map(p, v, w) -> Permutation:
+    """The element of GL_2(p) that sends e1 = (1, 0) to point v and
+    e2 = (0, 1) to point w."""
+    return _affine_map(p, (v // p, v % p, w // p, w % p))
 
 
-def _matrix_closure(gens, p, cap):
-    """Closure of 2x2 matrices; None as soon as it exceeds cap elements."""
-    ident = (1, 0, 0, 1)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _mat_mul(x, g, p)
-                if y not in seen:
-                    if len(seen) >= cap:
-                        return None
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
+def _basis_orbit(gens, p, cap):
+    """The images (e1·g, e2·g) of the basis e1 = (1, 0), e2 = (0, 1), which
+    are points p and 1, under the elements g of <gens> ≤ GL_2(p), in
+    breadth-first order; None when there are more than cap.  Only the
+    identity fixes a basis, so the orbit has one pair per element."""
+    orbit = [(p, 1)]
+    seen = set(orbit)
+    for v, w in orbit:
+        for g in gens:
+            pair = g(v), g(w)
+            if pair not in seen:
+                if len(orbit) == cap:
+                    return None
+                seen.add(pair)
+                orbit.append(pair)
+    return orbit
 
 
 def _elements_with_trace(p, trace):
@@ -376,117 +388,98 @@ def _traces_of_order(p, m):
 
 
 def _find_binary_tetrahedral(p):
-    """2T ≅ SL_2(3) inside SL_2(p): order-4 seed closed with an order-3
-    element, capped closure, first hit wins."""
-    x = (0, p - 1, 1, 0)  # order 4
+    """2T ≅ SL_2(3) inside SL_2(p): an order-4 seed and the first order-3
+    element that generate with it 24 elements of orders 1, 2, 3, 4 and 6.
+    Returns the two generators."""
+    x = _affine_map(p, (0, p - 1, 1, 0))  # order 4
     for tr in _traces_of_order(p, 3):
         for t in _elements_with_trace(p, tr):
-            grp = _matrix_closure([x, t], p, 24)
-            if grp is not None and len(grp) == 24:
-                orders = {_mat_order(m, p) for m in grp}
-                if orders == {1, 2, 3, 4, 6}:
-                    return grp
+            gens = [x, _affine_map(p, t)]
+            orbit = _basis_orbit(gens, p, 24)
+            if orbit is not None and len(orbit) == 24:
+                if {_linear_map(p, v, w).order() for v, w in orbit} == {1, 2, 3, 4, 6}:
+                    return gens
     raise AssertionError("binary tetrahedral search failed for p=%d" % p)
 
 
-def _extend_group(p, core, element_order, target):
-    core_gens = list(core)
+def _extend_group(p, core_gens, element_order, target):
+    """The core's generators and the first element of the given order that
+    generates target elements with them."""
     for tr in _traces_of_order(p, element_order):
         for s in _elements_with_trace(p, tr):
-            if s in core:
-                continue
-            grp = _matrix_closure(core_gens + [s], p, target)
-            if grp is not None and len(grp) == target:
-                return grp
+            gens = [*core_gens, _affine_map(p, s)]
+            orbit = _basis_orbit(gens, p, target)
+            if orbit is not None and len(orbit) == target:
+                return gens
     raise AssertionError("subgroup extension search failed for p=%d order %d"
                          % (p, target))
 
 
 @lru_cache(maxsize=None)
-def _find_polyhedral(p: int, tag: str):
+def _find_polyhedral(p: int, tag: str) -> tuple[Permutation, ...]:
     if tag == "2T":
-        return frozenset(_find_binary_tetrahedral(p))
+        return tuple(_find_binary_tetrahedral(p))
     if tag == "2O":
-        return frozenset(_extend_group(p, _find_polyhedral(p, "2T"), 8, 48))
+        return tuple(_extend_group(p, _find_polyhedral(p, "2T"), 8, 48))
     if tag == "2I":
-        return frozenset(_extend_group(p, _find_polyhedral(p, "2T"), 5, 120))
+        return tuple(_extend_group(p, _find_polyhedral(p, "2T"), 5, 120))
     raise ValueError(tag)
 
 
 def _scalar_of_order(p, z):
-    """A scalar matrix of multiplicative order z, or identity for z = 1."""
-    if z == 1:
-        return (1, 0, 0, 1)
+    """The scalar matrix of multiplicative order z whose entry is a power of
+    the smallest primitive root mod p."""
     if (p - 1) % z != 0:
         raise AssertionError("no scalar of order %d mod %d" % (z, p))
-    # the primitive element of GF(p) is its smallest primitive root
     lam = pow(build_field(p, 1).omega[0], (p - 1) // z, p)
     return (lam, 0, 0, lam)
 
 
-def find_multiplicative_group(spec: ExceptionalSpec) -> set:
-    """G0 ≤ GL_2(p) of order p^2 - 1 regular on nonzero vectors."""
+def find_multiplicative_group(spec: ExceptionalSpec) -> dict[int, int]:
+    """G0 ≤ GL_2(p), generated by the polyhedral core and, for a structure
+    AxCz, a scalar of order z; see _checked_g0 for the form returned."""
     p = spec.p
     tag = spec.g0_structure
-    core_tag = tag.split("x")[0]
-    core = _find_polyhedral(p, core_tag)
+    gens = list(_find_polyhedral(p, tag.split("x")[0]))
     if "x" in tag:
-        z = int(tag.split("C")[1])
-        scalar = _scalar_of_order(p, z)
-        g0 = _matrix_closure(list(core) + [scalar], p, spec.g0_order + 1)
-        if g0 is None or len(g0) != spec.g0_order:
-            raise AssertionError("scalar extension failed for %r" % (spec,))
-    else:
-        g0 = set(core)
-        if len(g0) != spec.g0_order:
-            raise AssertionError("polyhedral order mismatch for %r" % (spec,))
-    _check_regular_on_vectors(g0, p)
-    if _is_abelian(g0, p):
-        raise AssertionError("exceptional G0 came out abelian")
-    return set(g0)
+        gens.append(_affine_map(p, _scalar_of_order(p, int(tag.split("C")[1]))))
+    return _checked_g0(gens, p)
 
 
-def _check_regular_on_vectors(g0, p):
-    v0 = (1, 0)
-    images = set()
-    for m in g0:
-        w = ((v0[0] * m[0] + v0[1] * m[2]) % p, (v0[0] * m[1] + v0[1] * m[3]) % p)
-        images.add(w)
-    if len(images) != len(g0) or (0, 0) in images:
+def _checked_g0(gens, p) -> dict[int, int]:
+    """The map e1·g -> e2·g over the elements g of G0 = <gens> ≤ GL_2(p),
+    which fixes each element.  AssertionError unless G0 is regular on the
+    p^2 - 1 nonzero vectors, that is p^2 - 1 elements each with its own
+    image of e1, and non-abelian, that is two generators do not commute."""
+    second = dict(_basis_orbit(gens, p, p * p - 1) or ())
+    if len(second) != p * p - 1:
         raise AssertionError("G0 is not regular on nonzero vectors")
-
-
-def _is_abelian(g0, p):
-    gens = list(g0)[:6]
-    return all(_mat_mul(a, b, p) == _mat_mul(b, a, p) for a in g0 for b in gens)
+    if all(np.array_equal(a.images[b.images], b.images[a.images])
+           for a, b in itertools.combinations(gens, 2)):
+        raise AssertionError("exceptional G0 came out abelian")
+    return second
 
 
 def exceptional_group(spec: ExceptionalSpec) -> PermutationGroup:
     """Sharply 2-transitive group of degree p^2: translations ⋊ G0."""
     p = spec.p
-    g0 = find_multiplicative_group(spec)
-    x, y = np.divmod(np.arange(p * p), p)  # point a·p + b is the vector (a, b)
-
-    def affine_map(m, t=(0, 0)):
-        """v -> v m + t on the row vectors of F_p^2."""
-        return Permutation((x * m[0] + y * m[2] + t[0]) % p * p
-                           + (x * m[1] + y * m[3] + t[1]) % p)
-
-    identity = (1, 0, 0, 1)
-    gens = [affine_map(identity, (1, 0)), affine_map(identity, (0, 1))]
-    # pick matrix generators of G0 first (cheap closures), then build the
-    # permutation group once
-    matrix_gens = []
-    generated = {identity}
-    for m in sorted(g0):
-        if m not in generated:
-            matrix_gens.append(m)
-            generated = _matrix_closure(matrix_gens, p, len(g0) + 1)
-            if len(generated) == len(g0):
+    second = find_multiplicative_group(spec)
+    gens = [_affine_map(p, (1, 0, 0, 1), (1, 0)), _affine_map(p, (1, 0, 0, 1), (0, 1))]
+    # G0's generators: walking its elements in matrix order, which is the
+    # order of e1·g = (m0, m1), take each one outside the subgroup chosen so
+    # far.  G0 is semiregular, so a subgroup holds g iff e1's orbit under it
+    # holds e1·g, and e1's orbit under the identity is e1 alone.
+    chosen = []
+    orbit = {p}
+    for v in range(1, p * p):
+        if v not in orbit:
+            chosen.append(_linear_map(p, v, second[v]))
+            table = np.array([g.images for g in chosen])
+            orbit = set(frontier_bfs(p, lambda f: table[:, f].T.ravel(),
+                                     np.zeros(p * p, dtype=bool)).tolist())
+            if len(orbit) == p * p - 1:
                 break
-    if generated != g0:
-        raise AssertionError("matrix generator selection failed")
-    group = PermutationGroup(gens + [affine_map(m) for m in matrix_gens])
+    group = PermutationGroup(gens + chosen)
     if group.order != p * p * (p * p - 1):
         raise AssertionError("exceptional group has wrong order")
     return group

@@ -90,14 +90,6 @@ class Permutation:
                 images[a] = b
         return cls(images)
 
-    @classmethod
-    def from_map(cls, points, fn) -> "Permutation":
-        """The action of a point map: point i goes to the index of
-        fn(points[i]) in points.  Points are any hashable labels; fn must
-        permute them."""
-        index_of = {pt: i for i, pt in enumerate(points)}
-        return cls(index_of[fn(pt)] for pt in points)
-
     def extended(self, degree: int) -> "Permutation":
         """The same map on {0..degree-1}, fixing every added point."""
         return Permutation._of(np.append(self.images, np.arange(self.degree, degree)))
@@ -543,7 +535,10 @@ class PermutationGroup:
         if self._elements is not None and limit is None:
             return self._elements
         rows = np.concatenate(list(self._closure_blocks(limit)), dtype=np.intp)
-        rows = read_only(rows[np.lexsort(rows.T[::-1])])
+        # one sort key per row: its images as big-endian uint32 bytes, which
+        # compare bytewise in the lexicographic order of the images
+        keys = rows.astype(">u4").view(np.dtype((np.void, 4 * self.degree))).ravel()
+        rows = read_only(rows[np.argsort(keys)])
         out = Permutation._of_rows(rows)
         if limit is None:
             self._elements = out

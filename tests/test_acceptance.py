@@ -241,3 +241,24 @@ def test_criterion_8_census_properties():
     record = classify_instance(14, 6, {1})
     assert record["deficiency"]["exact"] == 14515200
     assert time.perf_counter() - t0 <= 300.0
+
+
+def test_criterion_8_certifies_n13_and_n14():
+    """Every YES verdict at n = 13 and 14 passes the regular action check on
+    its graph, as criterion 8 does up to n = 12."""
+    t0 = time.perf_counter()
+    checked_yes = 0
+    for n, k, I in census_instances(14):
+        if n < 13:
+            continue
+        cayley = classify_cayley(n, k, I)
+        two_reg = classify_two_regular(n, k, I)
+        verdicts = ([("cayley", cayley.case, 1)] if cayley.outcome else []) \
+            + ([("two-regular", two_reg.cases[0], 2)] if two_reg.outcome else [])
+        for kind, case, r in verdicts:
+            report = regular_action_check(witness_group(n, k, I, kind, case),
+                                          build_graph(n, k, I), r)
+            assert report.confirmed, (n, k, I, kind, report.evidence)
+            checked_yes += 1
+    assert checked_yes == 28
+    assert time.perf_counter() - t0 <= 60.0

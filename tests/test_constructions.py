@@ -1,8 +1,9 @@
 """Generator images of every group built from a point map, pinned.
 
-The digests were recorded before the hand-written point-map constructions
-were folded into Permutation.from_map; any change to a point order, a
-generator or its position in the generator list changes a digest.
+The digests were recorded before the point maps were first shared between
+constructions, and they still hold with every map built as an index array;
+any change to a point order, a generator or its position in the generator
+list changes a digest.
 """
 
 import hashlib

@@ -1,9 +1,13 @@
+import time
+
 import pytest
 
-from mergedjohnson.fields import prime_power_decomposition
+from mergedjohnson import nearfields
+from mergedjohnson.fields import build_field, prime_power_decomposition
 from mergedjohnson.nearfields import (EXCEPTIONAL_SPECS, affine_group,
                                       build_dickson, exceptional_group,
                                       exceptional_spec, is_dickson_pair)
+from mergedjohnson.perms import Permutation
 from mergedjohnson.verify import sharply_two_transitive_check
 
 
@@ -14,6 +18,14 @@ def test_dickson_pair_predicate():
     assert not is_dickson_pair(4, 2)  # 2 does not divide q - 1 = 3
     assert not is_dickson_pair(5, 3)  # 3 does not divide 4
     assert not is_dickson_pair(3, 4)  # 4 must divide q - 1 when 4 | d
+
+
+def test_dickson_bounds_come_before_the_work():
+    t0 = time.perf_counter()
+    assert not is_dickson_pair(2, 10 ** 9 + 7)  # a prime d, which 1 = q - 1 misses
+    with pytest.raises(ValueError, match="desk bound"):
+        build_dickson(3, 10 ** 9)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_dickson_9_is_a_proper_near_field():
@@ -64,6 +76,17 @@ def test_exceptional_small(p, variant):
     assert g.degree == p * p
     assert g.order == p * p * (p * p - 1)
     assert sharply_two_transitive_check(g).confirmed
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_abelian_g0_is_rejected(p):
+    """Multiplication by a primitive element of GF(p^2) is F_p-linear on
+    the coefficient vectors and cyclic of order p^2 - 1: regular on the
+    nonzero vectors, but abelian."""
+    singer = Permutation(build_field(p, 2).power_map(1, 1))
+    assert len(nearfields._basis_orbit([singer], p, p * p - 1)) == p * p - 1
+    with pytest.raises(AssertionError, match="abelian"):
+        nearfields._checked_g0([singer], p)
 
 
 def test_half_group_has_index_two():

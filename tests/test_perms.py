@@ -65,9 +65,8 @@ def test_regularity_degree_values():
     assert fix.regularity_degree() is None
 
 
-def test_from_map_and_extended():
-    cycle = Permutation.from_map("abc", {"a": "b", "b": "c", "c": "a"}.get)
-    assert cycle == Permutation.from_cycles(3, [(0, 1, 2)])
+def test_extended():
+    cycle = Permutation.from_cycles(3, [(0, 1, 2)])
     assert cycle.extended(5).images.tolist() == [1, 2, 0, 3, 4]
 
 
@@ -239,6 +238,17 @@ def test_elements_are_every_permutation_in_order():
     with pytest.raises(ValueError):
         s_n(4).elements(limit=23)
     assert len(s_n(4).elements(limit=24)) == 24
+
+
+@pytest.mark.parametrize("group", [
+    lambda: s_n(5),
+    # images up to 299 fill two bytes of each big-endian key
+    lambda: PermutationGroup([_cycle(300, tuple(range(300))),
+                              Permutation(-np.arange(300) % 300)]),
+])
+def test_elements_sort_like_lexsort(group):
+    rows = np.array([g.images for g in group().elements()])
+    assert np.array_equal(rows, rows[np.lexsort(rows.T[::-1])])
 
 
 def _cycle(degree, *cycles):
