@@ -240,5 +240,8 @@ class FiniteField:
         return "FiniteField(p=%d, e=%d)" % (self.p, self.e)
 
 
+@functools.lru_cache(maxsize=None)
 def build_field(p: int, e: int) -> FiniteField:
+    """GF(p^e), built once per (p, e): no caller writes to a FiniteField,
+    and its index arrays are read-only."""
     return FiniteField(p, e)

@@ -454,6 +454,8 @@ class PermutationGroup:
     generator_images stacks into one read-only (generators, degree) array.
 
     The stabilizer chain is built lazily on first use of order/membership.
+    The order is kept in _order once known: read off the chain, or set by
+    a construction that has proved it, so that no chain is built for it.
     """
 
     def __init__(self, generators, degree: int | None = None):
@@ -469,6 +471,7 @@ class PermutationGroup:
         self.generators = generators or [Permutation.identity(degree)]
         self.generator_images = read_only(np.array([g.images for g in self.generators]))
         self._chain: StabilizerChain | None = None
+        self._order: int | None = None
         self._elements: list[Permutation] | None = None
 
     # -- chain-backed queries --------------------------------------------
@@ -481,7 +484,9 @@ class PermutationGroup:
 
     @property
     def order(self) -> int:
-        return self.chain.order
+        if self._order is None:
+            self._order = self.chain.order
+        return self._order
 
     def __contains__(self, perm: Permutation) -> bool:
         if perm.degree != self.degree:

@@ -9,6 +9,7 @@ is the registry of claims that `mergedjohnson verify --suite` runs.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 from functools import partial
@@ -19,6 +20,7 @@ import numpy as np
 from .classify import aut_descriptor, witness_group
 from .complement import (build_cocycle_data, complement_vertex_group,
                          frobenius_class_action)
+from .fields import is_prime
 from .johnson import MergedJohnsonGraph, build_graph
 from .nearfields import (EXCEPTIONAL_SPECS, affine_group, build_dickson,
                          exceptional_group)
@@ -119,24 +121,94 @@ def regular_action_check(group: PermutationGroup, graph: MergedJohnsonGraph,
 
 
 def sharply_two_transitive_check(group: PermutationGroup) -> OracleReport:
-    """Orbit of one ordered pair, computed independently of the stabilizer
-    chain.  The group is sharply 2-transitive iff that orbit has size
-    n(n-1) = |G|."""
+    """The group is sharply 2-transitive iff the orbit of the ordered pair
+    of points (0, 1) has size n(n-1) = |G|.
+
+    At degree n = p^2, p prime, both numbers are read off the affine
+    structure when the generators show it (see _affine_certificate): no
+    pair is visited and no stabilizer chain is built.  Otherwise, or when
+    any step of the certificate fails, the orbit comes from a BFS over the
+    n^2 ordered pairs and the order from the group's stabilizer chain."""
     t0 = time.perf_counter()
     n = group.degree
     claim = "sharply 2-transitive on %d points" % n
-    # pair keys a*n + b stay below n*n: int32 up to degree 46340
+    certified = _affine_certificate(group.generator_images, n)
+    if certified is None:
+        order, orbit = group.order, _pair_orbit_bfs(group)
+    else:
+        order, orbit = certified
+    ok = orbit == n * (n - 1) == order
+    return _report(claim, ok, {"pair_orbit": orbit, "order": order}, t0)
+
+
+def _pair_orbit_bfs(group: PermutationGroup) -> int:
+    """Size of the orbit of the ordered pair (0, 1), by a BFS over the
+    pair keys a·n + b, one level at a time."""
+    n = group.degree
+    # pair keys stay below n*n: int32 up to degree 46340
     dtype = np.int32 if n * n < 2 ** 31 else np.int64
     gens = group.generator_images.astype(dtype, copy=False)
-    seen = np.zeros(n * n, dtype=bool)
 
     def step(pairs):
         a, b = np.divmod(pairs, n)
         return (gens[:, a] * n + gens[:, b]).ravel()
 
-    orbit = len(frontier_bfs(0 * n + 1, step, seen))
-    ok = orbit == n * (n - 1) == group.order
-    return _report(claim, ok, {"pair_orbit": orbit, "order": group.order}, t0)
+    return len(frontier_bfs(0 * n + 1, step, np.zeros(n * n, dtype=bool)))
+
+
+def _affine_certificate(gens: np.ndarray, n: int) -> tuple[int, int] | None:
+    """(|G|, size of the orbit of the point pair (0, 1)) for the group G
+    that the rows of gens generate, read off G's affine structure, or None
+    when gens do not show it.
+
+    For n = p^2 with p prime, point a·p + b is the vector (a, b) of F_p^2.
+    Each generator g must be v -> vM + t, with t = g(0) and the rows of M
+    g(e1) - t and g(e2) - t, where e1 = (1, 0) is point p and e2 = (0, 1)
+    point 1; this is checked on every point, and det M != 0.  The pure
+    translations among the generators must span F_p^2.  Then G contains
+    the translations T, G/T is the group L that the linear parts generate,
+    and |G| = p^2 |L|.  The pair (0, e2) goes to (t, e2·M + t), so its
+    orbit has p^2 |e2^L| pairs.  L is closed by a BFS over 2×2 matrices
+    mod p and given up past p^2 - 1 elements, more than a sharply
+    2-transitive G has."""
+    p = math.isqrt(n)
+    if p * p != n or not is_prime(p):
+        return None
+    vectors = np.stack(np.divmod(np.arange(n), p), axis=-1)  # (n, 2)
+    images = vectors[gens]  # (generators, n, 2)
+    t = images[:, 0]
+    m = (images[:, [p, 1]] - t[:, None]) % p  # rows g(e1) - t, g(e2) - t
+    if not np.array_equal((vectors @ m + t[:, None]) % p, images):
+        return None
+    if ((m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) % p == 0).any():
+        return None
+    # the pure translations span F_p^2 iff two of them have det != 0
+    shifts = t[(m == np.eye(2, dtype=m.dtype)).all(axis=(1, 2))]
+    cross = np.outer(shifts[:, 0], shifts[:, 1])
+    if not ((cross - cross.T) % p).any():
+        return None
+    mats = set(map(tuple, m.reshape(-1, 4).tolist())) - {(1, 0, 0, 1)}
+    linear = _matrix_closure(mats, p, cap=n - 1)
+    if linear is None:
+        return None
+    return n * len(linear), n * len({(c, d) for _, _, c, d in linear})
+
+
+def _matrix_closure(mats, p: int, cap: int) -> list | None:
+    """The group of 2×2 matrices (a, b, c, d) = [[a, b], [c, d]] mod p that
+    mats generate, by a BFS from the identity; None past cap elements."""
+    group = [(1, 0, 0, 1)]
+    seen = set(group)
+    for a, b, c, d in group:
+        for e, f, g, h in mats:
+            prod = ((a * e + b * g) % p, (a * f + b * h) % p,
+                    (c * e + d * g) % p, (c * f + d * h) % p)
+            if prod not in seen:
+                if len(group) == cap:
+                    return None
+                seen.add(prod)
+                group.append(prod)
+    return group
 
 
 # --------------------------------------------------------------------------

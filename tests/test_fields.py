@@ -45,3 +45,8 @@ def test_frobenius_power_is_a_field_automorphism():
                 f.add(f.frobenius_power(a, 3, 2), f.frobenius_power(b, 3, 2))
             assert f.frobenius_power(f.mul(a, b), 3, 2) == \
                 f.mul(f.frobenius_power(a, 3, 2), f.frobenius_power(b, 3, 2))
+
+
+def test_each_field_is_built_once():
+    assert build_field(3, 2) is build_field(3, 2)
+    assert build_field(3, 2) is not build_field(3, 1)

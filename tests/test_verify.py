@@ -8,6 +8,8 @@ import pytest
 from mergedjohnson import verify
 from mergedjohnson.classify import census_instances
 from mergedjohnson.johnson import adjacent, build_graph
+from mergedjohnson.nearfields import (_affine_map, affine_group, build_dickson,
+                                      exceptional_group, exceptional_spec)
 from mergedjohnson.perms import Permutation, PermutationGroup
 from mergedjohnson.verify import (Claim, OracleReport, _broken_edge,
                                   bruteforce_automorphism_group,
@@ -250,13 +252,102 @@ def _pair_orbit_by_set(group):
 
 
 def test_pair_orbit_matches_a_set_search():
-    from mergedjohnson.nearfields import exceptional_group, exceptional_spec
     s4 = PermutationGroup([Permutation.from_cycles(4, [(0, 1)]),
                            Permutation.from_cycles(4, [(0, 1, 2, 3)])])
     c5 = PermutationGroup([Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
     for group in (s4, c5, exceptional_group(exceptional_spec(5, 1))):
         report = sharply_two_transitive_check(group)
         assert report.evidence["pair_orbit"] == _pair_orbit_by_set(group)
+
+
+# -- the affine certificate of sharp 2-transitivity --------------------------
+
+@pytest.mark.parametrize("p,variant", [(5, 1), (7, 1), (11, 1), (11, 2),
+                                       (23, 1), (29, 1)])
+def test_affine_certificate_matches_the_pair_bfs_and_a_chain(p, variant):
+    """The certificate's (order, pair orbit) equals a freshly built chain's
+    order and the brute-force pair BFS.  exceptional_group records its
+    order, so group.order would not read the chain."""
+    group = exceptional_group(exceptional_spec(p, variant))
+    certified = verify._affine_certificate(group.generator_images, group.degree)
+    assert group._chain is None
+    assert certified == (group.chain.order, verify._pair_orbit_bfs(group))
+    assert certified[0] == group.order == p * p * (p * p - 1)
+
+
+def _translations_and(p, *matrices):
+    """The group of the translations of F_p^2 and the given matrices."""
+    return PermutationGroup([_affine_map(p, (1, 0, 0, 1), (1, 0)),
+                             _affine_map(p, (1, 0, 0, 1), (0, 1)),
+                             *(_affine_map(p, m) for m in matrices)])
+
+
+@pytest.mark.parametrize("matrix", [(2, 0, 0, 1), (1, 0, 0, 2), (1, 1, 0, 1),
+                                    (0, 1, 1, 0)])
+def test_affine_certificate_off_the_sharp_case(matrix):
+    """T ⋊ <M> for one matrix M mod 5, which but for the swap moves e1
+    and e2 in orbits of different sizes: the certificate still matches
+    the BFS and a chain, and refutes."""
+    group = _translations_and(5, matrix)
+    certified = verify._affine_certificate(group.generator_images, 25)
+    assert certified == (group.order, verify._pair_orbit_bfs(group))
+    assert not sharply_two_transitive_check(group).confirmed
+
+
+@pytest.fixture
+def bfs_calls(monkeypatch):
+    """The groups that sharply_two_transitive_check hands to the pair BFS."""
+    calls = []
+
+    def counted(group):
+        calls.append(group)
+        return bfs(group)
+
+    bfs = verify._pair_orbit_bfs
+    monkeypatch.setattr(verify, "_pair_orbit_bfs", counted)
+    return calls
+
+
+def _exceptional_5():
+    return exceptional_group(exceptional_spec(5, 1)).generators
+
+
+def test_a_non_affine_generator_falls_back_to_the_bfs(bfs_calls):
+    gens = _exceptional_5()
+    gens[2] = gens[2] * Permutation.from_cycles(25, [(3, 17)])
+    group = PermutationGroup(gens)
+    assert verify._affine_certificate(group.generator_images, 25) is None
+    report = sharply_two_transitive_check(group)
+    assert bfs_calls == [group]
+    assert not report.confirmed
+
+
+def test_one_translation_falls_back_to_the_bfs(bfs_calls):
+    """G0 is irreducible, so one translation's conjugates give them all and
+    the group is the same; but the generators do not show it."""
+    gens = _exceptional_5()
+    group = PermutationGroup(gens[:1] + gens[2:])
+    assert verify._affine_certificate(group.generator_images, 25) is None
+    report = sharply_two_transitive_check(group)
+    assert bfs_calls == [group]
+    assert report.evidence == {"pair_orbit": 600, "order": 600}
+
+
+def test_agl2_past_the_cap_falls_back_to_the_bfs(bfs_calls):
+    group = _translations_and(5, (2, 0, 0, 1), (1, 1, 0, 1), (0, 1, 1, 0))
+    assert verify._affine_certificate(group.generator_images, 25) is None
+    report = sharply_two_transitive_check(group)
+    assert bfs_calls == [group]
+    assert report.evidence == {"pair_orbit": 600, "order": 25 * 480}
+    assert not report.confirmed
+
+
+def test_dickson_agl1_of_order_9_is_certified(bfs_calls):
+    group = affine_group(build_dickson(3, 2), "AGL")
+    report = sharply_two_transitive_check(group)
+    assert bfs_calls == []
+    assert report.confirmed
+    assert report.evidence == {"pair_orbit": 72, "order": 72}
 
 
 def _first_broken_by_rule(perms, graph):
