@@ -3,15 +3,19 @@
 H_k denotes the k-homogeneous finite permutation groups other than A_n and
 S_n, and D_k the set of their degrees.  H_k is empty for k >= 6, finite
 and fully listed for k = 4, 5, and built from a handful of families for
-k = 2, 3.  Records ship with degree and order; groups that fit on a desk
-(degree <= 64, order below a few hundred million) come with constructors,
-the rest are data only.
+k = 2, 3.  Every record sits in one table, `_RECORDS`, built at import,
+and ships with degree and order; groups that fit on a desk (degree <= 64,
+order below a few hundred million) carry their constructor, the rest are
+data only.  The groups PSL2(q) <= G <= PGammaL2(q) on the projective line
+all come from `projective_line_group`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb, factorial
+from typing import Callable
 
 import numpy as np
 
@@ -22,17 +26,19 @@ from .perms import ActionDomain, Permutation, PermutationGroup
 
 @dataclass(frozen=True)
 class HomogRecord:
+    """A group of H_k; `build` constructs it, None marks a data-only record."""
+
     name: str
     degree: int
     order: int
     max_homogeneity: int
     max_transitivity: int
-    constructible: bool
+    build: Callable[[], PermutationGroup] | None = None
 
     def construct(self) -> PermutationGroup:
-        if not self.constructible:
+        if self.build is None:
             raise ValueError("%s carries no constructor" % self.name)
-        return _construct_by_name(self.name, self.degree)
+        return self.build()
 
 
 @dataclass(frozen=True)
@@ -64,121 +70,33 @@ def moebius_generators(q: int):
     return tuple(Permutation(row) for row in rows)
 
 
-def psl2(q: int) -> PermutationGroup:
-    translate, scale, scale2, invert, _ = moebius_generators(q)
-    if q % 2 == 0:
-        gens = [translate, scale, invert]
-        expected = (q + 1) * q * (q - 1)
-    else:
-        gens = [translate, scale2, invert]
-        expected = (q + 1) * q * (q - 1) // 2
-    group = PermutationGroup(gens)
-    if group.order != expected:
-        raise AssertionError("PSL2(%d) order came out %d" % (q, group.order))
-    return group
+def projective_line_group(q: int, name: str) -> PermutationGroup:
+    """The group `name` between PSL2(q) and PGammaL2(q): PSL2, PGL2,
+    PSigmaL2, PGammaL2, or M10 (q = 9 only).
 
-
-def pgl2(q: int) -> PermutationGroup:
-    translate, scale, _, invert, _ = moebius_generators(q)
-    group = PermutationGroup([translate, scale, invert])
-    if group.order != (q + 1) * q * (q - 1):
-        raise AssertionError("PGL2(%d) order came out %d" % (q, group.order))
-    return group
-
-
-def pgammal2(q: int) -> PermutationGroup:
-    p, e = prime_power_decomposition(q)
-    translate, scale, _, invert, frob = moebius_generators(q)
-    group = PermutationGroup([translate, scale, invert, frob])
-    if group.order != (q + 1) * q * (q - 1) * e:
-        raise AssertionError("PGammaL2(%d) order came out %d" % (q, group.order))
-    return group
-
-
-def psigmal2(q: int) -> PermutationGroup:
-    p, e = prime_power_decomposition(q)
-    translate, scale, scale2, invert, frob = moebius_generators(q)
-    base = [translate, scale2, invert] if q % 2 else [translate, scale, invert]
-    group = PermutationGroup(base + [frob])
-    expected = (q + 1) * q * (q - 1) * e // (2 if q % 2 else 1)
-    if group.order != expected:
-        raise AssertionError("PSigmaL2(%d) order came out %d" % (q, group.order))
-    return group
-
-
-def projective_line_lattice(q: int) -> dict:
-    """All groups G with PSL2(q) <= G <= PGammaL2(q), as name -> group.
-
-    The quotient PGammaL2(q)/PSL2(q) has order gcd(2, q-1)*e; its subgroups
-    are enumerated by brute force on coset representatives.
+    PSL2(q) is generated by translate, scale^2 (scale for even q) and
+    invert; PGL2 and PGammaL2 take scale in the middle slot, PSigmaL2 and
+    PGammaL2 append frobenius, and M10 appends scale * frobenius to PSL2(9).
     """
+    if name not in ("PSL2", "PGL2", "PSigmaL2", "PGammaL2", "M10") \
+            or name == "M10" and q != 9:
+        raise ValueError("no projective-line group %s(%d)" % (name, q))
+    _, e = prime_power_decomposition(q)
     translate, scale, scale2, invert, frob = moebius_generators(q)
-    psl_gens = [translate, scale2, invert] if q % 2 else [translate, scale, invert]
-    psl = PermutationGroup(psl_gens)
-
-    def in_psl(perm):
-        return perm in psl
-
-    # coset representatives of PSL in PGammaL: BFS over products of the
-    # outer generators
-    outer = [scale, frob]
-    reps = [Permutation.identity(q + 1)]
-    frontier = list(reps)
-    while frontier:
-        nxt = []
-        for r in frontier:
-            for g in outer:
-                cand = r * g
-                if not any(in_psl(cand * s.inverse()) for s in reps):
-                    reps.append(cand)
-                    nxt.append(cand)
-        frontier = nxt
-
-    def coset_index(perm):
-        for i, r in enumerate(reps):
-            if in_psl(perm * r.inverse()):
-                return i
-        raise AssertionError("element outside PGammaL2")
-
-    m = len(reps)
-    # multiplication table of the quotient
-    table = [[coset_index(reps[i] * reps[j]) for j in range(m)] for i in range(m)]
-    subgroups = set()
-    for seed in range(1 << m):
-        if not seed & 1:
-            continue
-        current = {i for i in range(m) if (seed >> i) & 1}
-        while True:
-            grown = {table[i][j] for i in current for j in current}
-            if grown <= current:
-                break
-            current |= grown
-        subgroups.add(frozenset(current))
-
-    out = {}
-    for idx, sub in enumerate(sorted(subgroups, key=lambda s: (len(s), sorted(s)))):
-        group = PermutationGroup(psl_gens + [reps[i] for i in sorted(sub)])
-        name = _lattice_name(q, group.order, sub, reps, in_psl, frob, scale)
-        out[name] = group
-    return out
-
-
-def _lattice_name(q, order, sub, reps, in_psl, frob, scale):
-    p, e = prime_power_decomposition(q)
-    psl_order = (q + 1) * q * (q - 1) // (2 if q % 2 else 1)
-    contains_scale = any(in_psl(reps[i] * scale.inverse()) for i in sub)
-    contains_frob = any(in_psl(reps[i] * frob.inverse()) for i in sub)
-    if order == psl_order:
-        return "PSL2(%d)" % q
-    if len(sub) == len(reps):
-        return "PGammaL2(%d)" % q
-    if contains_scale and not contains_frob and order == (q + 1) * q * (q - 1):
-        return "PGL2(%d)" % q
-    if contains_frob and not contains_scale and order == psl_order * e:
-        return "PSigmaL2(%d)" % q
-    if q == 9 and order == 720:
-        return "M10"
-    return "PSL2(%d).%d_%d" % (q, order // psl_order, min(sub - {0}, default=0))
+    odd = q % 2
+    full = name in ("PGL2", "PGammaL2")
+    gens = [translate, scale if full or not odd else scale2, invert]
+    index = 2 if full and odd else 1
+    if name in ("PSigmaL2", "PGammaL2"):
+        gens.append(frob)
+        index *= e
+    if name == "M10":
+        gens.append(scale * frob)
+        index = 2
+    group = PermutationGroup(gens)
+    if group.order != (q + 1) * q * (q - 1) // (1 + odd) * index:
+        raise AssertionError("%s(%d) order came out %d" % (name, q, group.order))
+    return group
 
 
 # --------------------------------------------------------------------------
@@ -223,100 +141,45 @@ def mathieu(n: int) -> PermutationGroup:
 # Catalog records
 # --------------------------------------------------------------------------
 
-def _pgammal_order(q):
-    p, e = prime_power_decomposition(q)
-    return (q + 1) * q * (q - 1) * e
+def _affine_line_group(n: int, kind: str) -> PermutationGroup:
+    p, e = prime_power_decomposition(n)
+    return affine_group(build_field(p, e), kind)
 
 
-_H5 = [
-    HomogRecord("M12", 12, 95040, 5, 5, True),
-    HomogRecord("M24", 24, 244823040, 5, 5, True),
-]
-
-_H4_ONLY = [
-    HomogRecord("M11", 11, 7920, 4, 4, True),
-    HomogRecord("M23", 23, 10200960, 4, 4, True),
-    HomogRecord("PSL2(8)", 9, 504, 4, 3, True),
-    HomogRecord("PGammaL2(8)", 9, 1512, 4, 3, True),
-    HomogRecord("PGammaL2(32)", 33, 163680, 4, 3, True),
-]
-
-_H3_ONLY_SPORADIC = [
-    HomogRecord("M11 on 12", 12, 7920, 3, 3, False),
-    HomogRecord("M22", 22, 443520, 3, 3, False),
-    HomogRecord("Aut M22", 22, 887040, 3, 3, False),
-    HomogRecord("AGL1(8)", 8, 56, 3, 2, True),
-    HomogRecord("AGammaL1(8)", 8, 168, 3, 2, True),
-    HomogRecord("AGammaL1(32)", 32, 4960, 3, 2, True),
-]
-
-_H3_FAMILIES = [
-    FamilyDescriptor("subgroups of AGammaL_d(2), degree 2^d", "2^d", 3),
-    FamilyDescriptor("groups PSL2(q) <= G <= PGammaL2(q), degree q+1", "q+1", 3),
-]
-
-_H2_SPORADIC = [
-    HomogRecord("PSL2(11) on 11", 11, 660, 2, 2, False),
-    HomogRecord("A7 on 15", 15, 2520, 2, 2, False),
-    HomogRecord("PSigmaL2(8) on 28", 28, 1512, 2, 2, False),
-    HomogRecord("HS", 176, 44352000, 2, 2, False),
-    HomogRecord("Co3", 276, 495766656000, 2, 2, False),
-]
-
-_H2_FAMILIES = [
-    FamilyDescriptor("affine subgroups of AGammaL_d(q), degree q^d", "q^d", 2),
-    FamilyDescriptor("projective PSL_d(q) <= G <= PGammaL_d(q), degree (q^d-1)/(q-1), d >= 3", "(q^d-1)/(q-1)", 2),
-    FamilyDescriptor("unitary PSU3(q) <= G <= PGammaU3(q), degree q^3+1", "q^3+1", 2),
-    FamilyDescriptor("symplectic Sp_2d(2), degrees 2^(d-1)(2^d +- 1)", "2^(d-1)(2^d+-1)", 2),
-    FamilyDescriptor("Suzuki Sz(q) <= G <= Aut Sz(q), degree q^2+1", "q^2+1", 2),
-    FamilyDescriptor("Ree Re(q) <= G <= Aut Re(q), degree q^3+1", "q^3+1", 2),
-]
+def _mathieu(n, homogeneity):
+    return HomogRecord("M%d" % n, n, _MATHIEU_ORDERS[n], homogeneity, homogeneity,
+                       partial(mathieu, n))
 
 
-def homogeneous_catalog(k: int):
-    """Records and family descriptors for H_k (records expanded for
-    degrees <= 64, infinite families as descriptors)."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if k >= 6:
-        return {"records": [], "families": []}
-    records = list(_H5)
-    families = []
-    if k <= 4:
-        records += _H4_ONLY
-    if k <= 3:
-        records += _H3_ONLY_SPORADIC
-        families += _H3_FAMILIES
-        records += _projective_line_records(min_homog=3)
-    if k == 2:
-        records += _H2_SPORADIC
-        families += _H2_FAMILIES
-        records += _affine_line_records()
-    records = [r for r in records if r.max_homogeneity >= k]
-    return {"records": records, "families": families}
+def _projective(q, name, order, homogeneity, transitivity):
+    return HomogRecord("%s(%d)" % (name, q), q + 1, order, homogeneity, transitivity,
+                       partial(projective_line_group, q, name))
 
 
-def _projective_line_records(min_homog):
+def _affine(n, kind, order, homogeneity, transitivity):
+    return HomogRecord("%s1(%d)" % (kind, n), n, order, homogeneity, transitivity,
+                       partial(_affine_line_group, n, kind))
+
+
+def _projective_line_records():
     # q = 4 is skipped: PSL2(4) on 5 points is A_5 in its natural action.
-    # q = 8 and 32 entries already covered by the H_4 list are skipped too.
+    # PSL2(8), PGammaL2(8) and PGammaL2(32) are on the H_4 list already.
     out = []
     for q in range(5, 64):
-        if prime_power_decomposition(q) is None:
+        dec = prime_power_decomposition(q)
+        if dec is None:
             continue
-        n = q + 1
-        if n > 64:
-            break
-        p, e = prime_power_decomposition(q)
-        psl_order = n * q * (q - 1) // (2 if q % 2 else 1)
-        # PSL2(q) is 3-homogeneous iff q is even or q ≡ 3 mod 4
-        homog_psl = 3 if (q % 2 == 0 or q % 4 == 3) else 2
-        if q not in (8,):
-            out.append(HomogRecord("PSL2(%d)" % q, n, psl_order, homog_psl,
-                                   3 if q % 2 == 0 else 2, True))
+        _, e = dec
+        pgl_order = (q + 1) * q * (q - 1)
+        if q != 8:
+            # PSL2(q) is 3-homogeneous iff q is even or q ≡ 3 mod 4
+            out.append(_projective(q, "PSL2", pgl_order // (2 if q % 2 else 1),
+                                   3 if (q % 2 == 0 or q % 4 == 3) else 2,
+                                   3 if q % 2 == 0 else 2))
         if q % 2:
-            out.append(HomogRecord("PGL2(%d)" % q, n, n * q * (q - 1), 3, 3, True))
+            out.append(_projective(q, "PGL2", pgl_order, 3, 3))
         if e > 1 and q not in (8, 32):
-            out.append(HomogRecord("PGammaL2(%d)" % q, n, _pgammal_order(q), 3, 3, True))
+            out.append(_projective(q, "PGammaL2", pgl_order * e, 3, 3))
     return out
 
 
@@ -328,42 +191,61 @@ def _affine_line_records():
         dec = prime_power_decomposition(n)
         if dec is None:
             continue
-        p, e = dec
-        if n not in (8,):
-            out.append(HomogRecord("AGL1(%d)" % n, n, n * (n - 1), 2, 2, True))
+        _, e = dec
+        if n != 8:
+            out.append(_affine(n, "AGL", n * (n - 1), 2, 2))
         if n % 4 == 3:
-            out.append(HomogRecord("AHL1(%d)" % n, n, n * (n - 1) // 2, 2, 1, True))
+            out.append(_affine(n, "AHL", n * (n - 1) // 2, 2, 1))
         if e > 1 and n not in (8, 32):
-            out.append(HomogRecord("AGammaL1(%d)" % n, n, n * (n - 1) * e, 2, 2, True))
+            out.append(_affine(n, "AGammaL", n * (n - 1) * e, 2, 2))
     return out
 
 
-def _construct_by_name(name: str, degree: int) -> PermutationGroup:
-    if name.startswith("M") and name[1:].isdigit():
-        return mathieu(int(name[1:]))
-    if name.startswith("PSL2("):
-        return psl2(int(name[5:-1]))
-    if name.startswith("PGL2("):
-        return pgl2(int(name[5:-1]))
-    if name.startswith("PGammaL2("):
-        return pgammal2(int(name[9:-1]))
-    if name.startswith("PSigmaL2("):
-        return psigmal2(int(name[9:-1]))
-    if name.startswith("AGL1("):
-        n = int(name[5:-1])
-        p, e = prime_power_decomposition(n)
-        return affine_group(build_field(p, e), "AGL")
-    if name.startswith("AHL1("):
-        n = int(name[5:-1])
-        p, e = prime_power_decomposition(n)
-        return affine_group(build_field(p, e), "AHL")
-    if name.startswith("AGammaL1("):
-        n = int(name[9:-1])
-        p, e = prime_power_decomposition(n)
-        return affine_group(build_field(p, e), "AGammaL")
-    if name == "M10":
-        return projective_line_lattice(9)["M10"]
-    raise ValueError("no constructor for %r" % name)
+# H_5, the rest of H_4, the H_3 sporadics, the projective line, the H_2
+# sporadics and the affine line; khomog_candidates sorts stably by order,
+# so this order picks the witness among groups of equal order
+_RECORDS = (
+    _mathieu(12, 5),
+    _mathieu(24, 5),
+    _mathieu(11, 4),
+    _mathieu(23, 4),
+    _projective(8, "PSL2", 504, 4, 3),
+    _projective(8, "PGammaL2", 1512, 4, 3),
+    _projective(32, "PGammaL2", 163680, 4, 3),
+    HomogRecord("M11 on 12", 12, 7920, 3, 3),
+    HomogRecord("M22", 22, 443520, 3, 3),
+    HomogRecord("Aut M22", 22, 887040, 3, 3),
+    _affine(8, "AGL", 56, 3, 2),
+    _affine(8, "AGammaL", 168, 3, 2),
+    _affine(32, "AGammaL", 4960, 3, 2),
+    *_projective_line_records(),
+    HomogRecord("PSL2(11) on 11", 11, 660, 2, 2),
+    HomogRecord("A7 on 15", 15, 2520, 2, 2),
+    HomogRecord("PSigmaL2(8) on 28", 28, 1512, 2, 2),
+    HomogRecord("HS", 176, 44352000, 2, 2),
+    HomogRecord("Co3", 276, 495766656000, 2, 2),
+    *_affine_line_records(),
+)
+
+_FAMILIES = (
+    FamilyDescriptor("subgroups of AGammaL_d(2), degree 2^d", "2^d", 3),
+    FamilyDescriptor("groups PSL2(q) <= G <= PGammaL2(q), degree q+1", "q+1", 3),
+    FamilyDescriptor("affine subgroups of AGammaL_d(q), degree q^d", "q^d", 2),
+    FamilyDescriptor("projective PSL_d(q) <= G <= PGammaL_d(q), degree (q^d-1)/(q-1), d >= 3", "(q^d-1)/(q-1)", 2),
+    FamilyDescriptor("unitary PSU3(q) <= G <= PGammaU3(q), degree q^3+1", "q^3+1", 2),
+    FamilyDescriptor("symplectic Sp_2d(2), degrees 2^(d-1)(2^d +- 1)", "2^(d-1)(2^d+-1)", 2),
+    FamilyDescriptor("Suzuki Sz(q) <= G <= Aut Sz(q), degree q^2+1", "q^2+1", 2),
+    FamilyDescriptor("Ree Re(q) <= G <= Aut Re(q), degree q^3+1", "q^3+1", 2),
+)
+
+
+def homogeneous_catalog(k: int):
+    """Records and family descriptors for H_k (records expanded for
+    degrees <= 64, infinite families as descriptors)."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    return {"records": [r for r in _RECORDS if r.max_homogeneity >= k],
+            "families": [f for f in _FAMILIES if f.min_homogeneity >= k]}
 
 
 # --------------------------------------------------------------------------
@@ -409,8 +291,8 @@ def khomog_candidates(n: int, k: int):
     else:
         # curated: for n <= 14 every k-homogeneous group of degree n with
         # k in {2, 3} lies in the shipped records (affine line, projective
-        # line lattice, Mathieu); powers of 2 from degree 8 up admit
-        # further affine groups not shipped here
+        # line, Mathieu); powers of 2 from degree 8 up admit further affine
+        # groups not shipped here
         complete = n <= 14 and not (k == 3 and n in (8, 16))
     return records, complete
 
@@ -436,13 +318,13 @@ def minimal_stabilizer_order(n: int, k: int):
         r = rec.order // vertices
         if r >= best:
             continue
-        if rec.constructible:
+        if rec.build is not None:
             group = rec.construct()
             if group.degree != n:
                 raise AssertionError("catalog degree mismatch for %s" % rec.name)
             if not group.is_transitive(ActionDomain.ksubsets(n, k)):
                 continue
-        # non-constructible records are trusted classification data; their
+        # data-only records are trusted classification data; their
         # orders still bound the minimum correctly
         best, best_name = r, rec.name
     return best, best_name

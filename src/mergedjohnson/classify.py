@@ -131,17 +131,9 @@ def only_an_sn(n: int, k: int, I) -> bool:
     ms = _check_bounds(n, k, I)
     if ms.is_complete:
         return False
-    half = (n - 1) / 2
-    reflected = frozenset(k + 1 - i for i in ms.I)
-    if 5 < k < half:
-        return True
-    if 5 < k == half and reflected != ms.I:
-        return True
-    if k == 5 and k < half and n not in (12, 24):
-        return True
-    if k == 4 and k < half and n not in (9, 11, 12, 23, 24, 33):
-        return True
-    return False
+    if 4 <= k < (n - 1) / 2:
+        return not catalog.degrees_d_k(k, n)
+    return 5 < k == (n - 1) / 2 and frozenset(k + 1 - i for i in ms.I) != ms.I
 
 
 # --------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import moebius_generators, psl2
+from .catalog import moebius_generators, projective_line_group
 from .johnson import Equipartition, all_equipartitions
 from .perms import Permutation, PermutationGroup, transversal_bfs
 from .subsets import complement_ranks, ksubset_rank, ksubsets, mask_of, read_only
@@ -49,9 +49,10 @@ class PointedPSL28:
 
 
 def build_pointed_psl28() -> PointedPSL28:
-    """catalog.psl2(8) on P^1(F_8), plus the fixed point 9; frobenius is
+    """catalog's PSL2(8) on P^1(F_8), plus the fixed point 9; frobenius is
     the field automorphism a -> a^2 on the same 10 points."""
-    group = PermutationGroup([g.extended(10) for g in psl2(8).generators])
+    psl28 = projective_line_group(8, "PSL2")
+    group = PermutationGroup([g.extended(10) for g in psl28.generators])
     if group.order != 504:
         raise AssertionError("PSL2(8) came out with order %d" % group.order)
     *_, frobenius = moebius_generators(8)

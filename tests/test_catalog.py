@@ -1,22 +1,54 @@
+from math import comb
+
 import pytest
 
 from mergedjohnson.catalog import (degrees_d_k, homogeneous_catalog,
                                    khomog_candidates, mathieu,
-                                   minimal_stabilizer_order, pgl2,
-                                   projective_line_lattice, psl2)
+                                   minimal_stabilizer_order, moebius_generators,
+                                   projective_line_group)
+from mergedjohnson.perms import ActionDomain
 
 
 def test_psl2_pgl2_orders():
-    assert psl2(5).order == 60
-    assert psl2(7).order == 168
-    assert pgl2(9).order == 720
+    assert projective_line_group(5, "PSL2").order == 60
+    assert projective_line_group(7, "PSL2").order == 168
+    assert projective_line_group(9, "PGL2").order == 720
 
 
-def test_projective_line_lattice_q9():
-    lattice = projective_line_lattice(9)
-    orders = {name: g.order for name, g in lattice.items()}
-    assert orders == {"PSL2(9)": 360, "PGL2(9)": 720, "M10": 720,
-                      "PSigmaL2(9)": 720, "PGammaL2(9)": 1440}
+def test_projective_line_groups_q9():
+    groups = {name: projective_line_group(9, name)
+              for name in ("PSL2", "PGL2", "M10", "PSigmaL2", "PGammaL2")}
+    orders = {name: g.order for name, g in groups.items()}
+    assert orders == {"PSL2": 360, "PGL2": 720, "M10": 720,
+                      "PSigmaL2": 720, "PGammaL2": 1440}
+    # the three groups of order 720 are told apart by scale and frobenius
+    _, scale, _, _, frob = moebius_generators(9)
+    assert scale not in groups["M10"] and frob not in groups["M10"]
+    assert scale in groups["PGL2"] and frob not in groups["PGL2"]
+    assert frob in groups["PSigmaL2"] and scale not in groups["PSigmaL2"]
+
+
+@pytest.mark.parametrize("q,name", [(8, "M10"), (9, "PSU2")])
+def test_projective_line_group_refuses_other_names(q, name):
+    with pytest.raises(ValueError):
+        projective_line_group(q, name)
+
+
+CONSTRUCTIBLE = [r for r in homogeneous_catalog(2)["records"] if r.build is not None]
+
+
+@pytest.mark.parametrize("record", CONSTRUCTIBLE,
+                         ids=["%s-%d" % (r.name, r.degree) for r in CONSTRUCTIBLE])
+def test_record_builds_its_group(record):
+    group = record.construct()
+    assert (group.degree, group.order) == (record.degree, record.order)
+    for k in range(2, record.max_homogeneity + 1):
+        assert group.is_transitive(ActionDomain.ksubsets(record.degree, k))
+    # an orbit's size divides the group order, so only a divisible C(n, k)
+    # needs the orbit computed to rule out transitivity
+    k = record.max_homogeneity + 1
+    if 2 * k <= record.degree and record.order % comb(record.degree, k) == 0:
+        assert not group.is_transitive(ActionDomain.ksubsets(record.degree, k))
 
 
 @pytest.mark.parametrize("n,order", [(11, 7920), (12, 95040),

@@ -2,12 +2,15 @@ import hashlib
 import json
 import time
 from math import lgamma, log
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from mergedjohnson import verify
 from mergedjohnson.cli import main
+
+CENSUS_14 = Path(__file__).parent / "data" / "census_14.jsonl"
 
 
 def run(*args):
@@ -116,6 +119,8 @@ def test_census_n14_completes_with_big_orders():
     assert summary["instances"] == 672
     complete = [r for r in rows if r["n"] == 14 and r["I"] == list(range(1, 8))]
     assert complete[0]["aut"]["order"]["formula"] == "C(14,7)!"
+    # every verdict, deficiency value and witness name, as recorded
+    assert result.output == CENSUS_14.read_text()
 
 
 def test_classify_big_order_by_formula():

@@ -159,6 +159,10 @@ def digest(perms):
     return hashlib.sha256(images.encode()).hexdigest()
 
 
+PROJECTIVE_LINE = {"psl2": "PSL2", "pgl2": "PGL2", "pgammal2": "PGammaL2",
+                   "psigmal2": "PSigmaL2"}
+
+
 def build(key):
     kind, *args = key.split()
     if kind == "pointed_psl28":
@@ -179,7 +183,7 @@ def build(key):
     if kind == "complement":
         data = complement.build_cocycle_data(int(args[0]))
         return complement.complement_vertex_group(data).generators
-    return getattr(catalog, kind)(int(args[0])).generators
+    return catalog.projective_line_group(int(args[0]), PROJECTIVE_LINE[kind]).generators
 
 
 @pytest.mark.parametrize("key", sorted(PINNED))

@@ -71,8 +71,8 @@ def test_extended():
 
 
 def test_transitivity_on_ksubsets_matches_orbits():
-    from mergedjohnson.catalog import psl2
-    group = psl2(8)  # 4-homogeneous on 9 points
+    from mergedjohnson.catalog import projective_line_group
+    group = projective_line_group(8, "PSL2")  # 4-homogeneous on 9 points
     for k in (2, 3, 4):
         domain = ActionDomain.ksubsets(9, k)
         assert group.is_transitive(domain)
@@ -196,8 +196,8 @@ def _orbits_by_loop(group, domain):
 
 
 def test_orbits_match_a_point_by_point_search():
-    from mergedjohnson.catalog import psl2
-    groups = [s_n(5), psl2(8),
+    from mergedjohnson.catalog import projective_line_group
+    groups = [s_n(5), projective_line_group(8, "PSL2"),
               PermutationGroup([Permutation.from_cycles(7, [(0, 1, 2), (3, 4)])])]
     for group in groups:
         for domain in (ActionDomain.points(group.degree),
@@ -209,8 +209,8 @@ def test_orbits_match_a_point_by_point_search():
 
 
 def test_orbit_lists_its_block_with_a_transversal_into_it():
-    from mergedjohnson.catalog import psl2
-    groups = [s_n(5), psl2(8),
+    from mergedjohnson.catalog import projective_line_group
+    groups = [s_n(5), projective_line_group(8, "PSL2"),
               PermutationGroup([Permutation.from_cycles(7, [(0, 1, 2), (3, 4)])])]
     for group in groups:
         for domain in (ActionDomain.points(group.degree),
