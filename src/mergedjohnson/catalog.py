@@ -178,6 +178,11 @@ def _projective_line_records():
                                    3 if q % 2 == 0 else 2))
         if q % 2:
             out.append(_projective(q, "PGL2", pgl_order, 3, 3))
+        if q == 9:
+            # the other two groups of index 2 in PGammaL2(9); M10 comes after
+            # PGL2(9), which stays the witness of r = 6 at (10, 3)
+            out.append(_projective(q, "PSigmaL2", pgl_order, 2, 2))
+            out.append(_projective(q, "M10", pgl_order, 3, 3))
         if e > 1 and q not in (8, 32):
             out.append(_projective(q, "PGammaL2", pgl_order * e, 3, 3))
     return out

@@ -25,7 +25,7 @@ from .fields import build_field, prime_power_decomposition
 from .johnson import merge_set
 from .nearfields import affine_group
 from .perms import Permutation, PermutationGroup, invert_array
-from .subsets import complement_ranks
+from .subsets import complement_ranks, read_only
 
 
 def _check_bounds(n, k, I):
@@ -300,13 +300,47 @@ def _dihedral_coset_action(m: int) -> PermutationGroup:
     right cosets of H = <x -> -x>: the coset H(eps, c) is numbered c, so
     x -> x + 1 and x -> -x act on coset numbers as on Z_m."""
     points = np.arange(m)
-    return PermutationGroup([Permutation((points + 1) % m), Permutation(-points % m)])
+    return _with_proved_order(PermutationGroup([Permutation((points + 1) % m),
+                                                Permutation(-points % m)]))
+
+
+def _is_one_cycle(c: np.ndarray) -> bool:
+    """Whether c moves every point along one cycle, by one walk from 0."""
+    images = c.tolist()
+    x, length = images[0], 1
+    while x != 0 and length < len(images):
+        x, length = images[x], length + 1
+    return x == 0 and length == len(images)
+
+
+def _with_proved_order(group: PermutationGroup) -> PermutationGroup:
+    """Record the order of <c> or of <c, f> when c is one m-cycle: m for
+    <c>, and 2m when f is an involution with f·c·f = c^-1 and m >= 3.  Then
+    every element is c^i or c^i·f, and f is not a power of c, since those
+    commute with c and c != c^-1.  Each check is O(m); when one fails, no
+    order is recorded and the stabilizer chain gives it."""
+    c, *rest = group.generator_images
+    m = len(c)
+    if len(rest) > 1 or not _is_one_cycle(c):
+        return group
+    if not rest:
+        group._order = m
+        return group
+    f = rest[0]
+    if m >= 3 and np.array_equal(f[f], np.arange(m)) \
+            and np.array_equal(f[c[f]], invert_array(c)):
+        group._order = 2 * m
+    return group
 
 
 def _relabel_group(group: PermutationGroup, to_vertex: np.ndarray) -> PermutationGroup:
-    """Conjugate a degree-m group by the bijection point -> to_vertex[point]."""
+    """Conjugate a degree-m group by the bijection point -> to_vertex[point].
+    A conjugate has the same order, so a recorded order is carried over."""
+    to_vertex = Permutation(to_vertex).images  # ValueError unless a bijection
     images = to_vertex[group.generator_images[:, invert_array(to_vertex)]]
-    return PermutationGroup([Permutation(row) for row in images])
+    relabelled = PermutationGroup(Permutation._of_rows(read_only(images)))
+    relabelled._order = group._order
+    return relabelled
 
 
 def _matching_bijection(n: int, k: int) -> np.ndarray:
@@ -357,7 +391,8 @@ def _cayley_witness(n: int, k: int, case: int) -> PermutationGroup:
         # the cyclic group on itself: any vertex identification works on
         # case 4's complete graph, and case 5 aligns its involution's
         # pairing x <-> x + m/2 with complementation
-        cyclic = PermutationGroup([Permutation((np.arange(m) + 1) % m)])
+        cycle = Permutation((np.arange(m) + 1) % m)
+        cyclic = _with_proved_order(PermutationGroup([cycle]))
         return cyclic if case == 4 else _relabel_group(cyclic, _matching_bijection(n, k))
     raise ValueError("unknown case %r" % case)
 
@@ -378,7 +413,8 @@ def _two_regular_witness(n: int, k: int, case: int) -> PermutationGroup:
         group = _dihedral_coset_action(m)
         if case == 4:
             group = _relabel_group(group, _matching_bijection(n, k))
-        # checked on the returned group, whose chain regularity_degree reuses
+        # the certificate in _dihedral_coset_action recorded the order; were
+        # it to fail, the stabilizer chain would give it
         if group.order != 2 * m:
             raise AssertionError("dihedral coset action has order %d" % group.order)
         return group

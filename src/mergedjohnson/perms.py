@@ -15,7 +15,8 @@ Fundamental Algorithms for Permutation Groups, LNCS 559, 1991): powers of
 the first generator by doubling, then whole cosets x[H] of the subgroup H
 generated so far, one gather each, with hashed membership.  It shares
 nothing with the chain, so the stabilizer sweep that counts fixed points
-over it is an independent check of the chain's order.
+over it is an independent check of the chain's order, or of an order a
+construction recorded.
 
 A group acts on points, k-subsets (by co-lex rank) or any indexed set
 through one index table, row i holding generator i's images of the indices:
@@ -456,6 +457,10 @@ class PermutationGroup:
     The stabilizer chain is built lazily on first use of order/membership.
     The order is kept in _order once known: read off the chain, or set by
     a construction that has proved it, so that no chain is built for it.
+    Those constructions are the induced actions on k-subsets (the order of
+    the degree-n group), the exceptional sharply 2-transitive groups, and
+    the cyclic and dihedral witnesses on Z_m (classify).  For a group small
+    enough to enumerate, regularity_degree checks the order either way.
     """
 
     def __init__(self, generators, degree: int | None = None):
@@ -618,52 +623,80 @@ class PermutationGroup:
     def induced_subset_action(self, k: int) -> "PermutationGroup":
         """Action on k-subsets, as a group of degree C(n, k).
 
-        Vertex numbering follows co-lex subset ranks.
+        Vertex numbering follows co-lex subset ranks.  For k < n the action
+        is faithful, so the new group records this group's order, read at
+        degree n, and builds no chain of its own for it.
         """
         if not 1 <= k <= self.degree:
             raise ValueError("k out of range")
         codec = ksubsets(self.degree, k)
         images = read_only(codec.image_ranks(self.generator_images).astype(np.intp, copy=False))
-        return PermutationGroup(Permutation._of_rows(images), degree=codec.size)
+        group = PermutationGroup(Permutation._of_rows(images), degree=codec.size)
+        if k < self.degree:
+            # a permutation moving x to y moves a k-subset holding x but not y
+            group._order = self.order
+        return group
 
     # -- regularity ------------------------------------------------------
 
-    def _fixed_point_counts(self, domain: ActionDomain) -> np.ndarray:
-        """For each domain index, the number of group elements fixing it:
-        the elements come from the coset closure as int arrays, a coset at
-        a time, and fixed points are counted per column."""
+    def _sweep(self, domain: ActionDomain, limit: int | None = None):
+        """(counts, reached): for each domain index, the number of group
+        elements fixing it, and whether some element carries index 0 to it.
+        The elements come from the coset closure as int arrays, a coset at a
+        time; fixed points are counted per column, and column 0 holds the
+        images of index 0, which are its orbit.  With a limit, ValueError as
+        soon as the closure has more than limit elements."""
         size = domain.size
         counts = np.zeros(size, dtype=np.int64)
+        reached = np.zeros(size, dtype=bool)
         codec = ksubsets(self.degree, domain.k) if domain.kind == "ksubsets" else None
         rows = max(1, _BLOCK_ENTRIES // (size * max(1, domain.k)))
-        for block in self._closure_blocks():
+        for block in self._closure_blocks(limit):
             for lo in range(0, len(block), rows):
                 images = block[lo:lo + rows]
                 if codec is not None:
                     images = codec.image_ranks(images)
                 counts += (images == np.arange(size, dtype=images.dtype)).sum(axis=0)
-        return counts
+                reached[images[:, 0]] = True
+        return counts, reached
+
+    def _fixed_point_counts(self, domain: ActionDomain) -> np.ndarray:
+        """For each domain index, the number of group elements fixing it."""
+        return self._sweep(domain)[0]
 
     def regularity_degree(self, domain: ActionDomain | None = None,
                           exhaustive_limit: int = 20000) -> int | None:
         """Common vertex-stabilizer order r if transitive, else None.
 
-        r = |G| / |domain| by orbit-stabilizer.  When the group is small
-        enough to enumerate, stabilizer orders are additionally counted
-        directly at every domain point.
+        r = |G| / |domain| by orbit-stabilizer, with |G| the recorded order
+        or the chain's.  A group of order at most exhaustive_limit is
+        enumerated, once: every element's images give the stabilizer order
+        at every domain point, which must all equal r, and the images of
+        index 0 give its orbit, so no orbit search runs.  The enumeration
+        shares no code with the chain or with any construction that records
+        an order, so a wrong order of a transitive group fails here.  A
+        larger group takes its
+        orbit from a breadth-first search and is not enumerated.
         """
         if domain is None:
             domain = ActionDomain.points(self.degree)
-        if self._orbit_size(domain) != domain.size:
-            return None
         order = self.order
+        if order <= exhaustive_limit:
+            try:
+                counts, reached = self._sweep(domain, exhaustive_limit)
+            except ValueError:
+                raise AssertionError("order %d, but the group has more than %d "
+                                     "elements" % (order, exhaustive_limit)) from None
+            if not reached.all():
+                return None
+        elif self._orbit_size(domain) != domain.size:
+            return None
         if order % domain.size != 0:
             raise AssertionError("orbit-stabilizer violation: %d points, order %d"
                                  % (domain.size, order))
         r = order // domain.size
-        if order <= exhaustive_limit:
-            if (self._fixed_point_counts(domain) != r).any():
-                raise AssertionError("non-uniform stabilizer orders found")
+        if order <= exhaustive_limit and (counts != r).any():
+            raise AssertionError("non-uniform stabilizer orders found")
         return r
 
     def __repr__(self):

@@ -261,14 +261,33 @@ def bruteforce_automorphism_group(graph: MergedJohnsonGraph) -> int:
 # Regular subgroup search
 # --------------------------------------------------------------------------
 
+def _prime_factor_count(m: int) -> int:
+    """Omega(m): the prime factors of m counted with multiplicity."""
+    count, p = 0, 2
+    while p * p <= m:
+        while m % p == 0:
+            m //= p
+            count += 1
+        p += 1
+    return count + (m > 1)
+
+
 def regular_subgroup_nonexistence(ambient: PermutationGroup,
                                   graph: MergedJohnsonGraph) -> OracleReport:
-    """Exhaustive search for a subgroup of order |V| acting regularly on
-    the vertices, over subgroups generated by up to 3 elements.  Complete
-    whenever every group of order |V| is 3-generated, which covers every
-    order this suite exercises."""
+    """Exhaustive search for a subgroup of order m = |V| acting regularly
+    on the vertices, over subgroups generated by up to 3 elements.
+
+    The search is complete when every group of order m is 3-generated.
+    That holds when Omega(m), the number of prime factors of m counted with
+    multiplicity, is at most 3: in an irredundant generating set each
+    generator outside the group of the ones before it multiplies the order
+    by an integer above 1, so by at least one prime factor.  For a larger
+    Omega(m) the search could miss a regular subgroup, and ValueError is
+    raised instead."""
     t0 = time.perf_counter()
     m = graph.num_vertices
+    if _prime_factor_count(m) > 3:
+        raise ValueError("a group of order %d may need more than 3 generators" % m)
     claim = "no regular subgroup of order %d in ambient of order %d on " \
             "J(%d,%d)_%s" % (m, ambient.order, graph.n, graph.k, sorted(graph.I))
     if ambient.order > 10 ** 4:

@@ -2,11 +2,13 @@
 desk scale, with runtime budgets."""
 
 import time
+from collections import Counter
 from math import comb, factorial
 
 import numpy as np
 import pytest
 
+from mergedjohnson import perms
 from mergedjohnson.classify import (aut_descriptor, census_instances,
                                     classify_cayley, classify_instance,
                                     classify_two_regular, only_an_sn,
@@ -262,3 +264,53 @@ def test_criterion_8_certifies_n13_and_n14():
             checked_yes += 1
     assert checked_yes == 28
     assert time.perf_counter() - t0 <= 60.0
+
+
+def test_certify_builds_no_chain_at_the_vertex_degree(monkeypatch):
+    """Stabilizer chains built while the witnesses of every YES verdict up
+    to n = 12 are built and checked, counted by degree.  The induced,
+    cyclic and dihedral witnesses record their orders: the only chains are
+    their parents' at degree n or below.  AGL1(5) x S2 (two-regular case
+    2) and the PSL2(8) complement (case 3) assert their orders from a chain
+    at the vertex degree when built.  regular_action_check builds none."""
+    built = Counter()
+    init = perms.StabilizerChain.__init__
+
+    def counted(self, generators, degree):
+        built[degree] += 1
+        init(self, generators, degree)
+
+    monkeypatch.setattr(perms.StabilizerChain, "__init__", counted)
+    checked = 0
+    for n, k, I in census_instances(12):
+        cayley = classify_cayley(n, k, I)
+        two_reg = classify_two_regular(n, k, I)
+        verdicts = ([("cayley", cayley.case, 1)] if cayley.outcome else []) \
+            + ([("two-regular", two_reg.cases[0], 2)] if two_reg.outcome else [])
+        for kind, case, r in verdicts:
+            built.clear()
+            witness = witness_group(n, k, I, kind, case)
+            if (kind, case) not in (("two-regular", 2), ("two-regular", 3)):
+                assert max(built, default=n) <= n, (n, k, kind, case, built)
+            graph = build_graph(n, k, I)
+            built.clear()
+            report = regular_action_check(witness, graph, r)
+            assert report.confirmed, (n, k, I, kind, report.evidence)
+            assert not built, (n, k, kind, case, built)
+            checked += 1
+    assert checked == 98
+
+
+def test_j16_8_dihedral_witness_needs_no_chain():
+    """The 2-regular dihedral witness on the 12870 vertices of J(16,8)_{8}
+    records its order 2·12870 from an O(m) certificate, and its regularity
+    comes from the orbit search and that order.  No stabilizer chain is
+    built; one for this group did not finish within 10 minutes.  Its graph
+    is past the materialize limit, so there is no edge check."""
+    t0 = time.perf_counter()
+    group = witness_group(16, 8, frozenset({8}), "two-regular", 4)
+    assert group._chain is None
+    assert group.order == 25740
+    assert group.regularity_degree() == 2
+    assert group._chain is None
+    assert time.perf_counter() - t0 <= 10.0

@@ -1,12 +1,16 @@
 from math import factorial, log10
 
+import numpy as np
 import pytest
 
-from mergedjohnson.classify import (aut_descriptor, cayley_deficiency,
-                                    classify_cayley, classify_instance,
-                                    classify_two_regular, only_an_sn,
-                                    witness_group)
+from mergedjohnson.classify import (_dihedral_coset_action, _matching_bijection,
+                                    _relabel_group, _with_proved_order,
+                                    aut_descriptor, cayley_deficiency,
+                                    census_instances, classify_cayley,
+                                    classify_instance, classify_two_regular,
+                                    only_an_sn, witness_group)
 from mergedjohnson.johnson import build_graph
+from mergedjohnson.perms import Permutation, PermutationGroup, StabilizerChain
 from mergedjohnson.verify import regular_action_check
 
 
@@ -148,6 +152,93 @@ def test_witness_groups_act_with_stated_regularity(n, k, I, kind, r):
     w = witness_group(n, k, I, kind)
     report = regular_action_check(w, g, r)
     assert report.confirmed, report.evidence
+
+
+def _yes_verdicts(n_max):
+    """(n, k, I, kind, case) for every YES verdict of the census."""
+    for n, k, I in census_instances(n_max):
+        cayley = classify_cayley(n, k, I)
+        two_reg = classify_two_regular(n, k, I)
+        if cayley.outcome:
+            yield n, k, I, "cayley", cayley.case
+        if two_reg.outcome:
+            yield n, k, I, "two-regular", two_reg.cases[0]
+
+
+# the witnesses whose construction records the order it proves: induced
+# actions of degree-n groups, and the cyclic and dihedral groups on Z_m;
+# AGL1(5) x S2 and the PSL2(8) complements take theirs from a chain
+RECORDED = {("cayley", case) for case in (1, 2, 3, 4, 5)} \
+    | {("two-regular", case) for case in (1, 4, 5)}
+
+
+def _fresh_order(group):
+    return StabilizerChain(list(group.generator_images), group.degree).order
+
+
+def test_recorded_witness_orders_match_a_fresh_chain():
+    """Every YES witness of the census up to n = 14 that records its order
+    gets it with no chain of its own, and a chain built from its
+    generators gives the same order."""
+    checked = set()
+    for n, k, I, kind, case in _yes_verdicts(14):
+        if (n, k, kind, case) in checked:
+            continue  # the witness does not depend on I
+        checked.add((n, k, kind, case))
+        group = witness_group(n, k, I, kind, case)
+        if (kind, case) in RECORDED:
+            assert group._chain is None and group._order is not None
+        assert group._order == _fresh_order(group), (n, k, kind, case)
+    assert len(checked) == 83
+
+
+def _two_cycles(m):
+    """The product of the cycles (0 .. m/2-1) and (m/2 .. m-1)."""
+    half = m // 2
+    return Permutation(np.concatenate([(np.arange(half) + 1) % half,
+                                       half + (np.arange(half) + 1) % half]))
+
+
+def test_a_cycle_with_two_orbits_records_no_order():
+    c = _two_cycles(12)
+    flip = Permutation(np.concatenate([-np.arange(6) % 6, 6 + -np.arange(6) % 6]))
+    for gens, order in (([c], 6), ([c, flip], 12)):
+        group = _with_proved_order(PermutationGroup(gens))
+        assert group._order is None
+        assert group.order == _fresh_order(group) == order
+
+
+def test_an_involution_that_does_not_invert_c_records_no_order():
+    m = 12
+    c = Permutation((np.arange(m) + 1) % m)
+    half_turn = Permutation((np.arange(m) + m // 2) % m)  # commutes with c
+    swap = Permutation.from_cycles(m, [(0, 1)])
+    for f, order in ((half_turn, m), (swap, factorial(m))):
+        group = _with_proved_order(PermutationGroup([c, f]))
+        assert group._order is None
+        assert group.order == order
+    assert _fresh_order(PermutationGroup([c, half_turn])) == m
+
+
+def test_the_dihedral_certificate_needs_three_points():
+    # on Z_2, x -> -x is the identity, which inverts the 2-cycle x -> x + 1
+    group = _dihedral_coset_action(2)
+    assert group._order is None
+    assert group.order == 2
+    for m in (3, 4, 7, 12):
+        group = _dihedral_coset_action(m)
+        assert group._order == 2 * m == _fresh_order(group)
+
+
+def test_relabelling_carries_the_order_only_through_a_bijection():
+    group = _dihedral_coset_action(20)
+    relabelled = _relabel_group(group, _matching_bijection(6, 3))
+    assert relabelled._chain is None
+    assert relabelled._order == 40 == _fresh_order(relabelled)
+    not_bijective = _matching_bijection(6, 3).copy()
+    not_bijective[1] = not_bijective[0]
+    with pytest.raises(ValueError, match="not a bijection"):
+        _relabel_group(group, not_bijective)
 
 
 def test_witness_refuses_impossible_requests():

@@ -176,6 +176,52 @@ def test_sweep_counts_match_a_loop_for_a_j12_6_witness():
     assert dihedral.regularity_degree() == 2
 
 
+def _dihedral(m):
+    return PermutationGroup([_cycle(m, tuple(range(m))), Permutation(-np.arange(m) % m)])
+
+
+@pytest.fixture
+def no_orbit_search(monkeypatch):
+    """Fail any breadth-first orbit search of a PermutationGroup."""
+    def refuse(*args):
+        raise AssertionError("orbit search")
+    monkeypatch.setattr(PermutationGroup, "_orbit_size", refuse)
+
+
+def test_a_swept_group_reads_its_orbit_from_the_sweep(no_orbit_search):
+    assert _dihedral(12).regularity_degree() == 2
+    assert s_n(4).regularity_degree(ActionDomain.ksubsets(4, 2)) == 4
+    intransitive = PermutationGroup([Permutation.from_cycles(7, [(0, 1, 2), (3, 4)])])
+    intransitive._order = 6  # its true order, recorded so that no chain is built
+    assert intransitive.regularity_degree() is None
+    assert intransitive.regularity_degree(ActionDomain.ksubsets(7, 2)) is None
+
+
+@pytest.mark.parametrize("domain", [ActionDomain.points(7), ActionDomain.ksubsets(7, 2),
+                                    ActionDomain.ksubsets(7, 3)])
+def test_the_sweep_reaches_the_orbit_of_index_0(domain):
+    group = PermutationGroup([Permutation.from_cycles(7, [(0, 1, 2), (3, 4)]),
+                              Permutation.from_cycles(7, [(1, 5)])])
+    _, reached = group._sweep(domain)
+    assert np.flatnonzero(reached).tolist() == \
+        sorted(next(group._orbit_blocks(domain)).tolist())
+
+
+@pytest.mark.parametrize("wrong", [12, 36, 48])
+def test_a_wrong_recorded_order_fails_the_sweep(wrong):
+    group = _dihedral(12)
+    group._order = wrong
+    with pytest.raises(AssertionError, match="non-uniform stabilizer orders found"):
+        group.regularity_degree()
+
+
+def test_a_recorded_order_below_the_sweep_limit_bounds_the_closure():
+    group = _dihedral(12)
+    group._order = 12
+    with pytest.raises(AssertionError, match="more than 20 elements"):
+        group.regularity_degree(exhaustive_limit=20)
+
+
 def _orbits_by_loop(group, domain):
     gens = [g.images.tolist() for g in group.generators]
     seen = set()

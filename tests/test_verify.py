@@ -96,6 +96,20 @@ def test_no_regular_subgroup_on_petersen():
     assert report.confirmed
 
 
+def test_regular_subgroup_search_refuses_orders_with_four_prime_factors():
+    """C(9,2) = 36 = 2·2·3·3: a group of that order might need 4
+    generators, more than the search tries.  C(8,2) = 28 = 2·2·7 is
+    searched."""
+    trivial = PermutationGroup([Permutation.identity(36)])
+    with pytest.raises(ValueError, match="more than 3 generators"):
+        regular_subgroup_nonexistence(trivial, build_graph(9, 2, {1}))
+    report = regular_subgroup_nonexistence(PermutationGroup([Permutation.identity(28)]),
+                                           build_graph(8, 2, {1}))
+    assert report.confirmed
+    assert [verify._prime_factor_count(m) for m in (1, 2, 6, 10, 28, 36, 97, 1024)] == \
+        [0, 1, 2, 2, 3, 4, 1, 10]
+
+
 def test_lemma_two_orbit_values():
     c3 = PermutationGroup([Permutation.from_cycles(4, [(0, 1, 2)])])
     assert lemma_two_orbit_check(c3).evidence["r"] == 1
