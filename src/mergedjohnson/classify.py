@@ -6,21 +6,25 @@ of automorphisms, constructs explicit witness groups on the vertex set,
 and evaluates the Cayley deficiency d(J), the least vertex-stabilizer
 order over all vertex-transitive automorphism groups.
 
-Most witnesses are induced actions on k-subsets.  For n = 2k the cyclic
-and dihedral ones act on Z_m, m = C(n, k), and one index array relabels
-Z_m onto the vertices so that x <-> x + m/2 is complementation.
+Each theorem is one ordered table, CLAUSES[kind]: a row per case holds
+its test, its witness text and the builder of its witness.  Most witnesses
+are induced actions on k-subsets.  The cyclic and dihedral ones act on the
+vertex ranks as on Z_m, m = C(n, k); for the n = 2k merges a bijection
+carries x <-> x + m/2 to complementation.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import comb, factorial, lgamma, log
 
 import numpy as np
 
 from . import catalog
+from .complement import build_cocycle_data, complement_vertex_group
 from .fields import build_field, prime_power_decomposition
 from .johnson import merge_set
 from .nearfields import affine_group
@@ -31,8 +35,15 @@ from .subsets import complement_ranks, read_only
 def _check_bounds(n, k, I):
     if not 2 <= k <= n // 2:
         raise ValueError("need 2 <= k <= n/2")
-    ms = merge_set(k, I)
-    return ms
+    if n > 10 ** 12:  # case 1 tests n for a prime power by trial division
+        raise ValueError("need n <= 10^12")
+    return merge_set(k, I)
+
+
+def _is_matched(n: int, k: int, I) -> bool:
+    """Whether n = 2k and I is {k} or {1..k-1}, told by size and by k, with
+    no set of 1..k built."""
+    return 2 * k == n and (len(I) == 1 and k in I or len(I) == k - 1 and k not in I)
 
 
 # --------------------------------------------------------------------------
@@ -93,7 +104,7 @@ def _aut_case(n: int, k: int, ms) -> int:
     if ms.is_complete:
         return 0
     if 2 * k == n:
-        if I in (frozenset({k}), frozenset(range(1, k))):
+        if _is_matched(n, k, I):
             return 7
         return 6 if ms.i_prime == ms.i_double_prime else 5
     if (n, k) == (12, 4) and I in (frozenset({1, 3}), frozenset({2, 4})):
@@ -104,17 +115,26 @@ def _aut_case(n: int, k: int, ms) -> int:
     return 4 if frozenset(k + 1 - i for i in I) == I else 3
 
 
+def _vertex_count(n: int, k: int) -> int:
+    """C(n, k), sized by lgamma first: above 10^320 not even the log10 of an
+    order built from it fits a float, and the exact C(n, k) would take
+    minutes to build (40 s at n = 2*10^6)."""
+    if (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10) > 320:
+        raise ValueError("the order is too large to size")
+    return comb(n, k)
+
+
 def aut_descriptor(n: int, k: int, I) -> AutDescriptor:
     case = _aut_case(n, k, _check_bounds(n, k, I))
     if case == 0:
-        return AutDescriptor(0, "Sym(%d)" % comb(n, k),
-                             _power_factorial(0, comb(n, k), "C(%d,%d)!", n, k))
+        m = _vertex_count(n, k)
+        return AutDescriptor(0, "Sym(%d)" % m, _power_factorial(0, m, "C(%d,%d)!", n, k))
     if case == 7:
-        e = comb(n, k) // 2
+        e = _vertex_count(n, k) // 2
         return AutDescriptor(7, "S2 wr S%d" % e,
                              _power_factorial(e, e, "2^%d*%d!", e, e))
     if case == 6:
-        e = comb(n, k) // 2
+        e = _vertex_count(n, k) // 2
         return AutDescriptor(6, "S2^%d : S%d" % (e, n),
                              _power_factorial(e, n, "2^%d*%d!", e, n))
     if case == 5:
@@ -134,146 +154,6 @@ def only_an_sn(n: int, k: int, I) -> bool:
     if 4 <= k < (n - 1) / 2:
         return not catalog.degrees_d_k(k, n)
     return 5 < k == (n - 1) / 2 and frozenset(k + 1 - i for i in ms.I) != ms.I
-
-
-# --------------------------------------------------------------------------
-# Cayley and 2-regular verdicts
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CayleyVerdict:
-    outcome: bool
-    cases: tuple = ()
-    reason: str | None = None
-    witness_spec: str | None = None
-    disconnected: bool = False
-
-    @property
-    def case(self):
-        return self.cases[0] if self.cases else None
-
-
-@dataclass(frozen=True)
-class TwoRegularVerdict:
-    outcome: bool
-    cases: tuple = ()
-    reason: str | None = None
-    witness_specs: tuple = ()
-
-
-def is_connected_family(n: int, k: int, I) -> bool:
-    ms = _check_bounds(n, k, I)
-    return not (2 * k == n and ms.I == frozenset({k}))
-
-
-def _no_reason(n, k, ms):
-    case = _aut_case(n, k, ms)
-    if case == 2:
-        return "GO10-no-regular-subgroup"
-    if case in (5, 6, 7):
-        return "n2k-lemma"
-    if case == 4:
-        return "n-odd-half-lemma"
-    return "aut-is-Sn-no-sharp-group"
-
-
-def classify_cayley(n: int, k: int, I) -> CayleyVerdict:
-    ms = _check_bounds(n, k, I)
-    I = ms.I
-    cases = []
-    specs = []
-    if k == 2 and n % 4 == 3 and prime_power_decomposition(n) is not None:
-        cases.append(1)
-        specs.append("AHL1 over a Dickson near-field of order %d" % n)
-    if (n, k) == (8, 3):
-        cases.append(2)
-        specs.append("AGL1(8) induced on 3-subsets")
-    if (n, k) == (32, 3):
-        cases.append(3)
-        specs.append("AGammaL1(32) induced on 3-subsets")
-    if ms.is_complete:
-        cases.append(4)
-        specs.append("any group of order C(%d,%d), e.g. cyclic" % (n, k))
-    if 2 * k == n and I in (frozenset({k}), frozenset(range(1, k))):
-        cases.append(5)
-        specs.append("any group of order C(%d,%d) on itself, matching paired "
-                      "with complementation" % (n, k))
-    if cases:
-        return CayleyVerdict(True, tuple(cases), witness_spec=specs[0],
-                             disconnected=not is_connected_family(n, k, I))
-    return CayleyVerdict(False, reason=_no_reason(n, k, ms))
-
-
-TWO_REG_PSL28_MERGES = (frozenset({1, 4}), frozenset({2, 3}),
-                        frozenset({1, 4, 5}), frozenset({2, 3, 5}))
-
-
-def classify_two_regular(n: int, k: int, I) -> TwoRegularVerdict:
-    ms = _check_bounds(n, k, I)
-    I = ms.I
-    cases = []
-    specs = []
-    if k == 2 and prime_power_decomposition(n) is not None:
-        cases.append(1)
-        specs.append("AGL1 over a near-field of order %d" % n)
-    if (n, k) == (6, 3):
-        cases.append(2)
-        specs.append("AGL1(5) x S2 on the projective line plus complementation")
-    if (n, k) == (10, 5) and I in TWO_REG_PSL28_MERGES:
-        cases.append(3)
-        specs.append("nonstandard PSL2(8) complement")
-    if 2 * k == n and I in (frozenset({k}), frozenset(range(1, k))):
-        cases.append(4)
-        specs.append("dihedral group of order 2*C(%d,%d) on cosets of a "
-                      "reflection" % (n, k))
-    if ms.is_complete:
-        cases.append(5)
-        specs.append("dihedral group of order 2*C(%d,%d) on cosets of a "
-                      "reflection" % (n, k))
-    if cases:
-        return TwoRegularVerdict(True, tuple(cases), witness_specs=tuple(specs))
-    return TwoRegularVerdict(False, reason=_no_reason(n, k, ms))
-
-
-# --------------------------------------------------------------------------
-# Cayley deficiency
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DeficiencyResult:
-    exact: int | None = None
-    interval: tuple | None = None
-    witness: str | None = None
-    disconnected: bool = False
-
-    def as_json_value(self):
-        if self.exact is not None:
-            return {"exact": self.exact, "witness": self.witness}
-        return {"interval": list(self.interval)}
-
-
-def cayley_deficiency(n: int, k: int, I) -> DeficiencyResult:
-    return _deficiency(n, k, _check_bounds(n, k, I), classify_cayley(n, k, I),
-                       classify_two_regular(n, k, I))
-
-
-def _deficiency(n, k, ms, cayley: CayleyVerdict,
-                two_reg: TwoRegularVerdict) -> DeficiencyResult:
-    if cayley.outcome:
-        return DeficiencyResult(exact=1, witness=cayley.witness_spec,
-                                disconnected=cayley.disconnected)
-    if two_reg.outcome:
-        return DeficiencyResult(exact=2, witness=two_reg.witness_specs[0])
-    upper = _power_factorial(-1, k, "%d!*%d!/2", k, n - k, m2=n - k)
-    if _aut_case(n, k, ms) not in (1, 3):
-        # Aut J exceeds S_n; no exact minimum is known here
-        return DeficiencyResult(interval=(3, upper))
-    if only_an_sn(n, k, ms.I) or not catalog.degrees_d_k(k, n):
-        return DeficiencyResult(exact=upper, witness="A%d" % n)
-    value, witness = catalog.minimal_stabilizer_order(n, k)
-    if value is None:
-        return DeficiencyResult(interval=(3, upper))
-    return DeficiencyResult(exact=value, witness=witness)
 
 
 # --------------------------------------------------------------------------
@@ -333,92 +213,198 @@ def _with_proved_order(group: PermutationGroup) -> PermutationGroup:
     return group
 
 
-def _relabel_group(group: PermutationGroup, to_vertex: np.ndarray) -> PermutationGroup:
-    """Conjugate a degree-m group by the bijection point -> to_vertex[point].
-    A conjugate has the same order, so a recorded order is carried over."""
-    to_vertex = Permutation(to_vertex).images  # ValueError unless a bijection
-    images = to_vertex[group.generator_images[:, invert_array(to_vertex)]]
-    relabelled = PermutationGroup(Permutation._of_rows(read_only(images)))
-    relabelled._order = group._order
-    return relabelled
+def _affine_witness(kind: str, n: int, k: int) -> PermutationGroup:
+    """The affine group of the given kind over GF(n), induced on k-subsets."""
+    p, e = prime_power_decomposition(n)
+    return affine_group(build_field(p, e), kind).induced_subset_action(k)
 
 
-def _matching_bijection(n: int, k: int) -> np.ndarray:
-    """Bijection point -> vertex rank for n = 2k taking x <-> x + m/2 to
-    complementation: x < m/2 goes to the x-th vertex below its complement,
-    in rank order, and x + m/2 to that vertex's complement."""
-    comp = np.array(complement_ranks(n, k))
-    low = np.flatnonzero(np.arange(len(comp)) < comp)
-    return np.concatenate([low, comp[low]])
+def _rank_witness(n: int, k: int, dihedral: bool, matched: bool) -> PermutationGroup:
+    """Z_m, or with dihedral the group of _dihedral_coset_action, on the
+    m = C(n, k) vertex ranks.  When matched (n = 2k), its generators are
+    conjugated by the bijection that sends x < m/2 to the x-th vertex below
+    its complement, in rank order, and x + m/2 to that vertex's complement,
+    so that x <-> x + m/2 is complementation.  The certificate of
+    _with_proved_order does not change under relabelling: it records the
+    order either way."""
+    m = comb(n, k)
+    points = np.arange(m)
+    rows = np.array([(points + 1) % m, -points % m][:1 + dihedral])
+    if matched:
+        comp = np.array(complement_ranks(n, k))
+        low = np.flatnonzero(points < comp)
+        to_vertex = np.concatenate([low, comp[low]])
+        rows = to_vertex[rows[:, invert_array(to_vertex)]]
+    return _with_proved_order(PermutationGroup(Permutation._of_rows(read_only(rows))))
+
+
+def _psl28_witness(n: int, k: int) -> PermutationGroup:
+    """The nonstandard PSL2(8) complement of cocycle class 1 on J(10,5)."""
+    return complement_vertex_group(build_cocycle_data(delta_label=1))
+
+
+# --------------------------------------------------------------------------
+# Cayley and 2-regular verdicts
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CayleyVerdict:
+    outcome: bool
+    cases: tuple = ()
+    reason: str | None = None
+    witness_spec: str | None = None
+    disconnected: bool = False
+
+    @property
+    def case(self):
+        return self.cases[0] if self.cases else None
+
+
+@dataclass(frozen=True)
+class TwoRegularVerdict:
+    outcome: bool
+    cases: tuple = ()
+    reason: str | None = None
+    witness_specs: tuple = ()
+
+
+def is_connected_family(n: int, k: int, I) -> bool:
+    ms = _check_bounds(n, k, I)
+    return not (2 * k == n and ms.I == frozenset({k}))
+
+
+def _no_reason(n, k, ms):
+    case = _aut_case(n, k, ms)
+    if case == 2:
+        return "GO10-no-regular-subgroup"
+    if case in (5, 6, 7):
+        return "n2k-lemma"
+    if case == 4:
+        return "n-odd-half-lemma"
+    return "aut-is-Sn-no-sharp-group"
+
+
+TWO_REG_PSL28_MERGES = (frozenset({1, 4}), frozenset({2, 3}),
+                        frozenset({1, 4, 5}), frozenset({2, 3, 5}))
+
+_DIHEDRAL = "dihedral group of order 2*C({n},{k}) on cosets of a reflection"
+
+# Each theorem as its cases in order, one row each: (case, applies(n, k, ms),
+# spec, build(n, k)).  spec.format(n=n, k=k) is the witness text, and build
+# makes the witness on the C(n, k) vertices.  Builders are functions of this
+# module, so the library functions they call are looked up when they run.
+CLAUSES = {
+    "cayley": (
+        (1, lambda n, k, ms: k == 2 and n % 4 == 3 and prime_power_decomposition(n) is not None,
+         "AHL1 over a Dickson near-field of order {n}", partial(_affine_witness, "AHL")),
+        (2, lambda n, k, ms: (n, k) == (8, 3),
+         "AGL1(8) induced on 3-subsets", partial(_affine_witness, "AGL")),
+        (3, lambda n, k, ms: (n, k) == (32, 3),
+         "AGammaL1(32) induced on 3-subsets", partial(_affine_witness, "AGammaL")),
+        (4, lambda n, k, ms: ms.is_complete,
+         "any group of order C({n},{k}), e.g. cyclic",
+         partial(_rank_witness, dihedral=False, matched=False)),
+        (5, lambda n, k, ms: _is_matched(n, k, ms.I),
+         "any group of order C({n},{k}) on itself, matching paired with complementation",
+         partial(_rank_witness, dihedral=False, matched=True)),
+    ),
+    "two-regular": (
+        (1, lambda n, k, ms: k == 2 and prime_power_decomposition(n) is not None,
+         "AGL1 over a near-field of order {n}", partial(_affine_witness, "AGL")),
+        (2, lambda n, k, ms: (n, k) == (6, 3),
+         "AGL1(5) x S2 on the projective line plus complementation",
+         lambda n, k: _projective_line6_group()),
+        (3, lambda n, k, ms: (n, k) == (10, 5) and ms.I in TWO_REG_PSL28_MERGES,
+         "nonstandard PSL2(8) complement", _psl28_witness),
+        (4, lambda n, k, ms: _is_matched(n, k, ms.I), _DIHEDRAL,
+         partial(_rank_witness, dihedral=True, matched=True)),
+        (5, lambda n, k, ms: ms.is_complete, _DIHEDRAL,
+         partial(_rank_witness, dihedral=True, matched=False)),
+    ),
+}
+
+
+def _clauses(kind: str, n: int, k: int, ms) -> list:
+    """The rows of CLAUSES[kind] that apply to J(n,k)_I, in case order."""
+    return [row for row in CLAUSES[kind] if row[1](n, k, ms)]
+
+
+def classify_cayley(n: int, k: int, I) -> CayleyVerdict:
+    ms = _check_bounds(n, k, I)
+    rows = _clauses("cayley", n, k, ms)
+    if rows:
+        return CayleyVerdict(True, tuple(row[0] for row in rows),
+                             witness_spec=rows[0][2].format(n=n, k=k),
+                             disconnected=not is_connected_family(n, k, ms.I))
+    return CayleyVerdict(False, reason=_no_reason(n, k, ms))
+
+
+def classify_two_regular(n: int, k: int, I) -> TwoRegularVerdict:
+    ms = _check_bounds(n, k, I)
+    rows = _clauses("two-regular", n, k, ms)
+    if rows:
+        return TwoRegularVerdict(True, tuple(row[0] for row in rows), witness_specs=tuple(
+            row[2].format(n=n, k=k) for row in rows))
+    return TwoRegularVerdict(False, reason=_no_reason(n, k, ms))
 
 
 def witness_group(n: int, k: int, I, kind: str = "cayley",
                   case: int | None = None) -> PermutationGroup:
     """A concrete witness on the C(n,k) vertices: regular (kind='cayley')
-    or 2-regular (kind='two-regular')."""
+    or 2-regular (kind='two-regular'), built by the row of the given case,
+    by default the first that applies."""
     ms = _check_bounds(n, k, I)
-    if kind == "cayley":
-        verdict = classify_cayley(n, k, I)
-        if not verdict.outcome:
-            raise ValueError("no regular group exists for (%d, %d, %s)"
-                             % (n, k, sorted(ms.I)))
-        case = case if case is not None else verdict.case
-        if case not in verdict.cases:
-            raise ValueError("case %r does not apply" % case)
-        return _cayley_witness(n, k, case)
-    if kind == "two-regular":
-        verdict = classify_two_regular(n, k, I)
-        if not verdict.outcome:
-            raise ValueError("no 2-regular group exists for (%d, %d, %s)"
-                             % (n, k, sorted(ms.I)))
-        case = case if case is not None else verdict.cases[0]
-        if case not in verdict.cases:
-            raise ValueError("case %r does not apply" % case)
-        return _two_regular_witness(n, k, case)
-    raise ValueError("kind must be 'cayley' or 'two-regular'")
+    if kind not in CLAUSES:
+        raise ValueError("kind must be 'cayley' or 'two-regular'")
+    rows = _clauses(kind, n, k, ms)
+    if not rows:
+        raise ValueError("no %s group exists for (%d, %d, %s)" % (
+            "regular" if kind == "cayley" else "2-regular", n, k, sorted(ms.I)))
+    for row in rows:
+        if case in (None, row[0]):
+            return row[3](n, k)
+    raise ValueError("case %r does not apply" % case)
 
 
-def _cayley_witness(n: int, k: int, case: int) -> PermutationGroup:
-    m = comb(n, k)
-    if case == 1:
-        p, e = prime_power_decomposition(n)
-        return affine_group(build_field(p, e), "AHL").induced_subset_action(k)
-    if case == 2:
-        return affine_group(build_field(2, 3), "AGL").induced_subset_action(3)
-    if case == 3:
-        return affine_group(build_field(2, 5), "AGammaL").induced_subset_action(3)
-    if case in (4, 5):
-        # the cyclic group on itself: any vertex identification works on
-        # case 4's complete graph, and case 5 aligns its involution's
-        # pairing x <-> x + m/2 with complementation
-        cycle = Permutation((np.arange(m) + 1) % m)
-        cyclic = _with_proved_order(PermutationGroup([cycle]))
-        return cyclic if case == 4 else _relabel_group(cyclic, _matching_bijection(n, k))
-    raise ValueError("unknown case %r" % case)
+# --------------------------------------------------------------------------
+# Cayley deficiency
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class DeficiencyResult:
+    exact: int | None = None
+    interval: tuple | None = None
+    witness: str | None = None
+    disconnected: bool = False
+
+    def as_json_value(self):
+        if self.exact is not None:
+            return {"exact": self.exact, "witness": self.witness}
+        return {"interval": list(self.interval)}
 
 
-def _two_regular_witness(n: int, k: int, case: int) -> PermutationGroup:
-    m = comb(n, k)
-    if case == 1:
-        p, e = prime_power_decomposition(n)
-        return affine_group(build_field(p, e), "AGL").induced_subset_action(2)
-    if case == 2:
-        return _projective_line6_group()
-    if case == 3:
-        from .complement import build_cocycle_data, complement_vertex_group
+def cayley_deficiency(n: int, k: int, I) -> DeficiencyResult:
+    return _deficiency(n, k, _check_bounds(n, k, I), classify_cayley(n, k, I),
+                       classify_two_regular(n, k, I))
 
-        data = build_cocycle_data(delta_label=1)
-        return complement_vertex_group(data)
-    if case in (4, 5):
-        group = _dihedral_coset_action(m)
-        if case == 4:
-            group = _relabel_group(group, _matching_bijection(n, k))
-        # the certificate in _dihedral_coset_action recorded the order; were
-        # it to fail, the stabilizer chain would give it
-        if group.order != 2 * m:
-            raise AssertionError("dihedral coset action has order %d" % group.order)
-        return group
-    raise ValueError("unknown case %r" % case)
+
+def _deficiency(n, k, ms, cayley: CayleyVerdict,
+                two_reg: TwoRegularVerdict) -> DeficiencyResult:
+    if cayley.outcome:
+        return DeficiencyResult(exact=1, witness=cayley.witness_spec,
+                                disconnected=cayley.disconnected)
+    if two_reg.outcome:
+        return DeficiencyResult(exact=2, witness=two_reg.witness_specs[0])
+    upper = _power_factorial(-1, k, "%d!*%d!/2", k, n - k, m2=n - k)
+    if _aut_case(n, k, ms) not in (1, 3):
+        # Aut J exceeds S_n; no exact minimum is known here
+        return DeficiencyResult(interval=(3, upper))
+    if only_an_sn(n, k, ms.I) or not catalog.degrees_d_k(k, n):
+        return DeficiencyResult(exact=upper, witness="A%d" % n)
+    value, witness = catalog.minimal_stabilizer_order(n, k)
+    if value is None:
+        return DeficiencyResult(interval=(3, upper))
+    return DeficiencyResult(exact=value, witness=witness)
 
 
 # --------------------------------------------------------------------------
@@ -440,7 +426,7 @@ def classify_instance(n: int, k: int, I) -> dict:
         "cayley": {"outcome": "YES" if cayley.outcome else "NO"},
         "two_regular": {"outcome": "YES" if two_reg.outcome else "NO"},
         "deficiency": deficiency.as_json_value(),
-        "connected": is_connected_family(n, k, I),
+        "connected": not cayley.disconnected,  # a disconnected J is Cayley case 5
     }
     if cayley.outcome:
         record["cayley"]["case"] = cayley.case

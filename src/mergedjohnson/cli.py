@@ -7,7 +7,6 @@ verification claim, 2 usage error.
 from __future__ import annotations
 
 import json
-import math
 import sys
 
 import click
@@ -16,9 +15,8 @@ from . import classify as cls
 from . import complement as cpl
 from . import verify as vfy
 from .johnson import build_graph
-from .nearfields import (affine_group, build_dickson, exceptional_group,
-                         exceptional_spec, is_dickson_pair)
-from .perms import PermutationGroup, StabilizerChain
+from .nearfields import affine_group, build_dickson, exceptional_group, exceptional_spec
+from .perms import PermutationGroup
 
 
 def _parse_merge(value: str, k: int) -> frozenset:
@@ -26,7 +24,7 @@ def _parse_merge(value: str, k: int) -> frozenset:
         I = frozenset(int(part) for part in value.split(","))
     except ValueError:
         raise click.UsageError("merge set must be a comma list of integers")
-    if not I or not I <= set(range(1, k + 1)):
+    if not I or not all(map(range(1, k + 1).__contains__, I)):
         raise click.UsageError("merge set must be a nonempty subset of 1..k")
     return I
 
@@ -147,23 +145,6 @@ def group():
     """Witness group construction."""
 
 
-# Largest near-field order that `group` builds: past it, n^2 exceeds the
-# stabilizer chain's transversal cache budget (16 M entries), so a chain at
-# degree n takes minutes, and two n x n int32 near-field tables come first.
-MAX_NEARFIELD_ORDER = math.isqrt(StabilizerChain._CACHE_BUDGET)
-
-
-def _dickson(q, d):
-    """The Dickson near-field of order q^d; ValueError on bad input."""
-    # q^d >= 2^d, so capping the exponent decides even a huge d at once
-    if q >= 2 and q ** min(d, MAX_NEARFIELD_ORDER.bit_length()) > MAX_NEARFIELD_ORDER:
-        raise ValueError("near-field order %d^%d exceeds %d, the largest "
-                         "order that group builds" % (q, d, MAX_NEARFIELD_ORDER))
-    if not is_dickson_pair(q, d):
-        raise ValueError("(%d, %d) is not a Dickson pair" % (q, d))
-    return build_dickson(q, d)
-
-
 def _affine_cmd(kind):
     @click.option("-q", required=True, type=int)
     @click.option("-d", type=int, default=None,
@@ -171,7 +152,7 @@ def _affine_cmd(kind):
     def run(q, d):
         d = 1 if d is None else d
         try:
-            g = affine_group(_dickson(q, d), kind)
+            g = affine_group(build_dickson(q, d), kind)
         except ValueError as exc:
             raise click.UsageError(str(exc))
         _emit(_group_record(g, kind=kind, q=q, d=d), sys.stdout)
@@ -189,7 +170,7 @@ group.command("agammal")(_affine_cmd("AGammaL"))
 def group_dickson(q, d):
     """Build a Dickson near-field and emit its structure."""
     try:
-        nf = _dickson(q, d)
+        nf = build_dickson(q, d)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     sys.stdout.write(nf.export_json() + "\n")

@@ -25,6 +25,20 @@ import numpy as np
 from .subsets import read_only
 
 
+# The largest field or near-field order built.  Past it a group at that
+# degree outgrows the stabilizer chain's transversal cache (4000^2 = 16 M
+# entries) and takes minutes, and a near-field's two order x order int32
+# tables come first.
+DESK_BOUND = 4000
+
+
+def check_desk_bound(q: int, d: int) -> None:
+    """ValueError when q^d exceeds DESK_BOUND, before q is factored.
+    q^d >= 2^d, so capping the exponent decides even a huge d at once."""
+    if q >= 2 and q ** min(d, DESK_BOUND.bit_length()) > DESK_BOUND:
+        raise ValueError("order %d^%d exceeds the desk bound %d" % (q, d, DESK_BOUND))
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -99,12 +113,11 @@ class FiniteField:
     """GF(p^e) with precomputed discrete logs over a primitive element."""
 
     def __init__(self, p: int, e: int, modulus=None):
+        check_desk_bound(p, e)
         if not is_prime(p):
             raise ValueError("p = %d is not prime" % p)
         if e < 1:
             raise ValueError("e must be positive")
-        if p ** e > 2 ** 32:
-            raise ValueError("field order exceeds the desk bound 2^32")
         self.p = p
         self.e = e
         self.order = p ** e
@@ -146,9 +159,6 @@ class FiniteField:
 
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
 
     def _mul_poly(self, a, b):
         if self.e == 1:

@@ -34,7 +34,8 @@ class MergeSet:
     def __post_init__(self):
         if not self.I:
             raise ValueError("merge set must be nonempty")
-        if not self.I <= set(range(1, self.k + 1)):
+        # membership in a range is O(1), where a set of 1..k costs O(k)
+        if not all(map(range(1, self.k + 1).__contains__, self.I)):
             raise ValueError("merge set %s not contained in {1..%d}"
                              % (sorted(self.I), self.k))
 
@@ -48,7 +49,7 @@ class MergeSet:
 
     @property
     def is_complete(self) -> bool:
-        return self.I == frozenset(range(1, self.k + 1))
+        return len(self.I) == self.k  # I is a subset of 1..k
 
 
 def merge_set(k: int, I) -> MergeSet:

@@ -28,7 +28,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import FiniteField, build_field, prime_power_decomposition
+from .fields import (FiniteField, build_field, check_desk_bound,
+                     prime_power_decomposition)
 from .perms import Permutation, PermutationGroup, closure, frontier_bfs
 from .subsets import read_only
 
@@ -38,25 +39,19 @@ from .subsets import read_only
 # --------------------------------------------------------------------------
 
 def is_dickson_pair(q: int, d: int) -> bool:
-    """True iff every prime r dividing d, and r = 4 when 4 | d, divides q - 1."""
+    """True iff every prime r dividing d, and r = 4 when 4 | d, divides q - 1.
+
+    d is not factored: dividing out gcd(d, q - 1) until it is 1 removes
+    exactly the primes of d that divide q - 1, so every prime of d does
+    when nothing is left."""
     if prime_power_decomposition(q) is None:
         raise ValueError("q = %d is not a prime power" % q)
     if d < 1:
         raise ValueError("d must be positive")
-    return (all((q - 1) % r == 0 for r in _prime_divisors(d))
-            and (d % 4 != 0 or (q - 1) % 4 == 0))
-
-
-def _prime_divisors(d: int) -> list[int]:
-    """The primes dividing d >= 1, by trial division up to sqrt(d)."""
-    primes, r = [], 2
-    while r * r <= d:
-        if d % r == 0:
-            primes.append(r)
-            while d % r == 0:
-                d //= r
-        r += 1
-    return primes + [d] if d > 1 else primes
+    rest = d
+    while (g := math.gcd(rest, q - 1)) > 1:
+        rest //= g
+    return rest == 1 and (d % 4 != 0 or (q - 1) % 4 == 0)
 
 
 @dataclass(frozen=True)
@@ -198,13 +193,8 @@ class NearField:
         return json.dumps(data)
 
 
-_DESK_BOUND = 2 ** 16
-
-
 def build_dickson(q: int, d: int) -> NearField:
-    # q^d >= 2^d, so capping the exponent decides even a huge d at once
-    if q >= 2 and q ** min(d, _DESK_BOUND.bit_length()) > _DESK_BOUND:
-        raise ValueError("near-field order exceeds the desk bound 2^16")
+    check_desk_bound(q, d)
     return NearField(DicksonPair(q, d))
 
 
@@ -291,10 +281,6 @@ class ExceptionalSpec:
     p: int
     variant: int  # distinguishes the two p = 11 cases
     g0_structure: str  # 2T | 2O | 2I | 2TxC5 | 2OxC11 | 2IxC7 | 2IxC29
-
-    @property
-    def g0_order(self) -> int:
-        return self.p * self.p - 1
 
 
 EXCEPTIONAL_SPECS: tuple[ExceptionalSpec, ...] = (

@@ -36,6 +36,9 @@ from .subsets import all_masks, ksubset_rank, ksubsets, read_only
 # entries of the (elements, domain points[, k]) block compared at a time in
 # the stabilizer sweep
 _BLOCK_ENTRIES = 1 << 22
+# image entries (order x degree) of the largest closure the stabilizer sweep
+# holds, 128 MB as uint32: J(32,3)'s AGammaL1(32) has 4960 x 4960
+_SWEEP_ENTRIES = 1 << 25
 # entries of a uint32 index array gathered at a time: numpy copies such an
 # array to intp before it gathers, and this bounds the copy
 _GATHER_ENTRIES = 1 << 16
@@ -669,24 +672,26 @@ class PermutationGroup:
         """Common vertex-stabilizer order r if transitive, else None.
 
         r = |G| / |domain| by orbit-stabilizer, with |G| the recorded order
-        or the chain's.  A group of order at most exhaustive_limit is
-        enumerated, once: every element's images give the stabilizer order
-        at every domain point, which must all equal r, and the images of
-        index 0 give its orbit, so no orbit search runs.  The enumeration
-        shares no code with the chain or with any construction that records
-        an order, so a wrong order of a transitive group fails here.  A
-        larger group takes its
-        orbit from a breadth-first search and is not enumerated.
+        or the chain's.  A group of order at most exhaustive_limit whose
+        images fit in _SWEEP_ENTRIES is enumerated, once: every
+        element's images give the stabilizer order at every domain point,
+        which must all equal r, and the images of index 0 give its orbit, so
+        no orbit search runs.  The enumeration shares no code with the chain
+        or with any construction that records an order, so a wrong order of
+        a transitive group fails here.  Any other group takes its orbit from
+        a breadth-first search and is not enumerated.
         """
         if domain is None:
             domain = ActionDomain.points(self.degree)
         order = self.order
-        if order <= exhaustive_limit:
+        limit = min(exhaustive_limit, _SWEEP_ENTRIES // self.degree)
+        sweep = order <= limit
+        if sweep:
             try:
-                counts, reached = self._sweep(domain, exhaustive_limit)
+                counts, reached = self._sweep(domain, limit)
             except ValueError:
                 raise AssertionError("order %d, but the group has more than %d "
-                                     "elements" % (order, exhaustive_limit)) from None
+                                     "elements" % (order, limit)) from None
             if not reached.all():
                 return None
         elif self._orbit_size(domain) != domain.size:
@@ -695,7 +700,7 @@ class PermutationGroup:
             raise AssertionError("orbit-stabilizer violation: %d points, order %d"
                                  % (domain.size, order))
         r = order // domain.size
-        if order <= exhaustive_limit and (counts != r).any():
+        if sweep and (counts != r).any():
             raise AssertionError("non-uniform stabilizer orders found")
         return r
 

@@ -1,10 +1,9 @@
-from math import factorial, log10
+from math import comb, factorial, log10
 
 import numpy as np
 import pytest
 
-from mergedjohnson.classify import (_dihedral_coset_action, _matching_bijection,
-                                    _relabel_group, _with_proved_order,
+from mergedjohnson.classify import (CLAUSES, _dihedral_coset_action, _with_proved_order,
                                     aut_descriptor, cayley_deficiency,
                                     census_instances, classify_cayley,
                                     classify_instance, classify_two_regular,
@@ -230,15 +229,24 @@ def test_the_dihedral_certificate_needs_three_points():
         assert group._order == 2 * m == _fresh_order(group)
 
 
-def test_relabelling_carries_the_order_only_through_a_bijection():
-    group = _dihedral_coset_action(20)
-    relabelled = _relabel_group(group, _matching_bijection(6, 3))
-    assert relabelled._chain is None
-    assert relabelled._order == 40 == _fresh_order(relabelled)
-    not_bijective = _matching_bijection(6, 3).copy()
-    not_bijective[1] = not_bijective[0]
-    with pytest.raises(ValueError, match="not a bijection"):
-        _relabel_group(group, not_bijective)
+def test_every_clause_row_fires_and_builds_only_where_it_applies():
+    # every row fires in the census range but Cayley case 3, which is J(32,3)
+    fired = set()
+    for n, k, I in [*census_instances(14), (32, 3, frozenset({1}))]:
+        for kind, verdict in (("cayley", classify_cayley(n, k, I)),
+                              ("two-regular", classify_two_regular(n, k, I))):
+            if not verdict.outcome:
+                continue
+            for case, *_ in CLAUSES[kind]:
+                if case in verdict.cases:
+                    fired.add((kind, case))
+                    assert witness_group(n, k, I, kind, case).degree == comb(n, k)
+                else:
+                    with pytest.raises(ValueError, match="case %d does not apply" % case):
+                        witness_group(n, k, I, kind, case)
+    assert fired == {(kind, row[0]) for kind, rows in CLAUSES.items() for row in rows}
+    assert [row[0] for row in CLAUSES["cayley"]] == [1, 2, 3, 4, 5]
+    assert [row[0] for row in CLAUSES["two-regular"]] == [1, 2, 3, 4, 5]
 
 
 def test_witness_refuses_impossible_requests():

@@ -154,12 +154,12 @@ def test_group_non_prime_power_is_usage_error():
                                   ("dickson", "-q", "251", "-d", "2"),
                                   ("agammal", "-q", "2", "-d", "1000000000")])
 def test_group_too_large_is_refused_unbuilt(monkeypatch, args):
-    from mergedjohnson import cli
+    from mergedjohnson import nearfields
 
-    def refuse(q, d):
-        raise AssertionError("built a near-field of order %d^%d" % (q, d))
+    def refuse(pair):
+        raise AssertionError("built a near-field of order %d^%d" % (pair.q, pair.d))
 
-    monkeypatch.setattr(cli, "build_dickson", refuse)
+    monkeypatch.setattr(nearfields, "NearField", refuse)
     t0 = time.perf_counter()
     _usage_error(run("group", *args))
     assert time.perf_counter() - t0 < 1.0
@@ -181,6 +181,26 @@ def test_classify_huge_deficiency_bound_by_formula():
         log10 = (lgamma(k + 1) + lgamma(n - k + 1) - log(2)) / log(10)
         assert abs(high["log10"] - log10) < 1e-3
         assert time.perf_counter() - t0 < 5.0
+
+
+@pytest.mark.parametrize("n, k, merge, code", [
+    # a merge set tested without a set of 1..k
+    (2 * 10 ** 6, 10 ** 6, "1", 0), (10 ** 7, 5 * 10 ** 6, "1", 0),
+    (10 ** 8, 5 * 10 ** 7, "1", 0),
+    # C(n, k) sized before it is built: the order would not fit a float
+    (2 * 10 ** 6, 10 ** 6, "1000000", 2), (2 * 10 ** 6, 10 ** 6, "1,999999", 2),
+    # the prime-power test by trial division stops at n = 10^12
+    (10 ** 12 - 11, 2, "1", 0), (10 ** 12 + 39, 2, "1", 2),
+    (10 ** 18 + 3, 2, "1", 2)])
+def test_classify_answers_in_bounded_time(n, k, merge, code):
+    t0 = time.perf_counter()
+    result = run("classify", "-n", str(n), "-k", str(k), "-I", merge)
+    assert time.perf_counter() - t0 < 1.0
+    if code:
+        _usage_error(result)
+    else:
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["n"] == n
 
 
 def test_verify_fast_confirms_every_fast_claim():

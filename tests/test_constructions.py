@@ -3,7 +3,9 @@
 The digests were recorded before the point maps were first shared between
 constructions, and they still hold with every map built as an index array;
 any change to a point order, a generator or its position in the generator
-list changes a digest.
+list changes a digest.  The cyclic and dihedral witnesses of J(10,5) and
+J(12,6) were recorded while they were still built on Z_m and relabelled
+onto the vertices as a separate step.
 """
 
 import hashlib
@@ -151,6 +153,16 @@ PINNED = {
         "3bd41e575030252ba6dd84709c54eeb1e31592316ea4f5e6270d366d74b4ba38",
     "psl2 9":
         "de971601be4c217c5af0e88c5c664e5ed607d0a1ab555750e389ce7745ee9fe1",
+    "witness 10 5 two-regular 4":
+        "9da17c51683142886cd893198a4816e63bdaa376d74d93fd89068ac67927d6eb",
+    "witness 12 6 cayley 4":
+        "1e5bee189fddece4dd9f4479849d719fe884247d50532d6535f5712b9b0d1b72",
+    "witness 12 6 cayley 5":
+        "e153584764e8c94f4696c851fea080deda8e1feb7f38792b9111534702fb6cdc",
+    "witness 12 6 two-regular 4":
+        "ab02cb0a0ff701ed3538fcf58dd08b30a0f7e1755e2b281864720b4d18552205",
+    "witness 12 6 two-regular 5":
+        "e49cab54968ec1de326725cec1e062b777a9b67cc63abd95a261dc1fd35fb9f2",
 }
 
 
@@ -180,6 +192,12 @@ def build(key):
     if kind == "exceptional":
         spec = nearfields.exceptional_spec(int(args[0]), int(args[1]))
         return nearfields.exceptional_group(spec).generators
+    if kind == "witness":
+        n, k, case = int(args[0]), int(args[1]), int(args[3])
+        # cayley 4 and two-regular 5 are the complete merges, the others {k}
+        complete = (args[2], case) in (("cayley", 4), ("two-regular", 5))
+        merge = set(range(1, k + 1)) if complete else {k}
+        return classify.witness_group(n, k, merge, args[2], case).generators
     if kind == "complement":
         data = complement.build_cocycle_data(int(args[0]))
         return complement.complement_vertex_group(data).generators

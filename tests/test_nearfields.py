@@ -2,8 +2,8 @@ import time
 
 import pytest
 
-from mergedjohnson import nearfields
-from mergedjohnson.fields import build_field, prime_power_decomposition
+from mergedjohnson import fields, nearfields
+from mergedjohnson.fields import FiniteField, build_field, prime_power_decomposition
 from mergedjohnson.nearfields import (EXCEPTIONAL_SPECS, affine_group,
                                       build_dickson, exceptional_group,
                                       exceptional_spec, is_dickson_pair)
@@ -26,6 +26,43 @@ def test_dickson_bounds_come_before_the_work():
     with pytest.raises(ValueError, match="desk bound"):
         build_dickson(3, 10 ** 9)
     assert time.perf_counter() - t0 < 1.0
+
+
+def _dickson_pair_by_trial_division(q, d):
+    primes, r, rest = [], 2, d
+    while r * r <= rest:
+        if rest % r == 0:
+            primes.append(r)
+            while rest % r == 0:
+                rest //= r
+        r += 1
+    if rest > 1:
+        primes.append(rest)
+    return (all((q - 1) % r == 0 for r in primes)
+            and (d % 4 != 0 or (q - 1) % 4 == 0))
+
+
+def test_dickson_pair_by_gcd_matches_trial_division():
+    prime_powers = [q for q in range(2, 300) if prime_power_decomposition(q)]
+    mismatches = [(q, d) for q in prime_powers for d in range(1, 600)
+                  if is_dickson_pair(q, d) != _dickson_pair_by_trial_division(q, d)]
+    assert mismatches == []
+
+
+def test_one_desk_bound_for_fields_and_near_fields(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("factored or built %r" % (args,))
+
+    # the bound comes before q is factored and before anything is built
+    monkeypatch.setattr(nearfields, "prime_power_decomposition", refuse)
+    monkeypatch.setattr(nearfields, "NearField", refuse)
+    monkeypatch.setattr(fields, "is_prime", refuse)
+    for q, d in [(65521, 1), (4001, 1), (2, 12), (3, 10 ** 9), (10 ** 30 + 1, 1)]:
+        with pytest.raises(ValueError, match="desk bound 4000"):
+            build_dickson(q, d)
+    for p, e in [(65537, 1), (2, 32), (64, 2)]:
+        with pytest.raises(ValueError, match="desk bound 4000"):
+            FiniteField(p, e)
 
 
 def test_dickson_9_is_a_proper_near_field():

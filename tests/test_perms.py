@@ -222,6 +222,25 @@ def test_a_recorded_order_below_the_sweep_limit_bounds_the_closure():
         group.regularity_degree(exhaustive_limit=20)
 
 
+def test_a_closure_too_large_to_hold_is_not_swept(monkeypatch):
+    # 12 870 elements at degree 12 870 would hold 660 MB of images at once
+    group = _witness(16, 8, range(1, 9), "cayley", 4)
+
+    def refuse(self, limit=None):
+        raise AssertionError("enumerated %d elements" % self.order)
+
+    monkeypatch.setattr(PermutationGroup, "_closure_blocks", refuse)
+    assert group.order * group.degree > perms._SWEEP_ENTRIES
+    assert group.regularity_degree() == 1
+
+
+@pytest.mark.parametrize("n, k, I, kind, case", [(32, 3, (1,), "cayley", 3),
+                                                 (14, 7, (7,), "two-regular", 4)])
+def test_the_largest_witnesses_swept_still_fit_the_sweep(n, k, I, kind, case):
+    group = _witness(n, k, I, kind, case)
+    assert group.order * group.degree <= perms._SWEEP_ENTRIES
+
+
 def _orbits_by_loop(group, domain):
     gens = [g.images.tolist() for g in group.generators]
     seen = set()
