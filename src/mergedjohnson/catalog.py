@@ -8,12 +8,17 @@ and ships with degree and order; groups that fit on a desk (degree <= 64,
 order below a few hundred million) carry their constructor, the rest are
 data only.  The groups PSL2(q) <= G <= PGammaL2(q) on the projective line
 all come from `projective_line_group`.
+
+`minimal_stabilizer_order` builds each record's group at most once per
+process, on first use, and checks it k-homogeneous at most once per
+(record, k).  Both caches are bounded by the table, and nothing is built
+at import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from math import comb, factorial
 from typing import Callable
 
@@ -302,13 +307,31 @@ def khomog_candidates(n: int, k: int):
     return records, complete
 
 
+@cache
+def _group(rec: HomogRecord) -> PermutationGroup:
+    """rec's group, built once per process.  `construct` still builds a
+    fresh group on every call."""
+    return rec.construct()
+
+
+@cache
+def _is_k_homogeneous(rec: HomogRecord, k: int) -> bool:
+    """Whether rec's group is transitive on k-subsets, by orbit counting,
+    checked once per (record, k)."""
+    group = _group(rec)
+    if group.degree != rec.degree:
+        raise AssertionError("catalog degree mismatch for %s" % rec.name)
+    return group.is_transitive(ActionDomain.ksubsets(rec.degree, k))
+
+
 def minimal_stabilizer_order(n: int, k: int):
     """min |G| / C(n,k) over A_n, S_n and the catalog groups of degree n
     that are k-homogeneous.  Returns (value, witness_name) when exact, or
     (None, None) when the catalog at this degree cannot be certified.
 
     Catalog groups are verified k-homogeneous by orbit counting when
-    constructible; the formula k!(n-k)!/2 is the A_n bound.
+    constructible, once per (record, k); the formula k!(n-k)!/2 is the A_n
+    bound.
     """
     records, complete = khomog_candidates(n, k)
     if not complete:
@@ -323,12 +346,8 @@ def minimal_stabilizer_order(n: int, k: int):
         r = rec.order // vertices
         if r >= best:
             continue
-        if rec.build is not None:
-            group = rec.construct()
-            if group.degree != n:
-                raise AssertionError("catalog degree mismatch for %s" % rec.name)
-            if not group.is_transitive(ActionDomain.ksubsets(n, k)):
-                continue
+        if rec.build is not None and not _is_k_homogeneous(rec, k):
+            continue
         # data-only records are trusted classification data; their
         # orders still bound the minimum correctly
         best, best_name = r, rec.name

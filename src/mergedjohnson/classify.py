@@ -25,7 +25,7 @@ import numpy as np
 
 from . import catalog
 from .complement import build_cocycle_data, complement_vertex_group
-from .fields import build_field, prime_power_decomposition
+from .fields import FACTOR_BOUND, build_field, prime_power_decomposition
 from .johnson import merge_set
 from .nearfields import affine_group
 from .perms import Permutation, PermutationGroup, invert_array
@@ -35,7 +35,7 @@ from .subsets import complement_ranks, read_only
 def _check_bounds(n, k, I):
     if not 2 <= k <= n // 2:
         raise ValueError("need 2 <= k <= n/2")
-    if n > 10 ** 12:  # case 1 tests n for a prime power by trial division
+    if n > FACTOR_BOUND:  # case 1 tests n for a prime power by trial division
         raise ValueError("need n <= 10^12")
     return merge_set(k, I)
 
@@ -125,7 +125,10 @@ def _vertex_count(n: int, k: int) -> int:
 
 
 def aut_descriptor(n: int, k: int, I) -> AutDescriptor:
-    case = _aut_case(n, k, _check_bounds(n, k, I))
+    return _aut_descriptor(n, k, _aut_case(n, k, _check_bounds(n, k, I)))
+
+
+def _aut_descriptor(n: int, k: int, case: int) -> AutDescriptor:
     if case == 0:
         m = _vertex_count(n, k)
         return AutDescriptor(0, "Sym(%d)" % m, _power_factorial(0, m, "C(%d,%d)!", n, k))
@@ -148,7 +151,10 @@ def aut_descriptor(n: int, k: int, I) -> AutDescriptor:
 def only_an_sn(n: int, k: int, I) -> bool:
     """Whether A_n and S_n are the only vertex-transitive automorphism
     groups of J(n,k)_I."""
-    ms = _check_bounds(n, k, I)
+    return _only_an_sn(n, k, _check_bounds(n, k, I))
+
+
+def _only_an_sn(n: int, k: int, ms) -> bool:
     if ms.is_complete:
         return False
     if 4 <= k < (n - 1) / 2:
@@ -269,12 +275,14 @@ class TwoRegularVerdict:
 
 
 def is_connected_family(n: int, k: int, I) -> bool:
-    ms = _check_bounds(n, k, I)
+    return _is_connected(n, k, _check_bounds(n, k, I))
+
+
+def _is_connected(n: int, k: int, ms) -> bool:
     return not (2 * k == n and ms.I == frozenset({k}))
 
 
-def _no_reason(n, k, ms):
-    case = _aut_case(n, k, ms)
+def _no_reason(case: int) -> str:
     if case == 2:
         return "GO10-no-regular-subgroup"
     if case in (5, 6, 7):
@@ -331,21 +339,29 @@ def _clauses(kind: str, n: int, k: int, ms) -> list:
 
 def classify_cayley(n: int, k: int, I) -> CayleyVerdict:
     ms = _check_bounds(n, k, I)
+    return _classify_cayley(n, k, ms, _aut_case(n, k, ms))
+
+
+def _classify_cayley(n: int, k: int, ms, case: int) -> CayleyVerdict:
     rows = _clauses("cayley", n, k, ms)
     if rows:
         return CayleyVerdict(True, tuple(row[0] for row in rows),
                              witness_spec=rows[0][2].format(n=n, k=k),
-                             disconnected=not is_connected_family(n, k, ms.I))
-    return CayleyVerdict(False, reason=_no_reason(n, k, ms))
+                             disconnected=not _is_connected(n, k, ms))
+    return CayleyVerdict(False, reason=_no_reason(case))
 
 
 def classify_two_regular(n: int, k: int, I) -> TwoRegularVerdict:
     ms = _check_bounds(n, k, I)
+    return _classify_two_regular(n, k, ms, _aut_case(n, k, ms))
+
+
+def _classify_two_regular(n: int, k: int, ms, case: int) -> TwoRegularVerdict:
     rows = _clauses("two-regular", n, k, ms)
     if rows:
         return TwoRegularVerdict(True, tuple(row[0] for row in rows), witness_specs=tuple(
             row[2].format(n=n, k=k) for row in rows))
-    return TwoRegularVerdict(False, reason=_no_reason(n, k, ms))
+    return TwoRegularVerdict(False, reason=_no_reason(case))
 
 
 def witness_group(n: int, k: int, I, kind: str = "cayley",
@@ -384,11 +400,13 @@ class DeficiencyResult:
 
 
 def cayley_deficiency(n: int, k: int, I) -> DeficiencyResult:
-    return _deficiency(n, k, _check_bounds(n, k, I), classify_cayley(n, k, I),
-                       classify_two_regular(n, k, I))
+    ms = _check_bounds(n, k, I)
+    case = _aut_case(n, k, ms)
+    return _deficiency(n, k, ms, case, _classify_cayley(n, k, ms, case),
+                       _classify_two_regular(n, k, ms, case))
 
 
-def _deficiency(n, k, ms, cayley: CayleyVerdict,
+def _deficiency(n, k, ms, case: int, cayley: CayleyVerdict,
                 two_reg: TwoRegularVerdict) -> DeficiencyResult:
     if cayley.outcome:
         return DeficiencyResult(exact=1, witness=cayley.witness_spec,
@@ -396,10 +414,10 @@ def _deficiency(n, k, ms, cayley: CayleyVerdict,
     if two_reg.outcome:
         return DeficiencyResult(exact=2, witness=two_reg.witness_specs[0])
     upper = _power_factorial(-1, k, "%d!*%d!/2", k, n - k, m2=n - k)
-    if _aut_case(n, k, ms) not in (1, 3):
+    if case not in (1, 3):
         # Aut J exceeds S_n; no exact minimum is known here
         return DeficiencyResult(interval=(3, upper))
-    if only_an_sn(n, k, ms.I) or not catalog.degrees_d_k(k, n):
+    if _only_an_sn(n, k, ms) or not catalog.degrees_d_k(k, n):
         return DeficiencyResult(exact=upper, witness="A%d" % n)
     value, witness = catalog.minimal_stabilizer_order(n, k)
     if value is None:
@@ -413,10 +431,11 @@ def _deficiency(n, k, ms, cayley: CayleyVerdict,
 
 def classify_instance(n: int, k: int, I) -> dict:
     ms = _check_bounds(n, k, I)
-    desc = aut_descriptor(n, k, I)
-    cayley = classify_cayley(n, k, I)
-    two_reg = classify_two_regular(n, k, I)
-    deficiency = _deficiency(n, k, ms, cayley, two_reg)
+    case = _aut_case(n, k, ms)
+    desc = _aut_descriptor(n, k, case)
+    cayley = _classify_cayley(n, k, ms, case)
+    two_reg = _classify_two_regular(n, k, ms, case)
+    deficiency = _deficiency(n, k, ms, case, cayley, two_reg)
     record = {
         "n": n,
         "k": k,

@@ -39,6 +39,11 @@ def check_desk_bound(q: int, d: int) -> None:
         raise ValueError("order %d^%d exceeds the desk bound %d" % (q, d, DESK_BOUND))
 
 
+# The largest integer factored.  Trial division runs up to sqrt(n): at the
+# bound that is 10^6 candidates, under a tenth of a second for a prime.
+FACTOR_BOUND = 10 ** 12
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -49,7 +54,10 @@ def is_prime(n: int) -> bool:
 
 
 def prime_power_decomposition(n: int) -> tuple[int, int] | None:
-    """(p, e) with n = p^e, or None if n is not a prime power."""
+    """(p, e) with n = p^e, or None if n is not a prime power.  ValueError
+    above FACTOR_BOUND, before any trial division."""
+    if n > FACTOR_BOUND:
+        raise ValueError("%d exceeds the factoring bound %d" % (n, FACTOR_BOUND))
     if n < 2:
         return None
     for p in range(2, int(math.isqrt(n)) + 1):

@@ -1,8 +1,10 @@
+from collections import Counter
 from math import comb, factorial, log10
 
 import numpy as np
 import pytest
 
+from mergedjohnson import catalog, classify
 from mergedjohnson.classify import (CLAUSES, _dihedral_coset_action, _with_proved_order,
                                     aut_descriptor, cayley_deficiency,
                                     census_instances, classify_cayley,
@@ -273,6 +275,26 @@ def test_classify_instance_disconnected_flagged():
     record = classify_instance(6, 3, {3})
     assert not record["connected"]
     assert "disconnected_flag" in record["cayley"]
+
+
+def test_census_builds_each_catalog_group_once_and_one_merge_set_per_query(monkeypatch):
+    catalog._group.cache_clear()
+    catalog._is_k_homogeneous.cache_clear()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(catalog.HomogRecord, "construct",
+                        counted("construct", catalog.HomogRecord.construct))
+    monkeypatch.setattr(classify, "merge_set", counted("merge_set", classify.merge_set))
+    queries = list(census_instances(14))
+    for n, k, I in queries:
+        classify_instance(n, k, I)
+    assert calls == {"construct": 9, "merge_set": len(queries)}
 
 
 def test_bounds_rejected():

@@ -1,4 +1,7 @@
-from mergedjohnson.fields import build_field, is_prime, prime_power_decomposition
+import pytest
+
+from mergedjohnson.fields import (FACTOR_BOUND, build_field, is_prime,
+                                  prime_power_decomposition)
 
 
 def test_prime_power_decomposition():
@@ -7,6 +10,12 @@ def test_prime_power_decomposition():
     assert prime_power_decomposition(7) == (7, 1)
     assert prime_power_decomposition(12) is None
     assert prime_power_decomposition(1) is None
+
+
+def test_prime_power_decomposition_refuses_past_the_factoring_bound():
+    assert prime_power_decomposition(FACTOR_BOUND) is None  # 2^12 * 5^12
+    with pytest.raises(ValueError, match="factoring bound"):
+        prime_power_decomposition(FACTOR_BOUND + 1)
 
 
 def test_is_prime():

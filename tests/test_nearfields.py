@@ -28,6 +28,13 @@ def test_dickson_bounds_come_before_the_work():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_dickson_pair_refuses_q_above_the_factoring_bound():
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="factoring bound"):
+        is_dickson_pair(10 ** 14 + 31, 2)
+    assert time.perf_counter() - t0 < 0.01
+
+
 def _dickson_pair_by_trial_division(q, d):
     primes, r, rest = [], 2, d
     while r * r <= rest:
