@@ -138,45 +138,74 @@ class NearField:
                 rhs = (pow(q, j, d * (n - 1)) * self.pair.m_of(i) + self.pair.m_of(j)) % d
                 if lhs != rhs:
                     raise AssertionError("m(i+j) closure identity fails")
-        if n <= 729:
-            self.verify_axioms(exhaustive=True)
-        else:
-            self.verify_axioms(exhaustive=False, samples=100000)
+        self.verify_axioms()
 
-    def verify_axioms(self, exhaustive: bool = True, samples: int = 0):
-        """Near-field axioms on the tables, in this order: identity, every
-        right multiplication a bijection of the nonzero elements, then
-        associativity and right distributivity for every triple whose first
-        entry is in the swept rows.  Exhaustive sweeps all n rows; otherwise
-        max(1, samples // n²) + 1 seeded rows are swept in full.  The build
-        sweeps every row up to order 729 and passes samples = 100 000 above
-        it: 2 rows, at most 2n² of the n³ triples, for every n > 316."""
-        n, add, mul = self.order, self.add_table, self.mul_table
+    def verify_axioms(self):
+        """Prove the near-field axioms on the tables, in this order: identity
+        (1 is a two-sided identity and 0 absorbs), every right
+        multiplication R_c: a ↦ a∘c a bijection of the nonzero set N*,
+        associativity, then right distributivity.  Generators and an
+        additive basis carry each law to all n³ triples, in |T| + 2e sweeps
+        of n² entries for n = p^e, after one sort of the columns.
+
+        Associativity: (a∘b)∘t = a∘(b∘t) for all a, b, that is R_t R_b =
+        R_(b∘t), for each t of a set T grown from ω until the R_t carry 1
+        to all of N*.  Every product of the R_t is then an R_b, the only
+        one with 1 ↦ b, so the R_b form the group the R_t generate, and
+        R_c R_b = R_(b∘c).  Each new t lies outside that group's orbit of 1,
+        so the group at least doubles and |T| ≤ 1 + log2(n - 1).
+
+        Addition, reported as right distributivity, the axiom that reads
+        add_table: 0 is a two-sided identity, and the translations τ_x:
+        a ↦ a + x at the basis points x = p^j reach every point from 0,
+        commute, have order p and satisfy τ_x τ_b = τ_(b + x).  They
+        generate an abelian group of order at most p^e that is transitive,
+        hence regular and holding every τ_b, so + is its law.  Then
+        (a + x)∘c = a∘c + x∘c at each basis point x extends to every sum
+        by induction."""
+        n, add, mul, p = self.order, self.add_table, self.mul_table, self.base.p
         one = self.base.index_of[self.one]
-        nonzero = np.arange(1, n)
-        if not (np.array_equal(mul[1:, one], nonzero)
-                and np.array_equal(mul[one, 1:], nonzero)):
+        points = np.arange(n)
+        if not (np.array_equal(mul[1:, one], points[1:])
+                and np.array_equal(mul[one, 1:], points[1:])
+                and not mul[0].any() and not mul[:, 0].any()):
             raise AssertionError("identity axiom fails")
         # inverses: each column restricted to the nonzero rows is a
         # permutation of the nonzero elements
-        bad = np.flatnonzero((np.sort(mul[1:, 1:], axis=0) != nonzero[:, None]).any(axis=0))
+        bad = np.flatnonzero((np.sort(mul[1:, 1:], axis=0) != points[1:, None]).any(axis=0))
         if bad.size:
             raise AssertionError("multiplication by %r is not a bijection of the "
                                  "nonzero elements" % (self.elements[bad[0] + 1],))
-        if exhaustive:
-            rows = range(n)
-        else:
-            rng = np.random.default_rng(0)
-            rows = rng.integers(0, n, size=max(1, samples // (n * n)) + 1).tolist()
-        # row a as (b, c) arrays: (a∘b)∘c against a∘(b∘c), then
-        # (a+b)∘c against a∘c + b∘c, the sum read from the flat add table
-        for a in rows:
-            if not np.array_equal(mul[mul[a]], mul[a][mul]):
-                raise AssertionError("associativity fails in row a=%d" % a)
-        add_flat = add.ravel()
-        for a in rows:
-            if not np.array_equal(mul[add[a]], add_flat[mul[a] * n + mul]):
-                raise AssertionError("right distributivity fails in row a=%d" % a)
+        gens, t = [], self.base.exp[1 % (n - 1)]
+        while True:
+            column = mul[:, t]
+            if not np.array_equal(column[mul], mul[:, column]):
+                raise AssertionError("associativity fails: (a∘b)∘c != a∘(b∘c) "
+                                     "for c = %r" % (self.elements[t],))
+            gens.append(t)
+            reached = _reached(one, mul[:, gens])
+            if reached[1:].all():
+                break
+            t = np.flatnonzero(~reached[1:])[0] + 1
+        basis = [p ** j for j in range(self.base.e)]
+        if not (np.array_equal(add[0], points) and np.array_equal(add[:, 0], points)
+                and _reached(0, add[:, basis]).all()):
+            raise AssertionError("right distributivity fails: 0 is not an additive "
+                                 "identity or the basis points do not reach every point")
+        shifts = [add[:, x] for x in basis]
+        for x, shift in zip(basis, shifts):
+            power = shift
+            for _ in range(p - 1):
+                power = shift[power]
+            if not (np.array_equal(power, points)
+                    and all(np.array_equal(shift[s], s[shift]) for s in shifts)
+                    and np.array_equal(shift[add], add[:, shift])):
+                raise AssertionError("right distributivity fails: addition is not a "
+                                     "group at basis point %r" % (self.elements[x],))
+        for x in basis:
+            if not np.array_equal(mul[add[:, x]], add[mul, mul[x]]):
+                raise AssertionError("right distributivity fails: (a + b)∘c != "
+                                     "a∘c + b∘c for b = %r" % (self.elements[x],))
 
     def is_commutative(self) -> bool:
         return np.array_equal(self.mul_table, self.mul_table.T)
@@ -191,6 +220,14 @@ class NearField:
             data["multiplication_table"] = [[list(self.elements[x]) for x in row]
                                             for row in self.mul_table.tolist()]
         return json.dumps(data)
+
+
+def _reached(start: int, images: np.ndarray) -> np.ndarray:
+    """Bool mask of the points reached from start by the maps whose image
+    arrays are the columns of images."""
+    seen = np.zeros(len(images), dtype=bool)
+    frontier_bfs(start, lambda f: images[f].ravel(), seen)
+    return seen
 
 
 def build_dickson(q: int, d: int) -> NearField:

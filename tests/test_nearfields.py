@@ -1,5 +1,8 @@
+import copy
+import inspect
 import time
 
+import numpy as np
 import pytest
 
 from mergedjohnson import fields, nearfields
@@ -163,6 +166,132 @@ def _dickson_pairs(max_order):
     return [(q, d) for q in range(2, max_order + 1) if prime_power_decomposition(q)
             for d in range(1, max_order.bit_length())
             if q ** d <= max_order and is_dickson_pair(q, d)]
+
+
+@pytest.mark.parametrize("q", [3, 5])  # orders 9 and 25
+@pytest.mark.parametrize("cell", [(0, 2), (2, 0)])
+def test_axiom_check_catches_a_nonzero_product_with_zero(q, cell):
+    """0 ∘ 2 or 2 ∘ 0 set to 2: the identity stage also checks that 0
+    absorbs, before any bijection or law is read."""
+    nf = build_dickson(q, 2)
+    broken = nf.mul_table.copy()
+    broken[cell] = 2
+    nf.mul_table = broken
+    with pytest.raises(AssertionError, match="identity"):
+        nf.verify_axioms()
+
+
+def test_axiom_check_has_no_knob():
+    assert list(inspect.signature(nearfields.NearField.verify_axioms).parameters) == ["self"]
+
+
+def _sweep_finds_a_failure(nf):
+    """Brute-force oracle: the near-field axioms on every triple, row by
+    row, as (a∘b)∘c == a∘(b∘c) and (a+b)∘c == a∘c + b∘c, after the identity
+    and bijection checks.  O(n³); True when some axiom fails."""
+    n, add, mul = nf.order, nf.add_table, nf.mul_table
+    nonzero = np.arange(1, n)
+    if not (np.array_equal(mul[1:, 1], nonzero) and np.array_equal(mul[1, 1:], nonzero)):
+        return True
+    if (np.sort(mul[1:, 1:], axis=0) != nonzero[:, None]).any():
+        return True
+    add_flat = add.ravel()
+    return any(not np.array_equal(mul[mul[a]], mul[a][mul])
+               or not np.array_equal(mul[add[a]], add_flat[mul[a] * n + mul])
+               for a in range(n))
+
+
+def _proof_finds_a_failure(nf):
+    try:
+        nf.verify_axioms()
+    except AssertionError:
+        return True
+    return False
+
+
+def _corrupt(table, kind, rng):
+    """A copy of table with one seeded corruption: two entries swapped, one
+    entry overwritten by another point, one row permuted, or the table
+    carried over by a transposition φ of two points other than 0 and 1,
+    (a, b) ↦ φ(φ(a) · φ(b)), which keeps its own laws but breaks right
+    distributivity with the other table."""
+    n = len(table)
+    broken = table.copy()
+    x, y = tuple(rng.integers(0, n, 2)), tuple(rng.integers(0, n, 2))
+    if kind == "swap":
+        broken[x], broken[y] = table[y], table[x]
+    elif kind == "overwrite":
+        broken[x] = (table[x] + rng.integers(1, n)) % n
+    elif kind == "permute":
+        broken[x[0]] = rng.permutation(table[x[0]])
+    else:
+        u, v = rng.choice(range(2, n), 2, replace=False)
+        phi = np.arange(n)
+        phi[[u, v]] = v, u
+        broken = phi[table[np.ix_(phi, phi)]]
+    return broken
+
+
+def _twist_a_coset(nf, k, m):
+    """mul_table with each column R_b, for b in the orbit of c under R_ω:
+    b ↦ b∘ω, replaced by R_b σ, where c is the first nonzero point outside
+    the orbit of 1 and σ adds m times digit k to digit 0.  σ is additive
+    and fixes 0 and 1, so every column is still an additive bijection with
+    R_b(1) = b, and R_ω R_b σ = R_(b∘ω) σ keeps associativity at c = ω:
+    only a generator beyond ω can see the twist."""
+    mul, digits = nf.mul_table, nf.base.digits
+    omega = mul[:, nf.base.exp[1]]
+    orbit = [1]
+    while omega[orbit[-1]] != 1:
+        orbit.append(omega[orbit[-1]])
+    coset = [next(c for c in range(1, nf.order) if c not in orbit)]
+    while omega[coset[-1]] != coset[0]:
+        coset.append(omega[coset[-1]])
+    sigma = np.arange(nf.order) - digits[:, 0] + (digits[:, 0] + m * digits[:, k]) % nf.base.p
+    broken = mul.copy()
+    broken[:, coset] = mul[sigma][:, coset]
+    return broken
+
+
+@pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (7, 2), (4, 3), (9, 2), (11, 2)])
+def test_axiom_proof_agrees_with_the_triple_sweep(q, d):
+    """Seeded single corruptions of either table at orders 9 to 121, and
+    twisted cosets of <R_ω> in mul_table: the proof from generators fails
+    exactly when the O(n³) sweep does."""
+    nf = build_dickson(q, d)
+    rng = np.random.default_rng(q ** d)
+    broken_tables = [("mul_table", _twist_a_coset(nf, k, m))
+                     for k in range(1, nf.base.e) for m in range(1, nf.base.p)]
+    for table in ("mul_table", "add_table"):
+        for kind in ("swap", "overwrite", "permute", "relabel"):
+            broken_tables += [(table, _corrupt(getattr(nf, table), kind, rng))
+                              for _ in range(40)]
+    verdicts = []
+    for table, values in broken_tables:
+        broken = copy.copy(nf)
+        setattr(broken, table, values)
+        verdicts.append((_sweep_finds_a_failure(broken), _proof_finds_a_failure(broken)))
+    assert all(sweep == proof for sweep, proof in verdicts)
+    assert sum(sweep for sweep, _ in verdicts) > len(verdicts) // 2
+
+
+@pytest.mark.parametrize("q,d", [(3, 2), (11, 2)])
+def test_a_scaled_addition_distributes_but_is_not_a_group(q, d):
+    """a +' b = ω∘(a + b) passes right distributivity on every triple,
+    (a +' b)∘c = ω∘(a∘c + b∘c), so the sweep accepts it; 0 is no identity
+    for it, and the proof, which checks the additive group, rejects it."""
+    nf = build_dickson(q, d)
+    scaled = copy.copy(nf)
+    scaled.add_table = nf.mul_table[nf.base.exp[1]][nf.add_table]
+    assert not _sweep_finds_a_failure(scaled)
+    with pytest.raises(AssertionError, match="right distributivity"):
+        scaled.verify_axioms()
+
+
+@pytest.mark.parametrize("q,d", _dickson_pairs(121))
+def test_intact_tables_pass_the_proof_and_the_sweep(q, d):
+    nf = build_dickson(q, d)   # the build runs verify_axioms
+    assert not _sweep_finds_a_failure(nf)
 
 
 @pytest.mark.parametrize("q,d,step", [(q, d, 1) for q, d in _dickson_pairs(121)]
