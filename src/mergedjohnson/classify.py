@@ -181,15 +181,6 @@ def _projective_line6_group() -> PermutationGroup:
     return group
 
 
-def _dihedral_coset_action(m: int) -> PermutationGroup:
-    """Dihedral group of order 2m, the maps x -> eps*x + c on Z_m, on the m
-    right cosets of H = <x -> -x>: the coset H(eps, c) is numbered c, so
-    x -> x + 1 and x -> -x act on coset numbers as on Z_m."""
-    points = np.arange(m)
-    return _with_proved_order(PermutationGroup([Permutation((points + 1) % m),
-                                                Permutation(-points % m)]))
-
-
 def _is_one_cycle(c: np.ndarray) -> bool:
     """Whether c moves every point along one cycle, by one walk from 0."""
     images = c.tolist()
@@ -226,13 +217,13 @@ def _affine_witness(kind: str, n: int, k: int) -> PermutationGroup:
 
 
 def _rank_witness(n: int, k: int, dihedral: bool, matched: bool) -> PermutationGroup:
-    """Z_m, or with dihedral the group of _dihedral_coset_action, on the
-    m = C(n, k) vertex ranks.  When matched (n = 2k), its generators are
-    conjugated by the bijection that sends x < m/2 to the x-th vertex below
-    its complement, in rank order, and x + m/2 to that vertex's complement,
-    so that x <-> x + m/2 is complementation.  The certificate of
-    _with_proved_order does not change under relabelling: it records the
-    order either way."""
+    """Z_m = <x -> x + 1>, or with dihedral the dihedral group <x -> x + 1,
+    x -> -x> of order 2m, on the m = C(n, k) vertex ranks.  When matched
+    (n = 2k), its generators are conjugated by the bijection that sends
+    x < m/2 to the x-th vertex below its complement, in rank order, and
+    x + m/2 to that vertex's complement, so that x <-> x + m/2 is
+    complementation.  The certificate of _with_proved_order does not
+    change under relabelling: it records the order either way."""
     m = comb(n, k)
     points = np.arange(m)
     rows = np.array([(points + 1) % m, -points % m][:1 + dihedral])
@@ -272,10 +263,6 @@ class TwoRegularVerdict:
     cases: tuple = ()
     reason: str | None = None
     witness_specs: tuple = ()
-
-
-def is_connected_family(n: int, k: int, I) -> bool:
-    return _is_connected(n, k, _check_bounds(n, k, I))
 
 
 def _is_connected(n: int, k: int, ms) -> bool:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 All structured output is JSON lines.  Exit codes: 0 success, 1 refuted
-verification claim, 2 usage error.
+verification claim, 2 usage error, 3 internal error (an AssertionError in
+any subcommand, reported in one line on stderr).
 """
 
 from __future__ import annotations
@@ -40,7 +41,19 @@ def _group_record(group: PermutationGroup, **extra) -> dict:
     return record
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group, with internal errors turned into exit code 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except AssertionError as exc:
+            message = " ".join(str(exc).split()) or "assertion failed"
+            click.echo("internal error: %s" % message, err=True)
+            ctx.exit(3)
+
+
+@click.group(cls=_Main)
 @click.option("--seed", type=int, default=None,
               help="Accepted for interface stability; all algorithms are "
                    "deterministic.")

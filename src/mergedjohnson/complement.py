@@ -212,10 +212,6 @@ def orbit_signature(data: CocycleData) -> tuple:
     return complement_vertex_group(data).orbit_sizes()
 
 
-def global_flip() -> Permutation:
-    return Permutation(complement_ranks(10, 5))
-
-
 # --------------------------------------------------------------------------
 # The Frobenius action on complement classes
 # --------------------------------------------------------------------------

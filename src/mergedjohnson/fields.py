@@ -192,20 +192,6 @@ class FiniteField:
             raise ZeroDivisionError("inverting the zero element")
         return self.pow(a, self.order - 2)
 
-    def discrete_log(self, a) -> int:
-        if a == self.zero:
-            raise ValueError("discrete log of zero")
-        return self.dlog_table[a]
-
-    def frobenius_power(self, a, i: int, q: int):
-        """a^(q^i) where q = p^(e/d) for a divisor d of e."""
-        pe = prime_power_decomposition(q)
-        if pe is None or pe[0] != self.p or self.e % pe[1] != 0:
-            raise ValueError("q = %d is not an admissible subfield size" % q)
-        if a == self.zero:
-            return self.zero
-        return self.pow(a, pow(q, i, self.order - 1) if self.order > 2 else 0)
-
     # -- index arrays -----------------------------------------------------
 
     @functools.cached_property

@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .subsets import elements_of, ksubset_rank, ksubset_unrank, ksubsets, mask_of
+from .subsets import elements_of, ksubset_unrank, ksubsets
 
 
 # --------------------------------------------------------------------------
@@ -60,13 +60,6 @@ def merge_set(k: int, I) -> MergeSet:
 # Adjacency and graphs
 # --------------------------------------------------------------------------
 
-def adjacent(n: int, k: int, I, K: int, Kp: int) -> bool:
-    """K, K' as bitmasks; adjacency iff k - |K ∩ K'| ∈ I."""
-    if K == Kp:
-        raise ValueError("adjacency is irreflexive")
-    return k - (K & Kp).bit_count() in I
-
-
 MATERIALIZE_LIMIT = 10 ** 6
 
 # entries of the (vertices, neighbours, k) block built at a time
@@ -108,9 +101,6 @@ class MergedJohnsonGraph:
         if not 0 <= rank < self.num_vertices:
             raise ValueError("vertex rank %r outside 0..%d" % (rank, self.num_vertices - 1))
         return ksubset_unrank(self.k, rank)
-
-    def adjacent_ranks(self, u: int, v: int) -> bool:
-        return adjacent(self.n, self.k, self.I, self.vertex_mask(u), self.vertex_mask(v))
 
     def neighbors(self, u: int):
         """Neighbor ranks of vertex u, by direct generation: replace an
@@ -264,34 +254,6 @@ def graph_stats(graph: MergedJohnsonGraph) -> GraphStats:
                       connected=components == 1, component_count=components)
 
 
-def johnson_distance_check(n: int, k: int, K: int, Kp: int) -> int:
-    """BFS distance from K to K' in the Johnson graph J(n,k)_1; asserted
-    equal to k - |K ∩ K'|."""
-    expected = k - (K & Kp).bit_count()
-    if K == Kp:
-        return 0
-    graph = MergedJohnsonGraph(n, k, {1}, materialize=False)
-    start = ksubset_rank(K)
-    goal = ksubset_rank(Kp)
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in graph.neighbors(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    if v == goal:
-                        if dist[v] != expected:
-                            raise AssertionError(
-                                "BFS distance %d disagrees with intersection "
-                                "formula %d" % (dist[v], expected))
-                        return dist[v]
-                    nxt.append(v)
-        frontier = nxt
-    raise AssertionError("target not reached; J(n,k)_1 should be connected")
-
-
 # --------------------------------------------------------------------------
 # Equipartitions of an even ground set
 # --------------------------------------------------------------------------
@@ -312,21 +274,6 @@ class Equipartition:
         if not self.key_part <= set(range(1, self.m + 1)):
             raise ValueError("key part outside the ground set")
 
-    @property
-    def parts(self) -> tuple:
-        other = frozenset(range(1, self.m + 1)) - self.key_part
-        return (self.key_part, other)
-
-    def part_containing(self, x: int) -> frozenset:
-        return self.key_part if x in self.key_part else self.parts[1]
-
-
-def make_equipartition(m: int, part) -> Equipartition:
-    part = frozenset(part)
-    if 1 not in part:
-        part = frozenset(range(1, m + 1)) - part
-    return Equipartition(m, part)
-
 
 def all_equipartitions(m: int) -> list:
     """All C(m-1, m/2 - 1) equipartitions of {1..m}, sorted by key part."""
@@ -334,115 +281,3 @@ def all_equipartitions(m: int) -> list:
     out = [Equipartition(m, frozenset((1,) + extra))
            for extra in combinations(rest, m // 2 - 1)]
     return sorted(out, key=lambda phi: sorted(phi.key_part))
-
-
-def equipartition_bijection(n: int, K: int) -> Equipartition:
-    """K a ((n-1)/2)-subset mask of {1..n}, n odd: the equipartition
-    {K ∪ {n+1}, complement} of {1..n+1}."""
-    if n % 2 == 0:
-        raise ValueError("n must be odd")
-    k = (n - 1) // 2
-    if K.bit_count() != k:
-        raise ValueError("K must have (n-1)/2 elements")
-    labels = {x + 1 for x in elements_of(K)}
-    return make_equipartition(n + 1, labels | {n + 1})
-
-
-def equipartition_bijection_inverse(n: int, phi: Equipartition) -> int:
-    if phi.m != n + 1:
-        raise ValueError("equipartition is not on n+1 points")
-    part = phi.part_containing(n + 1)
-    return mask_of(x - 1 for x in part - {n + 1})
-
-
-# --------------------------------------------------------------------------
-# Induced subgraph isomorphism classes (m = 3, 4)
-# --------------------------------------------------------------------------
-
-def _fingerprint(adj_bits: list) -> tuple:
-    """Isomorphism-complete invariant for graphs on at most 4 vertices:
-    sorted degree sequence, edge count, triangle count."""
-    degrees = sorted(row.bit_count() for row in adj_bits)
-    edges = sum(degrees) // 2
-    return (tuple(degrees), edges, _triangle_count(adj_bits))
-
-
-def _triangle_count(adj_bits: list) -> int:
-    m = len(adj_bits)
-    count = 0
-    for a in range(m):
-        for b in range(a + 1, m):
-            if (adj_bits[a] >> b) & 1:
-                for c in range(b + 1, m):
-                    if (adj_bits[a] >> c) & 1 and (adj_bits[b] >> c) & 1:
-                        count += 1
-    return count
-
-
-def _fingerprint_completeness_check():
-    """One-time check: the invariant separates all isomorphism classes of
-    graphs on 4 vertices (there are 11) and on 3 vertices (4)."""
-    for m, expected in ((3, 4), (4, 11)):
-        pairs = list(combinations(range(m), 2))
-        classes = {}
-        for bits in range(1 << len(pairs)):
-            adj = [0] * m
-            for idx, (a, b) in enumerate(pairs):
-                if (bits >> idx) & 1:
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
-            canon = min(_relabel(adj, perm) for perm in _all_perms(m))
-            classes.setdefault(canon, set()).add(_fingerprint(adj))
-        if len(classes) != expected:
-            raise AssertionError("wrong class count on %d vertices" % m)
-        fingerprints = [next(iter(s)) for s in classes.values()]
-        if any(len(s) != 1 for s in classes.values()):
-            raise AssertionError("fingerprint not constant on a class")
-        if len(set(fingerprints)) != expected:
-            raise AssertionError("fingerprint fails to separate classes")
-
-
-def _all_perms(m):
-    from itertools import permutations
-
-    return list(permutations(range(m)))
-
-
-def _relabel(adj_bits, perm) -> tuple:
-    m = len(adj_bits)
-    out = [0] * m
-    for a in range(m):
-        for b in range(m):
-            if (adj_bits[a] >> b) & 1:
-                out[perm[a]] |= 1 << perm[b]
-    return tuple(out)
-
-
-_CHECKED = False
-
-
-def induced_subgraph_classes(adjacency: list, m: int) -> int:
-    """Number of isomorphism classes of induced m-vertex subgraphs,
-    m ∈ {3, 4}, of a graph given by adjacency lists (order ≤ 64)."""
-    global _CHECKED
-    if m not in (3, 4):
-        raise ValueError("m must be 3 or 4")
-    order = len(adjacency)
-    if order > 64:
-        raise ValueError("graph order exceeds the exhaustive sweep bound")
-    if not _CHECKED:
-        _fingerprint_completeness_check()
-        _CHECKED = True
-    neighbor_bits = [0] * order
-    for u, row in enumerate(adjacency):
-        for v in row:
-            neighbor_bits[u] |= 1 << v
-    seen = set()
-    for verts in combinations(range(order), m):
-        adj = [0] * m
-        for i, v in enumerate(verts):
-            for j, w in enumerate(verts):
-                if i != j and (neighbor_bits[v] >> w) & 1:
-                    adj[i] |= 1 << j
-        seen.add(_fingerprint(adj))
-    return len(seen)

@@ -116,14 +116,17 @@ class NearField:
         return self.pair.d
 
     def _tables(self):
+        # every n x n temporary is int32 like the tables: under DESK_BOUND
+        # the largest entry, log · scale + log, is below 4000^2 < 2^31
         base, n = self.base, self.order
         add = np.zeros((n, n), dtype=np.int32)
         for j in range(base.e):
-            digit = base.digits[:, j]
+            digit = base.digits[:, j].astype(np.int32)
             add += (digit[:, None] + digit) % base.p * base.p ** j
-        logs = base.log[1:]
+        logs = base.log[1:].astype(np.int32)
+        scales = self.scales.astype(np.int32)[logs % self.d]
         mul = np.zeros((n, n), dtype=np.int32)
-        mul[1:, 1:] = base.exp[(logs[:, None] * self.scales[logs % self.d] + logs) % (n - 1)]
+        mul[1:, 1:] = base.exp.astype(np.int32)[(logs[:, None] * scales + logs) % (n - 1)]
         return read_only(add), read_only(mul)
 
     # -- build-time verification ------------------------------------------

@@ -73,22 +73,6 @@ def complement_ranks(n: int, k: int) -> list[int]:
     return ksubsets(n, n - k).rank(ksubsets(n, k).complements()).tolist()
 
 
-def mask_image(mask: int, images) -> int:
-    """Image of a subset bitmask under a point map (sequence of images)."""
-    out = 0
-    x = 0
-    while mask:
-        if mask & 1:
-            out |= 1 << images[x]
-        mask >>= 1
-        x += 1
-    return out
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 class KSubsets:
     """The k-subsets of {0..n-1} as arrays.  `elements` is the
     (C(n,k), k) table of ascending rows in co-lex order, so row r is the

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mergedjohnson import catalog, classify
-from mergedjohnson.classify import (CLAUSES, _dihedral_coset_action, _with_proved_order,
+from mergedjohnson.classify import (CLAUSES, _with_proved_order,
                                     aut_descriptor, cayley_deficiency,
                                     census_instances, classify_cayley,
                                     classify_instance, classify_two_regular,
@@ -219,6 +219,15 @@ def test_an_involution_that_does_not_invert_c_records_no_order():
         assert group._order is None
         assert group.order == order
     assert _fresh_order(PermutationGroup([c, half_turn])) == m
+
+
+def _dihedral_coset_action(m):
+    """Dihedral group of order 2m, the maps x -> eps*x + c on Z_m, on the m
+    right cosets of H = <x -> -x>: the coset H(eps, c) is numbered c, so
+    x -> x + 1 and x -> -x act on coset numbers as on Z_m."""
+    points = np.arange(m)
+    return _with_proved_order(PermutationGroup([Permutation((points + 1) % m),
+                                                Permutation(-points % m)]))
 
 
 def test_the_dihedral_certificate_needs_three_points():

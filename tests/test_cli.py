@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import time
@@ -203,7 +204,15 @@ def test_classify_answers_in_bounded_time(n, k, merge, code):
         assert json.loads(result.output)["n"] == n
 
 
-def test_verify_fast_confirms_every_fast_claim():
+def _stub(claim, outcome="confirmed"):
+    """claim with a check that reports outcome at once: test_verify.py
+    runs the real checks."""
+    report = verify.OracleReport(claim.text, outcome, {}, 0.0)
+    return dataclasses.replace(claim, check=lambda: report)
+
+
+def test_verify_fast_confirms_every_fast_claim(monkeypatch):
+    monkeypatch.setattr(verify, "CLAIMS", tuple(map(_stub, verify.CLAIMS)))
     result = run("verify", "--suite", "fast")
     assert result.exit_code == 0
     lines = [json.loads(line) for line in result.output.splitlines()]
@@ -213,14 +222,25 @@ def test_verify_fast_confirms_every_fast_claim():
 
 
 def test_verify_exits_1_on_a_refuted_claim(monkeypatch):
-    confirmed = verify.suite_claims("fast")[-1]
-    refuted = verify.Claim("fast", "refuted on purpose", lambda: verify.OracleReport(
-        "refuted on purpose", "refuted", {}, 0.0))
+    confirmed = _stub(verify.suite_claims("fast")[-1])
+    refuted = _stub(verify.Claim("fast", "refuted on purpose", None), "refuted")
     monkeypatch.setattr(verify, "CLAIMS", (confirmed, refuted))
     result = run("verify", "--suite", "fast")
     assert result.exit_code == 1
     outcomes = [json.loads(line)["outcome"] for line in result.output.splitlines()]
     assert outcomes == ["confirmed", "refuted"]
+
+
+def test_an_internal_error_exits_3_without_a_traceback(monkeypatch):
+    def broken():
+        raise AssertionError("orbit-stabilizer violation:\n7 points, order 12")
+
+    claim = dataclasses.replace(verify.CLAIMS[0], check=broken)
+    monkeypatch.setattr(verify, "CLAIMS", (claim,))
+    result = run("verify", "--suite", "fast")
+    assert (result.exit_code, type(result.exception)) == (3, SystemExit)
+    assert result.stderr == "internal error: orbit-stabilizer violation: 7 points, order 12\n"
+    assert "Traceback" not in result.output
 
 
 # SHA-256 of `graph export` stdout, recorded before graphs were stored as a

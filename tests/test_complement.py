@@ -4,10 +4,11 @@ import pytest
 
 from mergedjohnson.complement import (_phi_images, build_cocycle_data,
                                       build_pointed_psl28, complement_vertex_group,
-                                      frobenius_class_action, global_flip,
-                                      induced_cocycle, orbit_signature,
-                                      vertex_permutation)
+                                      frobenius_class_action, induced_cocycle,
+                                      orbit_signature, vertex_permutation)
 from mergedjohnson.johnson import build_graph
+from mergedjohnson.perms import Permutation
+from mergedjohnson.subsets import complement_ranks
 from mergedjohnson.verify import is_automorphism
 
 
@@ -114,12 +115,11 @@ def test_frobenius_cycles_nonzero_classes(datas):
 
 
 def test_global_flip_commutes_with_action(datas):
-    flip = global_flip()
+    flip = Permutation(complement_ranks(10, 5))
     group = complement_vertex_group(datas[1])
     assert all(flip * g == g * flip for g in group.generators)
 
 
 def test_vertex_permutation_identity(datas, pointed):
-    from mergedjohnson.perms import Permutation
     ident = Permutation.identity(10)
     assert vertex_permutation(datas[1], ident) == Permutation.identity(252)

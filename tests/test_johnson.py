@@ -1,16 +1,18 @@
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
 import pytest
 
-from mergedjohnson.johnson import (adjacent, all_equipartitions, build_graph,
-                                   equipartition_bijection,
-                                   equipartition_bijection_inverse,
-                                   graph_stats, induced_subgraph_classes,
-                                   johnson_distance_check, make_equipartition,
+from mergedjohnson.johnson import (Equipartition, MergedJohnsonGraph,
+                                   all_equipartitions, build_graph, graph_stats,
                                    merge_set)
-from mergedjohnson.subsets import all_masks, mask_of
+from mergedjohnson.subsets import all_masks, elements_of, ksubset_rank, mask_of
+
+
+def adjacent(k, I, K, Kp):
+    """The rule that defines J(n,k)_I, on bitmasks: k - |K ∩ K'| ∈ I."""
+    return k - (K & Kp).bit_count() in I
 
 
 def test_merge_set_derived_sets():
@@ -56,11 +58,50 @@ def test_edge_partition_of_complete_graph():
     assert kneser.edge_count + johnson.edge_count == comb(10, 2)
 
 
+def johnson_distance(n, k, K, Kp):
+    """BFS distance from K to K' in the Johnson graph J(n,k)_1, over the
+    neighbours the unmaterialized graph generates."""
+    graph = MergedJohnsonGraph(n, k, {1}, materialize=False)
+    dist = {ksubset_rank(K): 0}
+    frontier = list(dist)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in graph.neighbors(u):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist[ksubset_rank(Kp)]
+
+
 def test_johnson_distance_formula():
     for K in [mask_of([0, 1, 2, 3]), mask_of([0, 2, 4, 6])]:
         for Kp in [mask_of([4, 5, 6, 7]), mask_of([0, 1, 6, 7])]:
-            d = johnson_distance_check(8, 4, K, Kp)
-            assert d == 4 - bin(K & Kp).count("1")
+            assert johnson_distance(8, 4, K, Kp) == 4 - bin(K & Kp).count("1")
+
+
+# -- the equipartitions {K + {n+1}, complement} of {1..n+1}, n odd ------------
+
+def make_equipartition(m, part):
+    part = frozenset(part)
+    if 1 not in part:
+        part = frozenset(range(1, m + 1)) - part
+    return Equipartition(m, part)
+
+
+def equipartition_bijection(n, K):
+    """K a ((n-1)/2)-subset mask of {1..n}, n odd: the equipartition
+    {K ∪ {n+1}, complement} of {1..n+1}."""
+    labels = {x + 1 for x in elements_of(K)}
+    return make_equipartition(n + 1, labels | {n + 1})
+
+
+def equipartition_bijection_inverse(n, phi):
+    part = phi.key_part
+    if n + 1 not in part:
+        part = frozenset(range(1, n + 2)) - part
+    return mask_of(x - 1 for x in part - {n + 1})
 
 
 def test_equipartition_bijection_and_inverse():
@@ -81,23 +122,48 @@ def test_make_equipartition_normalizes_key_part():
     assert phi.key_part == frozenset({1, 2, 3})
 
 
-def _adjacency(n_vertices, edges):
-    adj = [[] for _ in range(n_vertices)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
+# -- induced subgraph isomorphism classes (m = 3, 4) ---------------------------
+
+def _fingerprint(m, edges):
+    """Degree sequence, edge count and triangle count of the graph on
+    0..m-1 with the given edges (pairs a < b): an isomorphism-complete
+    invariant for m <= 4."""
+    degrees = sorted(sum(v in edge for edge in edges) for v in range(m))
+    triangles = sum(set(combinations(t, 2)) <= edges for t in combinations(range(m), 3))
+    return tuple(degrees), len(edges), triangles
+
+
+@pytest.mark.parametrize("m, expected", [(3, 4), (4, 11)])
+def test_fingerprint_separates_the_graphs_on_m_vertices(m, expected):
+    """The invariant is constant on each isomorphism class of graphs on m
+    vertices and separates the classes (4 on 3 vertices, 11 on 4)."""
+    pairs = list(combinations(range(m), 2))
+    classes = {}
+    for r in range(len(pairs) + 1):
+        for edges in combinations(pairs, r):
+            canon = min(sorted(tuple(sorted((p[a], p[b]))) for a, b in edges)
+                        for p in permutations(range(m)))
+            classes.setdefault(tuple(canon), set()).add(_fingerprint(m, set(edges)))
+    assert len(classes) == expected
+    assert all(len(s) == 1 for s in classes.values())
+    assert len(set.union(*classes.values())) == expected
+
+
+def induced_subgraph_classes(order, edges, m):
+    """Number of isomorphism classes of the induced m-vertex subgraphs,
+    m ∈ {3, 4}, of the graph on 0..order-1 with the given edges (a < b)."""
+    return len({_fingerprint(m, {(i, j) for i, j in combinations(range(m), 2)
+                                 if (verts[i], verts[j]) in edges})
+                for verts in combinations(range(order), m)})
 
 
 def test_induced_subgraph_class_counts():
-    four_k2 = _adjacency(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
-    two_k4 = _adjacency(8, [(a, b) for block in ([0, 1, 2, 3], [4, 5, 6, 7])
-                            for i, a in enumerate(block)
-                            for b in block[i + 1:]])
-    c8 = _adjacency(8, [(i, (i + 1) % 8) for i in range(8)])
-    assert induced_subgraph_classes(four_k2, 3) == 2
-    assert induced_subgraph_classes(two_k4, 4) == 3
-    assert induced_subgraph_classes(c8, 3) == 3
+    four_k2 = {(0, 1), (2, 3), (4, 5), (6, 7)}
+    two_k4 = set(combinations(range(4), 2)) | set(combinations(range(4, 8), 2))
+    c8 = {(i, i + 1) for i in range(7)} | {(0, 7)}
+    assert induced_subgraph_classes(8, four_k2, 3) == 2
+    assert induced_subgraph_classes(8, two_k4, 4) == 3
+    assert induced_subgraph_classes(8, c8, 3) == 3
 
 
 def test_invalid_merge_sets_rejected():
@@ -121,7 +187,7 @@ def test_materialized_adjacency_follows_the_intersection_rule(n):
             assert len(g.adjacency) == g.num_vertices
             for u, row in enumerate(g.adjacency):
                 want = [v for v in range(g.num_vertices)
-                        if v != u and adjacent(n, k, I, masks[u], masks[v])]
+                        if v != u and adjacent(k, I, masks[u], masks[v])]
                 assert row == want
                 assert sorted(g.neighbors(u)) == want
             assert g.edges == [(u, v) for u in range(g.num_vertices)
@@ -163,9 +229,5 @@ def test_vertex_ranks_outside_the_graph_are_rejected():
         for bad in (-1, 10):
             with pytest.raises(ValueError):
                 g.neighbors(bad)
-            with pytest.raises(ValueError):
-                g.adjacent_ranks(0, bad)
-            with pytest.raises(ValueError):
-                g.adjacent_ranks(bad, 0)
         assert g.neighbors(9) == full.neighbors(9)
-        assert g.adjacent_ranks(0, 9)
+        assert adjacent(2, g.I, g.vertex_mask(0), g.vertex_mask(9))

@@ -8,7 +8,7 @@ import pytest
 
 from mergedjohnson import perms
 from mergedjohnson.perms import ActionDomain, Permutation, PermutationGroup
-from mergedjohnson.subsets import all_masks, mask_image
+from mergedjohnson.subsets import all_masks, elements_of, mask_of
 
 
 def s_n(n):
@@ -116,7 +116,7 @@ def _image(label, domain, images):
     """The image of a label under a point map, one label at a time."""
     if domain.kind == "points":
         return images[label]
-    return mask_image(label, images)
+    return mask_of(images[x] for x in elements_of(label))
 
 
 def _closure_by_loop(generators):
@@ -232,6 +232,19 @@ def test_a_closure_too_large_to_hold_is_not_swept(monkeypatch):
     monkeypatch.setattr(PermutationGroup, "_closure_blocks", refuse)
     assert group.order * group.degree > perms._SWEEP_ENTRIES
     assert group.regularity_degree() == 1
+
+
+@pytest.mark.parametrize("q, kind, k", [(7, "AHL", 2), (11, "AHL", 2), (19, "AHL", 2),
+                                        (23, "AHL", 2), (27, "AHL", 2), (31, "AHL", 2),
+                                        (8, "AGL", 3), (32, "AGammaL", 3)])
+def test_the_orbit_search_finds_the_regular_witnesses(q, kind, k):
+    """The Cayley witnesses on J(q,k) with exhaustive_limit=0: regularity
+    from the orbit search and the chain's order, never from the sweep,
+    whose answers are pinned in tests/data/verify_full.jsonl."""
+    from mergedjohnson.nearfields import affine_group, build_dickson
+    group = affine_group(build_dickson(q, 1), kind)
+    assert group.order == comb(q, k)
+    assert group.regularity_degree(ActionDomain.ksubsets(q, k), exhaustive_limit=0) == 1
 
 
 @pytest.mark.parametrize("n, k, I, kind, case", [(32, 3, (1,), "cayley", 3),
