@@ -156,14 +156,32 @@ def full_reports():
     return list(run_suite("full"))
 
 
-def test_every_claim_matches_its_recorded_line(full_reports):
+def _recorded_lines(reports):
     lines = []
-    for report in full_reports:
+    for report in reports:
         record = json.loads(report.to_json())
         del record["elapsed_ms"]
         lines.append(json.dumps(record, sort_keys=True))
-    assert lines == FULL_GOLDEN.read_text().splitlines()
+    return lines
+
+
+def test_every_claim_matches_its_recorded_line(full_reports):
+    assert _recorded_lines(full_reports) == FULL_GOLDEN.read_text().splitlines()
     assert [r.claim for r in full_reports if not r.confirmed] == []
+
+
+def test_every_fast_claim_is_confirmed(full_reports):
+    # the fast tier is the head of the full tier, so its reports are too
+    fast = suite_claims("fast")
+    fast_reports = full_reports[:len(fast)]
+    assert [r.claim for r in fast_reports] == [c.text for c in fast]
+    assert [r.claim for r in fast_reports if not r.confirmed] == []
+
+
+def test_fast_reports_match_the_recorded_lines(full_reports):
+    fast_reports = full_reports[:len(suite_claims("fast"))]
+    golden = FULL_GOLDEN.read_text().splitlines()
+    assert _recorded_lines(fast_reports) == golden[:len(fast_reports)]
 
 
 def test_report_json_roundtrip(full_reports):
