@@ -25,10 +25,11 @@ import numpy as np
 from .subsets import read_only
 
 
-# The largest field or near-field order built.  Past it a group at that
-# degree outgrows the stabilizer chain's transversal cache (4000^2 = 16 M
-# entries) and takes minutes, and a near-field's two order x order int32
-# tables come first.
+# The largest field or near-field order built.  A near-field's addition and
+# multiplication tables are two order x order int32 arrays, 64 MB each at
+# the bound, and its build and axiom check hold temporaries of that shape
+# besides: the largest near-field under the bound, order 3721, peaks at
+# 256 MB.
 DESK_BOUND = 4000
 
 

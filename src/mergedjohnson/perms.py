@@ -10,10 +10,16 @@ all index arrays with no other representation.  Scalar reads give Python
 ints through .tolist(); the hash is hash(tuple(images)).  The chain has
 deterministic base points (the smallest moved ones, level by level), and
 gives the exact order; a Schreier generator along a transversal tree edge
-is 1 and is not sifted.  The closure is Dimino's coset enumeration (Butler,
-Fundamental Algorithms for Permutation Groups, LNCS 559, 1991): powers of
-the first generator by doubling, then whole cosets x[H] of the subgroup H
-generated so far, one gather each, with hashed membership.  It shares
+is 1 and is not sifted.  Each level caches u⁻¹, for u the transversal
+element taking its base to an orbit point, built down the Schreier tree with
+inverse generators, so a sift is one gather a level (Seress, Permutation
+Group Algorithms, 2003, §4.4).  Past the cache budget a level caches one
+class of tree depths mod a stride, at most |orbit| / stride arrays, and a
+lookup walks fewer than stride edges from a cached point.  The closure is
+Dimino's coset enumeration (Butler, Fundamental Algorithms for Permutation
+Groups, LNCS 559, 1991): powers of the first generator by doubling, then
+whole cosets x[H] of the subgroup H generated so far, one gather each, with
+hashed membership.  It shares
 nothing with the chain, so the stabilizer sweep that counts fixed points
 over it is an independent check of the chain's order, or of an order a
 construction recorded.
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,16 +303,26 @@ class _Cosets:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal", "orbit_order", "done", "cache")
+    __slots__ = ("base", "gens", "inverse_gens", "transversal", "orbit_order",
+                 "done", "cache", "stride", "offset")
 
-    def __init__(self, base: int):
+    def __init__(self, base: int, identity: np.ndarray):
         self.base = base
         self.gens: list[np.ndarray] = []
-        # point -> (parent point, generator index); base maps to itself
-        self.transversal: dict[int, tuple[int, int]] = {base: (base, -1)}
+        self.inverse_gens: list[np.ndarray] = []
+        # point -> (parent point, generator index, depth in the Schreier
+        # tree); the base is its own parent at depth 0
+        self.transversal: dict[int, tuple[int, int, int]] = {base: (base, -1, 0)}
         self.orbit_order: list[int] = [base]
         self.done: set[tuple[int, int]] = set()
-        self.cache: dict[int, np.ndarray] = {}
+        # point -> u⁻¹, for u the transversal element taking the base to the
+        # point: the base, and points whose depth is offset mod stride
+        self.stride, self.offset = 1, 0
+        self.cache: dict[int, np.ndarray] = {base: identity}
+
+    def add(self, g: np.ndarray) -> None:
+        self.gens.append(g)
+        self.inverse_gens.append(invert_array(g))
 
 
 class StabilizerChain:
@@ -314,45 +331,47 @@ class StabilizerChain:
     def __init__(self, generators: list[np.ndarray], degree: int):
         self.degree = degree
         self._identity = np.arange(degree)
+        self._identity_bytes = self._identity.tobytes()
         self.levels: list[_Level] = []
         nontrivial = [g for g in generators if not np.array_equal(g, self._identity)]
         if nontrivial:
             base = min(int(np.nonzero(g != self._identity)[0][0]) for g in nontrivial)
-            self.levels.append(_Level(base))
+            self.levels.append(_Level(base, self._identity))
             for g in nontrivial:
-                self.levels[0].gens.append(g)
+                self.levels[0].add(g)
             self._close(0)
-            # the cached transversal elements served the sifting; a later
-            # membership test rebuilds the ones it needs
+            # the cached inverses served the sifting; a later membership
+            # test rebuilds the ones it needs
             for level in self.levels:
-                level.cache.clear()
+                level.cache = {level.base: self._identity}
 
     # -- construction ----------------------------------------------------
 
     # total cached transversal entries per level, to bound memory
     _CACHE_BUDGET = 16_000_000
 
-    def _transversal_element(self, level: _Level, point: int) -> np.ndarray:
-        """Permutation mapping the level's base to the given orbit point."""
-        if point == level.base:
-            return self._identity
-        cached = level.cache.get(point)
-        if cached is not None:
-            return cached
-        # walk up to the nearest cached ancestor, then compose back down
+    def _inverse(self, level: _Level, point: int) -> np.ndarray:
+        """u⁻¹ for the transversal element u taking the level's base to the
+        orbit point: climb the Schreier tree to the nearest cached ancestor,
+        then walk back down with the inverse generators, u_child⁻¹ =
+        u_parent⁻¹[g⁻¹], caching the points on the way whose depth is the
+        level's offset mod stride."""
+        cache = level.cache
+        inverse = cache.get(point)
+        if inverse is not None:
+            return inverse
         path = []
         x = point
-        while x != level.base and x not in level.cache:
-            parent, gi = level.transversal[x]
-            path.append((x, gi))
+        while x not in cache:
+            parent, gi, depth = level.transversal[x]
+            path.append((x, gi, depth))
             x = parent
-        u = self._identity if x == level.base else level.cache[x]
-        may_cache = self.degree * (len(level.cache) + len(path)) < self._CACHE_BUDGET
-        for x, gi in reversed(path):
-            u = level.gens[gi][u]
-            if may_cache:
-                level.cache[x] = u
-        return u
+        inverse = cache[x]
+        for x, gi, depth in reversed(path):
+            inverse = inverse[level.inverse_gens[gi]]
+            if depth % level.stride == level.offset:
+                cache[x] = inverse
+        return inverse
 
     def _orbit_close(self, level: _Level) -> None:
         queue = list(level.orbit_order)
@@ -360,12 +379,26 @@ class StabilizerChain:
         while qi < len(queue):
             pt = queue[qi]
             qi += 1
+            depth = level.transversal[pt][2] + 1
             for gi, g in enumerate(level.gens):
                 y = int(g[pt])
                 if y not in level.transversal:
-                    level.transversal[y] = (pt, gi)
+                    level.transversal[y] = (pt, gi, depth)
                     level.orbit_order.append(y)
                     queue.append(y)
+        # within the budget every point is cached (stride 1).  Past it, only
+        # the least populated class of depths mod stride: at most
+        # |orbit| / stride points, so within the budget, and every point is
+        # fewer than stride steps below the base or a cached point
+        stride = -(-self.degree * len(level.transversal) // self._CACHE_BUDGET)
+        offset = 0
+        if stride > 1:
+            counts = Counter(d % stride for _, _, d in level.transversal.values())
+            offset = min(range(stride), key=lambda r: (counts[r], r))
+        if (stride, offset) != (level.stride, level.offset):
+            level.stride, level.offset = stride, offset
+            level.cache = {x: inverse for x, inverse in level.cache.items()
+                           if x == level.base or level.transversal[x][2] % stride == offset}
 
     def _strip(self, g: np.ndarray, start: int) -> tuple[np.ndarray, int]:
         for i in range(start, len(self.levels)):
@@ -375,8 +408,7 @@ class StabilizerChain:
                 continue
             if y not in level.transversal:
                 return g, i
-            u = self._transversal_element(level, y)
-            g = invert_array(u)[g]
+            g = self._inverse(level, y)[g]
         return g, len(self.levels)
 
     def _close(self, i: int) -> None:
@@ -386,27 +418,26 @@ class StabilizerChain:
             progressed = False
             for pt in list(level.orbit_order):
                 u_pt = None
-                for gi in range(len(level.gens)):
+                for gi, g in enumerate(level.gens):
                     if (pt, gi) in level.done:
                         continue
                     level.done.add((pt, gi))
-                    g = level.gens[gi]
                     y = int(g[pt])
-                    if level.transversal[y] == (pt, gi):
+                    parent, tree_gi, _ = level.transversal[y]
+                    if parent == pt and tree_gi == gi:
                         continue  # tree edge: u_pt·g is u_y, so the generator is 1
                     if u_pt is None:
-                        u_pt = self._transversal_element(level, pt)
-                    u_y = self._transversal_element(level, y)
-                    schreier = invert_array(u_y)[g[u_pt]]
-                    residue, j = self._strip(schreier, i + 1)
-                    if np.array_equal(residue, self._identity):
+                        u_pt = invert_array(self._inverse(level, pt))
+                    # the Schreier generator u_pt·g·u_y⁻¹
+                    residue, j = self._strip(self._inverse(level, y)[g[u_pt]], i + 1)
+                    if j == len(self.levels) and residue.tobytes() == self._identity_bytes:
                         continue
                     progressed = True
                     if j == len(self.levels):
                         base = int(np.nonzero(residue != self._identity)[0][0])
-                        self.levels.append(_Level(base))
+                        self.levels.append(_Level(base, self._identity))
                     for l in range(i + 1, j + 1):
-                        self.levels[l].gens.append(residue)
+                        self.levels[l].add(residue)
                     for l in range(j, i, -1):
                         self._close(l)
             if not progressed:
@@ -423,7 +454,7 @@ class StabilizerChain:
 
     def contains_array(self, g: np.ndarray) -> bool:
         residue, j = self._strip(g, 0)
-        return j == len(self.levels) and np.array_equal(residue, self._identity)
+        return j == len(self.levels) and residue.tobytes() == self._identity_bytes
 
 
 @dataclass(frozen=True)

@@ -668,10 +668,59 @@ def _chain_group(key):
     return complement.complement_vertex_group(data)
 
 
-@pytest.mark.parametrize("key", sorted(CHAIN_STRUCTURE))
-def test_chain_structure_pinned(key):
-    levels = _chain_group(key).chain.levels
+def _assert_pinned(key, levels):
     assert [(lv.base, len(lv.transversal), len(lv.gens)) for lv in levels] == \
         CHAIN_STRUCTURE[key]
     gens = json.dumps([[g.tolist() for g in lv.gens] for lv in levels])
     assert hashlib.sha256(gens.encode()).hexdigest() == CHAIN_GENERATORS_SHA256[key]
+
+
+@pytest.mark.parametrize("key", sorted(CHAIN_STRUCTURE))
+def test_chain_structure_pinned(key):
+    _assert_pinned(key, _chain_group(key).chain.levels)
+
+
+def _tree_elements(level, degree):
+    """The transversal element u taking the level's base to each orbit
+    point, composed along the tree edges in orbit order, with no inverses
+    and no cache."""
+    u = {level.base: np.arange(degree)}
+    for x in level.orbit_order[1:]:
+        parent, gi, _ = level.transversal[x]
+        u[x] = level.gens[gi][u[parent]]
+    return u
+
+
+@pytest.mark.parametrize("key", sorted(CHAIN_STRUCTURE))
+def test_chain_past_the_cache_budget(monkeypatch, key):
+    """With the cache budget cut to 3000 entries, a level whose degree x
+    orbit exceeds it caches u⁻¹ only for one class of tree depths mod its
+    stride.  The chain is still the pinned one; every generator is a
+    member, and a generator times a transposition of two points outside
+    the base is not (a nontrivial element fixing the base); every cached
+    inverse is the one composed along the tree; the cache stays within the
+    budget; and once every point has been looked up, no lookup walks
+    stride or more tree edges from a cached point."""
+    budget = 3000
+    monkeypatch.setattr(perms.StabilizerChain, "_CACHE_BUDGET", budget)
+    group = PermutationGroup(_chain_group(key).generators)
+    chain = group.chain
+    _assert_pinned(key, chain.levels)
+    assert all(g in group for g in group.generators)
+    a, b = sorted(set(range(group.degree)) - {lv.base for lv in chain.levels})[:2]
+    swap = list(range(group.degree))
+    swap[a], swap[b] = b, a
+    assert group.generators[0] * Permutation(swap) not in group
+    for level in chain.levels:
+        assert level.stride == -(-group.degree * len(level.transversal) // budget)
+        for x, u in _tree_elements(level, group.degree).items():
+            assert np.array_equal(chain._inverse(level, x)[u], np.arange(group.degree))
+        assert all(x == level.base or level.transversal[x][2] % level.stride == level.offset
+                   for x in level.cache)
+        assert (len(level.cache) - 1) * group.degree <= budget
+        for x in level.transversal:
+            walk = 0
+            while x not in level.cache:
+                x = level.transversal[x][0]
+                walk += 1
+            assert walk < level.stride
