@@ -389,7 +389,7 @@ class StabilizerChain:
         # within the budget every point is cached (stride 1).  Past it, only
         # the least populated class of depths mod stride: at most
         # |orbit| / stride points, so within the budget, and every point is
-        # fewer than stride steps below the base or a cached point
+        # fewer than stride steps below the base or a point of the class
         stride = -(-self.degree * len(level.transversal) // self._CACHE_BUDGET)
         offset = 0
         if stride > 1:
