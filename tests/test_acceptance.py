@@ -37,50 +37,12 @@ def _aut_case_predicates(n, k, I):
     }
 
 
-def test_criterion_8_census_properties(monkeypatch):
+def test_criterion_8_census_properties():
     """Every verdict up to n = 12 against the theorem's case predicates, and
-    each of the 98 YES verdicts certified on its graph once.  Stabilizer
-    chains built meanwhile are counted by degree.  The induced, cyclic and
-    dihedral witnesses record their orders: the only chains built with a
-    witness are its parent's at degree n or below.  AGL1(5) x S2 (two-regular
-    case 2) and the PSL2(8) complement (case 3) assert their orders from a
-    chain at the vertex degree when built.  regular_action_check builds
-    none."""
+    the deficiency of the A_n/S_n NO verdicts.  The 98 YES verdicts are
+    counted here and certified on their graphs, once each, by
+    test_certify_builds_no_chain_at_the_vertex_degree."""
     t0 = time.perf_counter()
-    built = Counter()
-    init = perms.StabilizerChain.__init__
-
-    def counted(self, generators, degree):
-        built[degree] += 1
-        init(self, generators, degree)
-
-    monkeypatch.setattr(perms.StabilizerChain, "__init__", counted)
-    graph_cache = {}
-    witness_cache = {}
-
-    def graph_for(n, k, I):
-        key = (n, k, I)
-        if key not in graph_cache:
-            graph_cache[key] = build_graph(n, k, I)
-        return graph_cache[key]
-
-    def witness_for(n, k, I, kind, case):
-        key = (n, k, kind, case)
-        if key not in witness_cache:
-            built.clear()
-            witness_cache[key] = witness_group(n, k, I, kind, case)
-            if (kind, case) not in (("two-regular", 2), ("two-regular", 3)):
-                assert max(built, default=n) <= n, (n, k, kind, case, built)
-        return witness_cache[key]
-
-    def certify(n, k, I, kind, case, r):
-        witness = witness_for(n, k, I, kind, case)
-        graph = graph_for(n, k, I)
-        built.clear()
-        report = regular_action_check(witness, graph, r)
-        assert report.confirmed, (n, k, I, kind, report.evidence)
-        assert not built, (n, k, kind, case, built)
-
     checked_yes = 0
     for n, k, I in census_instances(12):
         fired = [c for c, hit in _aut_case_predicates(n, k, I).items() if hit]
@@ -90,12 +52,7 @@ def test_criterion_8_census_properties(monkeypatch):
         cayley = classify_cayley(n, k, I)
         two_reg = classify_two_regular(n, k, I)
         assert comb(n, k) <= 5000
-        if cayley.outcome:
-            certify(n, k, I, "cayley", cayley.case, 1)
-            checked_yes += 1
-        if two_reg.outcome:
-            certify(n, k, I, "two-regular", two_reg.cases[0], 2)
-            checked_yes += 1
+        checked_yes += bool(cayley.outcome) + bool(two_reg.outcome)
         if not cayley.outcome and not two_reg.outcome \
                 and only_an_sn(n, k, I):
             record = classify_instance(n, k, I)
@@ -129,6 +86,44 @@ def test_criterion_8_certifies_n13_and_n14():
             checked_yes += 1
     assert checked_yes == 28
     assert time.perf_counter() - t0 <= 60.0
+
+
+def test_certify_builds_no_chain_at_the_vertex_degree(monkeypatch):
+    """Every YES verdict up to n = 12 passes the regular action check on its
+    graph.  Stabilizer chains built meanwhile are counted by degree.  The
+    induced, cyclic and dihedral witnesses record their orders: the only
+    chains are their parents' at degree n or below.  AGL1(5) x S2
+    (two-regular case 2) and the PSL2(8) complement (case 3) assert their
+    orders from a chain at the vertex degree when built.
+    regular_action_check builds none."""
+    t0 = time.perf_counter()
+    built = Counter()
+    init = perms.StabilizerChain.__init__
+
+    def counted(self, generators, degree):
+        built[degree] += 1
+        init(self, generators, degree)
+
+    monkeypatch.setattr(perms.StabilizerChain, "__init__", counted)
+    checked = 0
+    for n, k, I in census_instances(12):
+        cayley = classify_cayley(n, k, I)
+        two_reg = classify_two_regular(n, k, I)
+        verdicts = ([("cayley", cayley.case, 1)] if cayley.outcome else []) \
+            + ([("two-regular", two_reg.cases[0], 2)] if two_reg.outcome else [])
+        for kind, case, r in verdicts:
+            built.clear()
+            witness = witness_group(n, k, I, kind, case)
+            if (kind, case) not in (("two-regular", 2), ("two-regular", 3)):
+                assert max(built, default=n) <= n, (n, k, kind, case, built)
+            graph = build_graph(n, k, I)
+            built.clear()
+            report = regular_action_check(witness, graph, r)
+            assert report.confirmed, (n, k, I, kind, report.evidence)
+            assert not built, (n, k, kind, case, built)
+            checked += 1
+    assert checked == 98
+    assert time.perf_counter() - t0 <= 300.0
 
 
 def test_j16_8_dihedral_witness_needs_no_chain():
