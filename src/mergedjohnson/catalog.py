@@ -37,7 +37,6 @@ class HomogRecord:
     degree: int
     order: int
     max_homogeneity: int
-    max_transitivity: int
     build: Callable[[], PermutationGroup] | None = None
 
     def construct(self) -> PermutationGroup:
@@ -152,17 +151,17 @@ def _affine_line_group(n: int, kind: str) -> PermutationGroup:
 
 
 def _mathieu(n, homogeneity):
-    return HomogRecord("M%d" % n, n, _MATHIEU_ORDERS[n], homogeneity, homogeneity,
+    return HomogRecord("M%d" % n, n, _MATHIEU_ORDERS[n], homogeneity,
                        partial(mathieu, n))
 
 
-def _projective(q, name, order, homogeneity, transitivity):
-    return HomogRecord("%s(%d)" % (name, q), q + 1, order, homogeneity, transitivity,
+def _projective(q, name, order, homogeneity):
+    return HomogRecord("%s(%d)" % (name, q), q + 1, order, homogeneity,
                        partial(projective_line_group, q, name))
 
 
-def _affine(n, kind, order, homogeneity, transitivity):
-    return HomogRecord("%s1(%d)" % (kind, n), n, order, homogeneity, transitivity,
+def _affine(n, kind, order, homogeneity):
+    return HomogRecord("%s1(%d)" % (kind, n), n, order, homogeneity,
                        partial(_affine_line_group, n, kind))
 
 
@@ -179,17 +178,16 @@ def _projective_line_records():
         if q != 8:
             # PSL2(q) is 3-homogeneous iff q is even or q ≡ 3 mod 4
             out.append(_projective(q, "PSL2", pgl_order // (2 if q % 2 else 1),
-                                   3 if (q % 2 == 0 or q % 4 == 3) else 2,
-                                   3 if q % 2 == 0 else 2))
+                                   3 if (q % 2 == 0 or q % 4 == 3) else 2))
         if q % 2:
-            out.append(_projective(q, "PGL2", pgl_order, 3, 3))
+            out.append(_projective(q, "PGL2", pgl_order, 3))
         if q == 9:
             # the other two groups of index 2 in PGammaL2(9); M10 comes after
             # PGL2(9), which stays the witness of r = 6 at (10, 3)
-            out.append(_projective(q, "PSigmaL2", pgl_order, 2, 2))
-            out.append(_projective(q, "M10", pgl_order, 3, 3))
+            out.append(_projective(q, "PSigmaL2", pgl_order, 2))
+            out.append(_projective(q, "M10", pgl_order, 3))
         if e > 1 and q not in (8, 32):
-            out.append(_projective(q, "PGammaL2", pgl_order * e, 3, 3))
+            out.append(_projective(q, "PGammaL2", pgl_order * e, 3))
     return out
 
 
@@ -203,11 +201,11 @@ def _affine_line_records():
             continue
         _, e = dec
         if n != 8:
-            out.append(_affine(n, "AGL", n * (n - 1), 2, 2))
+            out.append(_affine(n, "AGL", n * (n - 1), 2))
         if n % 4 == 3:
-            out.append(_affine(n, "AHL", n * (n - 1) // 2, 2, 1))
+            out.append(_affine(n, "AHL", n * (n - 1) // 2, 2))
         if e > 1 and n not in (8, 32):
-            out.append(_affine(n, "AGammaL", n * (n - 1) * e, 2, 2))
+            out.append(_affine(n, "AGammaL", n * (n - 1) * e, 2))
     return out
 
 
@@ -219,21 +217,21 @@ _RECORDS = (
     _mathieu(24, 5),
     _mathieu(11, 4),
     _mathieu(23, 4),
-    _projective(8, "PSL2", 504, 4, 3),
-    _projective(8, "PGammaL2", 1512, 4, 3),
-    _projective(32, "PGammaL2", 163680, 4, 3),
-    HomogRecord("M11 on 12", 12, 7920, 3, 3),
-    HomogRecord("M22", 22, 443520, 3, 3),
-    HomogRecord("Aut M22", 22, 887040, 3, 3),
-    _affine(8, "AGL", 56, 3, 2),
-    _affine(8, "AGammaL", 168, 3, 2),
-    _affine(32, "AGammaL", 4960, 3, 2),
+    _projective(8, "PSL2", 504, 4),
+    _projective(8, "PGammaL2", 1512, 4),
+    _projective(32, "PGammaL2", 163680, 4),
+    HomogRecord("M11 on 12", 12, 7920, 3),
+    HomogRecord("M22", 22, 443520, 3),
+    HomogRecord("Aut M22", 22, 887040, 3),
+    _affine(8, "AGL", 56, 3),
+    _affine(8, "AGammaL", 168, 3),
+    _affine(32, "AGammaL", 4960, 3),
     *_projective_line_records(),
-    HomogRecord("PSL2(11) on 11", 11, 660, 2, 2),
-    HomogRecord("A7 on 15", 15, 2520, 2, 2),
-    HomogRecord("PSigmaL2(8) on 28", 28, 1512, 2, 2),
-    HomogRecord("HS", 176, 44352000, 2, 2),
-    HomogRecord("Co3", 276, 495766656000, 2, 2),
+    HomogRecord("PSL2(11) on 11", 11, 660, 2),
+    HomogRecord("A7 on 15", 15, 2520, 2),
+    HomogRecord("PSigmaL2(8) on 28", 28, 1512, 2),
+    HomogRecord("HS", 176, 44352000, 2),
+    HomogRecord("Co3", 276, 495766656000, 2),
     *_affine_line_records(),
 )
 

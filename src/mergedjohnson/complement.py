@@ -10,8 +10,10 @@ delta gives the standard complement with two vertex orbits of size 126;
 the three nonzero delta give 2-regular groups on all 252 five-subsets,
 the witnesses for J(10,5)_I with I in {{1,4}, {2,3}, {1,4,5}, {2,3,5}}.
 
-E is never multiplied out: (gamma(s), s) is handled as its action on the
-252 five-subsets, s followed by the complement swaps that gamma(s) marks.
+An equipartition is only an index: the lex rank of its half holding
+point 0 among the 126 such 5-subsets, and phi0 is index 0.  E is never
+multiplied out: (gamma(s), s) is handled as its action on the 252
+five-subsets, s followed by the complement swaps that gamma(s) marks.
 The transversal from phi0 is perms.transversal_bfs over the index table
 of the action on the 126 equipartitions.
 """
@@ -20,13 +22,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .catalog import moebius_generators, projective_line_group
-from .johnson import Equipartition, all_equipartitions
 from .perms import Permutation, PermutationGroup, transversal_bfs
-from .subsets import complement_ranks, ksubset_rank, ksubsets, mask_of, read_only
+from .subsets import complement_ranks, ksubsets, read_only
 
 
 # --------------------------------------------------------------------------
@@ -65,11 +67,11 @@ def build_pointed_psl28() -> PointedPSL28:
 
 @functools.cache
 def _equipartition_tables() -> tuple:
-    """(halves, phi_of_rank): each equipartition's key part as an ascending
-    row of points, by equipartition index (126 rows), and the index of the
-    equipartition each 5-subset is a half of, by co-lex rank (252 entries)."""
-    halves = np.array([sorted(x - 1 for x in phi.key_part)
-                       for phi in all_equipartitions(10)])
+    """(halves, phi_of_rank): each equipartition's half holding point 0 as
+    an ascending row of points, by equipartition index (126 rows, in lex
+    order), and the index of the equipartition each 5-subset is a half of,
+    by co-lex rank (252 entries)."""
+    halves = np.array([(0, *rest) for rest in combinations(range(1, 10), 4)])
     key_rank = ksubsets(10, 5).rank(halves)
     phi_of_rank = np.empty(252, dtype=np.intp)
     phi_of_rank[key_rank] = np.arange(126)
@@ -87,15 +89,10 @@ def _phi_images(images) -> np.ndarray:
 @dataclass(frozen=True)
 class CocycleData:
     pointed: PointedPSL28
-    equipartitions: tuple          # all 126, canonical order
-    phi0_index: int
+    phi0_index: int                # the base equipartition's index
     V: tuple                       # the four stabilizer elements, identity first
     transversal: tuple             # index -> t_phi with phi0 * t_phi = phi
     delta_label: int               # 0..3
-
-    @property
-    def phi0(self) -> Equipartition:
-        return self.equipartitions[self.phi0_index]
 
     def delta(self, v: Permutation) -> int:
         if v == self.V[0]:
@@ -121,9 +118,6 @@ class CocycleData:
 def equipartition_setup(pointed: PointedPSL28):
     """phi0, its Klein four stabilizer and a transversal over the single
     126-element orbit."""
-    phis = tuple(all_equipartitions(10))
-    if len(phis) != 126:
-        raise AssertionError("expected 126 equipartitions")
     phi0_index = 0
     group = pointed.group
     orbit, transversal = transversal_bfs(
@@ -138,7 +132,7 @@ def equipartition_setup(pointed: PointedPSL28):
         raise AssertionError("stabilizer of phi0 is not a Klein four-group")
     V = tuple([identity] + sorted((s for s in stab if s != identity),
                                   key=lambda s: s.images.tolist()))
-    return phis, phi0_index, V, tuple(transversal[i] for i in range(126))
+    return phi0_index, V, tuple(transversal[i] for i in range(126))
 
 
 @functools.cache
@@ -227,7 +221,8 @@ def frobenius_class_action(data: CocycleData) -> int:
         if sigma.inverse() * g * sigma not in S:
             raise AssertionError("sigma does not normalize PSL2(8)")
     sigma_vertex = vertex_permutation(data, sigma, m=(0,) * 126)
-    k0 = ksubset_rank(mask_of(x - 1 for x in data.phi0.key_part))
+    halves, _ = _equipartition_tables()
+    k0 = int(ksubsets(10, 5).rank(halves[data.phi0_index]))
     comp_rank = complement_ranks(10, 5)
     labels = {}
     for idx in (1, 2, 3):

@@ -1,17 +1,18 @@
-"""Arithmetic in GF(p^e) at desk scale.
+"""Arithmetic in GF(p^e) at desk scale, on element indices.
 
-Elements are coefficient tuples of length e over {0..p-1}, constant term
-first.  The modulus is the lowest-lexicographic monic irreducible of degree
-e, except GF(8) which is pinned to t^3 + t + 1 so that coordinates match
-the classical presentation F_2(t).  A discrete-log table over a primitive
-element makes multiplication and powering O(1) after construction.
+Element i has the base-p digits of i as its coefficients, constant term
+first, so prime-field elements are 0, 1, 2, ...  The modulus is the
+lowest-lexicographic monic irreducible of degree e, except GF(8) which is
+pinned to t^3 + t + 1 so that coordinates match the classical
+presentation F_2(t).
 
-Element i is the i-th element in that order, so i = sum(c_j p^j) over its
-coefficients.  The same arithmetic on element indices comes from three
-read-only arrays, each built on first use: the base-p `digits` of every
-index, `exp` (exp[k] is the index of omega^k) and its inverse `log`.
-`power_map` and `translation` read the point maps of the affine and
-projective-line groups off them as image arrays.
+Three read-only arrays, each built on first use, carry all the
+arithmetic: the `digits` of every index, `exp` (exp[k] is the index of
+omega^k, omega the first index whose powers reach every nonzero index)
+and its inverse `log`.  `exp` is built by doubling with the e x e matrix
+of multiplication by a candidate, squared each round.  `power_map` and
+`translation` read the point maps of the affine and projective-line
+groups off them as image arrays.
 """
 
 from __future__ import annotations
@@ -72,29 +73,6 @@ def prime_power_decomposition(n: int) -> tuple[int, int] | None:
     return n, 1
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _poly_mod(a, modulus, p):
-    """Reduce a (coeff list) modulo a monic polynomial given by its
-    lower-degree coefficients (so x^e = -modulus)."""
-    e = len(modulus)
-    a = list(a)
-    for i in range(len(a) - 1, e - 1, -1):
-        c = a[i]
-        if c:
-            a[i] = 0
-            for j, m in enumerate(modulus):
-                a[i - e + j] = (a[i - e + j] - c * m) % p
-    return a[:e] + [0] * (e - len(a[:e]))
-
-
 def _is_irreducible(modulus, p) -> bool:
     """Trial division by all monic polynomials of degree <= e // 2."""
     e = len(modulus)
@@ -119,7 +97,7 @@ def _poly_divides(divisor, poly, p) -> bool:
 
 
 class FiniteField:
-    """GF(p^e) with precomputed discrete logs over a primitive element."""
+    """GF(p^e) on element indices: digits, exp and log arrays."""
 
     def __init__(self, p: int, e: int, modulus=None):
         check_desk_bound(p, e)
@@ -139,19 +117,6 @@ class FiniteField:
             raise ValueError("modulus is reducible")
         self.modulus = modulus
 
-        self.elements: list[tuple[int, ...]] = [
-            tuple(reversed(c)) for c in itertools.product(range(p), repeat=e)
-        ]
-        # itertools.product varies the last slot fastest; reversing each
-        # tuple makes the constant term the fastest-varying coordinate, so
-        # prime-field elements enumerate as 0, 1, 2, ...
-        self.index_of = {el: i for i, el in enumerate(self.elements)}
-        self.zero = (0,) * e
-        self.one = tuple([1] + [0] * (e - 1))
-
-        self.omega, self.omega_powers = self._find_primitive()
-        self.dlog_table = {el: i for i, el in enumerate(self.omega_powers)}
-
     @staticmethod
     def _pick_modulus(p, e):
         if e == 1:
@@ -164,37 +129,6 @@ class FiniteField:
                 return candidate
         raise AssertionError("no irreducible polynomial found")
 
-    # -- raw arithmetic --------------------------------------------------
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def _mul_poly(self, a, b):
-        if self.e == 1:
-            return ((a[0] * b[0]) % self.p,)
-        return tuple(_poly_mod(_poly_mul(a, b, self.p), self.modulus, self.p))
-
-    def mul(self, a, b):
-        if a == self.zero or b == self.zero:
-            return self.zero
-        la, lb = self.dlog_table[a], self.dlog_table[b]
-        return self.omega_powers[(la + lb) % (self.order - 1)]
-
-    def pow(self, a, k: int):
-        if a == self.zero:
-            if k <= 0:
-                raise ValueError("0 to a non-positive power")
-            return self.zero
-        la = self.dlog_table[a]
-        return self.omega_powers[(la * k) % (self.order - 1)]
-
-    def inv(self, a):
-        if a == self.zero:
-            raise ZeroDivisionError("inverting the zero element")
-        return self.pow(a, self.order - 2)
-
-    # -- index arrays -----------------------------------------------------
-
     @functools.cached_property
     def digits(self) -> np.ndarray:
         """(order, e): row i holds the coefficients of element i."""
@@ -203,8 +137,42 @@ class FiniteField:
 
     @functools.cached_property
     def exp(self) -> np.ndarray:
-        """exp[k] is the index of omega^k, for 0 <= k < order - 1."""
-        return read_only(np.array(self.omega_powers) @ self.p ** np.arange(self.e))
+        """exp[k] is the index of omega^k, for 0 <= k < order - 1, where
+        omega is the first index whose powers reach every nonzero index,
+        that is the first a with a^k != 1 for 0 < k < order - 1."""
+        for a in range(1, self.order):
+            powers = self._powers(a)
+            if powers is not None:
+                return read_only(powers)
+        raise AssertionError("no primitive element found")
+
+    def _powers(self, a: int) -> np.ndarray | None:
+        """The indices of a^0 .. a^(order - 2), or None as soon as one
+        after a^0 is 1.  By doubling: a row of digits times the e x e
+        matrix whose row i holds the digits of t^i · a is that element
+        times a, so with a^0 .. a^(m-1) known, a^m .. a^(2m-1) is one
+        product with the matrix of a^m, which is squared each round."""
+        p, e, count = self.p, self.e, self.order - 1
+        weights = p ** np.arange(e)
+        matrix = np.empty((e, e), dtype=np.int64)
+        matrix[0] = self.digits[a]
+        for i in range(1, e):
+            # row i is row i - 1 times t: the digits shift up, and the one
+            # carried out, c·t^e, comes back as -c times the modulus
+            matrix[i, 0], matrix[i, 1:] = 0, matrix[i - 1, :-1]
+            matrix[i] = (matrix[i] - matrix[i - 1, -1] * np.array(self.modulus)) % p
+        rows = np.empty((count, e), dtype=np.int64)
+        rows[0] = self.digits[1]
+        powers = np.ones(count, dtype=np.int64)
+        known = 1
+        while known < count:
+            block = slice(known, min(2 * known, count))
+            rows[block] = rows[:block.stop - known] @ matrix % p
+            powers[block] = rows[block] @ weights
+            if (powers[block] == 1).any():
+                return None
+            known, matrix = block.stop, matrix @ matrix % p
+        return powers
 
     @functools.cached_property
     def log(self) -> np.ndarray:
@@ -226,20 +194,6 @@ class FiniteField:
         by one mod p."""
         digit = self.digits[:, j]
         return np.arange(self.order) + ((digit + 1) % self.p - digit) * self.p ** j
-
-    # -- bootstrap helpers ------------------------------------------------
-
-    def _find_primitive(self):
-        """(omega, [1, omega, omega^2, ...]): the first element in element
-        order whose powers reach all order - 1 nonzero elements."""
-        for a in self.elements[1:]:
-            powers, x = [self.one], a
-            while x != self.one and len(powers) < self.order:
-                powers.append(x)
-                x = self._mul_poly(x, a)
-            if len(powers) == self.order - 1:
-                return a, powers
-        raise AssertionError("no primitive element found")
 
     def __repr__(self):
         return "FiniteField(p=%d, e=%d)" % (self.p, self.e)

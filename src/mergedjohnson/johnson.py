@@ -252,32 +252,3 @@ def graph_stats(graph: MergedJohnsonGraph) -> GraphStats:
                     stack.append(v)
     return GraphStats(degree=graph.degree, edge_count=len(graph.edges),
                       connected=components == 1, component_count=components)
-
-
-# --------------------------------------------------------------------------
-# Equipartitions of an even ground set
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Equipartition:
-    """An unordered pair of complementary halves of {1..m}, keyed by the
-    half containing the point 1."""
-
-    m: int
-    key_part: frozenset
-
-    def __post_init__(self):
-        if self.m % 2 != 0:
-            raise ValueError("ground size must be even")
-        if len(self.key_part) != self.m // 2 or 1 not in self.key_part:
-            raise ValueError("key part must be the half containing 1")
-        if not self.key_part <= set(range(1, self.m + 1)):
-            raise ValueError("key part outside the ground set")
-
-
-def all_equipartitions(m: int) -> list:
-    """All C(m-1, m/2 - 1) equipartitions of {1..m}, sorted by key part."""
-    rest = range(2, m + 1)
-    out = [Equipartition(m, frozenset((1,) + extra))
-           for extra in combinations(rest, m // 2 - 1)]
-    return sorted(out, key=lambda phi: sorted(phi.key_part))

@@ -97,9 +97,6 @@ class NearField:
         if self.base.order != pair.n:
             raise AssertionError("field order mismatch")
         self.order = n = pair.n
-        self.elements = self.base.elements
-        self.zero = self.base.zero
-        self.one = self.base.one
         # h lies in coset level j when log h ≡ m(j) mod d; scales[log h % d]
         # is then the twist exponent q^j, reduced mod n - 1
         level = {pair.m_of(j) % pair.d: j for j in range(pair.d)}
@@ -167,10 +164,10 @@ class NearField:
         (a + x)∘c = a∘c + x∘c at each basis point x extends to every sum
         by induction."""
         n, add, mul, p = self.order, self.add_table, self.mul_table, self.base.p
-        one = self.base.index_of[self.one]
         points = np.arange(n)
-        if not (np.array_equal(mul[1:, one], points[1:])
-                and np.array_equal(mul[one, 1:], points[1:])
+        # the element 1 is index 1, as its digits are (1, 0, ..., 0)
+        if not (np.array_equal(mul[1:, 1], points[1:])
+                and np.array_equal(mul[1, 1:], points[1:])
                 and not mul[0].any() and not mul[:, 0].any()):
             raise AssertionError("identity axiom fails")
         # inverses: each column restricted to the nonzero rows is a
@@ -178,15 +175,15 @@ class NearField:
         bad = np.flatnonzero((np.sort(mul[1:, 1:], axis=0) != points[1:, None]).any(axis=0))
         if bad.size:
             raise AssertionError("multiplication by %r is not a bijection of the "
-                                 "nonzero elements" % (self.elements[bad[0] + 1],))
+                                 "nonzero elements" % (self._element(bad[0] + 1),))
         gens, t = [], self.base.exp[1 % (n - 1)]
         while True:
             column = mul[:, t]
             if not np.array_equal(column[mul], mul[:, column]):
                 raise AssertionError("associativity fails: (a∘b)∘c != a∘(b∘c) "
-                                     "for c = %r" % (self.elements[t],))
+                                     "for c = %r" % (self._element(t),))
             gens.append(t)
-            reached = _reached(one, mul[:, gens])
+            reached = _reached(1, mul[:, gens])
             if reached[1:].all():
                 break
             t = np.flatnonzero(~reached[1:])[0] + 1
@@ -204,11 +201,15 @@ class NearField:
                     and all(np.array_equal(shift[s], s[shift]) for s in shifts)
                     and np.array_equal(shift[add], add[:, shift])):
                 raise AssertionError("right distributivity fails: addition is not a "
-                                     "group at basis point %r" % (self.elements[x],))
+                                     "group at basis point %r" % (self._element(x),))
         for x in basis:
             if not np.array_equal(mul[add[:, x]], add[mul, mul[x]]):
                 raise AssertionError("right distributivity fails: (a + b)∘c != "
-                                     "a∘c + b∘c for b = %r" % (self.elements[x],))
+                                     "a∘c + b∘c for b = %r" % (self._element(x),))
+
+    def _element(self, x) -> tuple:
+        """Element x as its tuple of coefficients, for messages."""
+        return tuple(self.base.digits[x].tolist())
 
     def is_commutative(self) -> bool:
         return np.array_equal(self.mul_table, self.mul_table.T)
@@ -220,8 +221,7 @@ class NearField:
             "modulus": list(self.base.modulus),
         }
         if self.order <= 81:
-            data["multiplication_table"] = [[list(self.elements[x]) for x in row]
-                                            for row in self.mul_table.tolist()]
+            data["multiplication_table"] = self.base.digits[self.mul_table].tolist()
         return json.dumps(data)
 
 
@@ -394,23 +394,16 @@ def _elements_with_trace(p, trace):
 def _traces_of_order(p, m):
     """Traces in F_p of SL_2(p) elements of exact order m (eigenvalue pairs
     ζ, ζ^-1 with ζ a primitive m-th root of unity in F_{p^2})."""
-    if (p * p - 1) % m != 0 and (p - 1) % m != 0 and (p + 1) % m != 0:
-        return []
-    traces = set()
-    # work in GF(p^2) via the field module
     field = build_field(p, 2)
     n1 = field.order - 1
     if n1 % m != 0:
         return []
-    zeta = field.pow(field.omega, n1 // m)
-    z = zeta
-    for j in range(1, m):
-        if math.gcd(j, m) == 1:
-            tr = field.add(z, field.inv(z))
-            if tr[1] == 0:  # trace lies in the prime field
-                traces.add(tr[0])
-        z = field.mul(z, zeta)
-    return sorted(traces)
+    # ζ = ω^(j·n1/m) for j prime to m; ζ + ζ^-1 lies in F_p iff its
+    # t-digit is 0
+    logs = np.array([j * n1 // m for j in range(1, m) if math.gcd(j, m) == 1],
+                    dtype=np.intp)
+    traces = (field.digits[field.exp[logs]] + field.digits[field.exp[-logs % n1]]) % p
+    return sorted(set(traces[traces[:, 1] == 0, 0].tolist()))
 
 
 def _find_binary_tetrahedral(p):
@@ -457,7 +450,7 @@ def _scalar_of_order(p, z):
     the smallest primitive root mod p."""
     if (p - 1) % z != 0:
         raise AssertionError("no scalar of order %d mod %d" % (z, p))
-    lam = pow(build_field(p, 1).omega[0], (p - 1) // z, p)
+    lam = int(build_field(p, 1).exp[(p - 1) // z % (p - 1)])
     return (lam, 0, 0, lam)
 
 

@@ -340,10 +340,6 @@ class StabilizerChain:
             for g in nontrivial:
                 self.levels[0].add(g)
             self._close(0)
-            # the cached inverses served the sifting; a later membership
-            # test rebuilds the ones it needs
-            for level in self.levels:
-                level.cache = {level.base: self._identity}
 
     # -- construction ----------------------------------------------------
 

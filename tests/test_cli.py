@@ -275,13 +275,17 @@ def test_graph_export_matches_recorded_digests(n, k, merge):
         assert hashlib.sha256(result.output.encode()).hexdigest() == want, fmt
 
 
-# SHA-256 of `group` stdout, recorded while permutations were image tuples:
-# the generator images and their order are unchanged
+# SHA-256 of `group` stdout, recorded while permutations were image tuples
+# and, for the dickson near-field tables, while field elements were
+# coefficient tuples: the generator images, their order and the tables are
+# unchanged
 GROUP_SHA256 = {
     "agl -q 8": "7d4a0675b063774282b8fe71fb0267432583af679f72c3a28c00387720f1829c",
     "ahl -q 7": "5d25fd811d3e086cba23ec572a3318eb4fb331fb7605635e01c52fa5de3f3871",
     "agammal -q 9": "ed9b1485f7d951851aa236a747da33718683baae65e9ee3b29ce2dec027e6314",
     "agl -q 3 -d 2": "af5ef712feb58385cc9be1aa2ef1f130be4d1b15437dadcac2a6ef7ed43f1238",
+    "dickson -q 3 -d 2": "6f6ffd776e29ae29b95899fda8e901608880397db5ac7994f2e60dc957558332",
+    "dickson -q 5 -d 2": "81bac83ebc8b58bb8fa811272a15bc81c79cfbe7056a2d9b3717a42b82b4e36d",
     "exceptional -p 5": "e7bec28787f9a15e158fc349efc42dfc9e0eba7e4d32dba62166c29be27672f7",
     "psl28-complement --delta 0":
         "5c9b0fb52656a90a8ac77fd1dc5ec74ad755f53b65c8a731f73e6dbd18907edc",

@@ -2,13 +2,14 @@ import dataclasses
 
 import pytest
 
-from mergedjohnson.complement import (_phi_images, build_cocycle_data,
+from mergedjohnson.complement import (_equipartition_tables, _phi_images,
+                                      build_cocycle_data,
                                       build_pointed_psl28, complement_vertex_group,
                                       frobenius_class_action, induced_cocycle,
                                       orbit_signature, vertex_permutation)
 from mergedjohnson.johnson import build_graph
 from mergedjohnson.perms import Permutation
-from mergedjohnson.subsets import complement_ranks
+from mergedjohnson.subsets import complement_ranks, ksubsets
 from mergedjohnson.verify import is_automorphism
 
 
@@ -27,6 +28,19 @@ def test_pointed_group(pointed):
     assert pointed.group.order == 504
     # the tenth point is fixed by the whole group
     assert all(g.images[9] == 9 for g in pointed.group.generators)
+
+
+def test_equipartition_tables():
+    """The halves holding point 0 are every such 5-subset once, in lex
+    order, and each 5-subset maps to the equipartition it is a half of."""
+    halves, phi_of_rank = _equipartition_tables()
+    rows = [tuple(row) for row in halves.tolist()]
+    assert len(rows) == 126 and all(row[0] == 0 for row in rows)
+    assert all(list(row) == sorted(set(row)) for row in rows)
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    for rank, subset in enumerate(ksubsets(10, 5).elements.tolist()):
+        half = set(subset) if 0 in subset else set(range(10)) - set(subset)
+        assert set(rows[phi_of_rank[rank]]) == half
 
 
 def test_cocycle_classes_share_one_pointed_group_and_setup(datas):

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from mergedjohnson.fields import (FACTOR_BOUND, build_field, is_prime,
+import field_reference
+from mergedjohnson.fields import (DESK_BOUND, FACTOR_BOUND, build_field, is_prime,
                                   prime_power_decomposition)
 
 
@@ -25,34 +27,65 @@ def test_is_prime():
 
 def test_gf8_arithmetic():
     f = build_field(2, 3)
-    assert f.order == 8
-    t = f.omega
-    x = f.one
-    seen = set()
-    for _ in range(7):
-        x = f.mul(x, t)
-        seen.add(x)
-    # multiplicative group is cyclic of order 7
-    assert len(seen) == 7
-    assert f.add(t, t) == f.zero
+    assert f.order == 8 and f.modulus == (1, 1, 0)
+    # every element but 1 has order 7, so omega is t, element 2, and its
+    # powers are the whole multiplicative group
+    assert f.exp[1] == 2
+    assert f.exp.tolist() == field_reference.powers(f, 2)
+    assert sorted(f.exp.tolist()) == list(range(1, 8))
+    assert not ((f.digits[2] + f.digits[2]) % 2).any()  # t + t = 0
 
 
 def test_gf9_inverse_and_dlog():
     f = build_field(3, 2)
-    for a in f.elements:
-        if a == f.zero:
-            continue
-        assert f.mul(a, f.inv(a)) == f.one
-        assert f.pow(f.omega, f.dlog_table[a]) == a
+    nonzero = np.arange(1, 9)
+    assert np.array_equal(f.exp[f.log[nonzero]], nonzero)
+    inverses = f.exp[-f.log[nonzero] % 8]
+    products = field_reference.multiply(f, f.digits[nonzero], f.digits[inverses])
+    assert (field_reference.index(f, products) == 1).all()
 
 
 def test_frobenius_power_is_a_field_automorphism():
     f = build_field(2, 5)
-    for a in f.elements[:8]:
-        for b in f.elements[:8]:
-            # a -> a^(2^3)
-            assert f.pow(f.add(a, b), 8) == f.add(f.pow(a, 8), f.pow(b, 8))
-            assert f.pow(f.mul(a, b), 8) == f.mul(f.pow(a, 8), f.pow(b, 8))
+    frob = f.power_map(8, 0)  # a -> a^(2^3)
+    eighth = f.digits
+    for _ in range(3):
+        eighth = field_reference.multiply(f, eighth, eighth)
+    assert np.array_equal(frob, field_reference.index(f, eighth))
+
+    def add(x, y):
+        return field_reference.index(f, (x + y) % 2)
+
+    def mul(x, y):
+        return field_reference.index(f, field_reference.multiply(f, x, y))
+
+    a, b = f.digits[:, None], f.digits[None, :]
+    fa, fb = f.digits[frob][:, None], f.digits[frob][None, :]
+    assert np.array_equal(frob[add(a, b)], add(fa, fb))
+    assert np.array_equal(frob[mul(a, b)], mul(fa, fb))
+
+
+# every field of degree e > 1 under the desk bound, and the primes below 200
+REFERENCE_FIELDS = sorted(
+    {(p, e) for p in range(2, 64) if is_prime(p)
+     for e in range(2, 12) if p ** e <= DESK_BOUND}
+    | {(p, 1) for p in range(2, 200) if is_prime(p)})
+
+
+def test_exp_and_log_against_the_reference():
+    """exp lists the powers of omega = exp[1] by the reference product, log
+    inverts it, and no index below omega is primitive."""
+    for p, e in REFERENCE_FIELDS:
+        f = build_field(p, e)
+        n = f.order
+        assert np.array_equal(field_reference.index(f, f.digits), np.arange(n))
+        assert f.exp[0] == 1
+        successors = field_reference.multiply(f, f.digits[f.exp], f.digits[f.exp[1 % (n - 1)]])
+        assert np.array_equal(field_reference.index(f, successors), np.roll(f.exp, -1))
+        assert np.array_equal(f.log[f.exp], np.arange(n - 1))
+        assert np.array_equal(f.exp[f.log[1:]], np.arange(1, n))
+        # a = omega^log(a) has order (n - 1) / gcd(log a, n - 1)
+        assert (np.gcd(f.log[1:f.exp[1 % (n - 1)]], n - 1) > 1).all()
 
 
 def test_each_field_is_built_once():

@@ -4,8 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from mergedjohnson.johnson import (Equipartition, MergedJohnsonGraph,
-                                   all_equipartitions, build_graph, graph_stats,
+from mergedjohnson.johnson import (MergedJohnsonGraph, build_graph, graph_stats,
                                    merge_set)
 from mergedjohnson.subsets import all_masks, elements_of, ksubset_rank, mask_of
 
@@ -84,10 +83,11 @@ def test_johnson_distance_formula():
 # -- the equipartitions {K + {n+1}, complement} of {1..n+1}, n odd ------------
 
 def make_equipartition(m, part):
+    """The equipartition of {1..m} with the half part, as its half holding 1."""
     part = frozenset(part)
     if 1 not in part:
         part = frozenset(range(1, m + 1)) - part
-    return Equipartition(m, part)
+    return part
 
 
 def equipartition_bijection(n, K):
@@ -97,8 +97,7 @@ def equipartition_bijection(n, K):
     return make_equipartition(n + 1, labels | {n + 1})
 
 
-def equipartition_bijection_inverse(n, phi):
-    part = phi.key_part
+def equipartition_bijection_inverse(n, part):
     if n + 1 not in part:
         part = frozenset(range(1, n + 2)) - part
     return mask_of(x - 1 for x in part - {n + 1})
@@ -107,19 +106,12 @@ def equipartition_bijection_inverse(n, phi):
 def test_equipartition_bijection_and_inverse():
     K = mask_of([0, 1])  # subset {1,2} of {1..5}
     phi = equipartition_bijection(5, K)
-    assert phi.key_part == frozenset({1, 2, 6})
+    assert phi == frozenset({1, 2, 6})
     assert equipartition_bijection_inverse(5, phi) == K
 
 
-def test_all_equipartitions_count():
-    parts = all_equipartitions(6)
-    assert len(parts) == comb(5, 2)
-    assert all(1 in phi.key_part for phi in parts)
-
-
 def test_make_equipartition_normalizes_key_part():
-    phi = make_equipartition(6, {4, 5, 6})
-    assert phi.key_part == frozenset({1, 2, 3})
+    assert make_equipartition(6, {4, 5, 6}) == frozenset({1, 2, 3})
 
 
 # -- induced subgraph isomorphism classes (m = 3, 4) ---------------------------

@@ -724,3 +724,15 @@ def test_chain_past_the_cache_budget(monkeypatch, key):
                 x = level.transversal[x][0]
                 walk += 1
             assert walk < level.stride
+
+
+@pytest.mark.parametrize("key", sorted(CHAIN_STRUCTURE))
+def test_chain_keeps_its_inverse_caches(monkeypatch, key):
+    """Construction leaves each level's cache full: with the budget cut to
+    3000 entries, before any membership test, every level caches u⁻¹ for
+    exactly the base and the points of its depth class mod stride."""
+    monkeypatch.setattr(perms.StabilizerChain, "_CACHE_BUDGET", 3000)
+    for level in PermutationGroup(_chain_group(key).generators).chain.levels:
+        assert set(level.cache) == {
+            x for x, (_, _, depth) in level.transversal.items()
+            if x == level.base or depth % level.stride == level.offset}
