@@ -6,13 +6,13 @@ lowest-lexicographic monic irreducible of degree e, except GF(8) which is
 pinned to t^3 + t + 1 so that coordinates match the classical
 presentation F_2(t).
 
-Three read-only arrays, each built on first use, carry all the
-arithmetic: the `digits` of every index, `exp` (exp[k] is the index of
-omega^k, omega the first index whose powers reach every nonzero index)
-and its inverse `log`.  `exp` is built by doubling with the e x e matrix
-of multiplication by a candidate, squared each round.  `power_map` and
-`translation` read the point maps of the affine and projective-line
-groups off them as image arrays.
+Three read-only arrays carry all the arithmetic: the `digits` of every
+index, `exp` (exp[k] is the index of omega^k, omega the first index whose
+powers reach every nonzero index) and its inverse `log`.  The field is
+built with `exp`, by doubling with the e x e matrix of multiplication by a
+candidate, squared each round; `digits` and `log` are built on first use.
+`power_map` and `translation` read the point maps of the affine and
+projective-line groups off them as image arrays.
 """
 
 from __future__ import annotations
@@ -116,6 +116,7 @@ class FiniteField:
         if e > 1 and not _is_irreducible(modulus, p):
             raise ValueError("modulus is reducible")
         self.modulus = modulus
+        self.exp = self._exp()
 
     @staticmethod
     def _pick_modulus(p, e):
@@ -135,8 +136,7 @@ class FiniteField:
         return read_only(np.arange(self.order)[:, None]
                          // self.p ** np.arange(self.e) % self.p)
 
-    @functools.cached_property
-    def exp(self) -> np.ndarray:
+    def _exp(self) -> np.ndarray:
         """exp[k] is the index of omega^k, for 0 <= k < order - 1, where
         omega is the first index whose powers reach every nonzero index,
         that is the first a with a^k != 1 for 0 < k < order - 1."""
