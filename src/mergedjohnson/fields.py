@@ -9,10 +9,10 @@ presentation F_2(t).
 Three read-only arrays carry all the arithmetic: the `digits` of every
 index, `exp` (exp[k] is the index of omega^k, omega the first index whose
 powers reach every nonzero index) and its inverse `log`.  The field is
-built with `exp`, by doubling with the e x e matrix of multiplication by a
-candidate, squared each round; `digits` and `log` are built on first use.
-`power_map` and `translation` read the point maps of the affine and
-projective-line groups off them as image arrays.
+built with `digits` and `exp`, the latter by doubling with the e x e
+matrix of multiplication by a candidate, squared each round; `log` is
+built on first use.  `power_map` and `translation` read the point maps of
+the affine and projective-line groups off them as image arrays.
 """
 
 from __future__ import annotations
@@ -116,6 +116,9 @@ class FiniteField:
         if e > 1 and not _is_irreducible(modulus, p):
             raise ValueError("modulus is reducible")
         self.modulus = modulus
+        # (order, e): row i holds the coefficients of element i
+        self.digits = read_only(np.arange(self.order)[:, None]
+                                // p ** np.arange(e) % p)
         self.exp = self._exp()
 
     @staticmethod
@@ -129,12 +132,6 @@ class FiniteField:
             if _is_irreducible(candidate, p):
                 return candidate
         raise AssertionError("no irreducible polynomial found")
-
-    @functools.cached_property
-    def digits(self) -> np.ndarray:
-        """(order, e): row i holds the coefficients of element i."""
-        return read_only(np.arange(self.order)[:, None]
-                         // self.p ** np.arange(self.e) % self.p)
 
     def _exp(self) -> np.ndarray:
         """exp[k] is the index of omega^k, for 0 <= k < order - 1, where
