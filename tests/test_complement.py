@@ -3,8 +3,8 @@ import dataclasses
 import pytest
 
 from mergedjohnson.complement import (_equipartition_tables, _phi_images,
-                                      build_cocycle_data,
-                                      build_pointed_psl28, complement_vertex_group,
+                                      build_cocycle_data, build_pointed_psl28,
+                                      complement_vertex_group,
                                       frobenius_class_action, induced_cocycle,
                                       orbit_signature, vertex_permutation)
 from mergedjohnson.johnson import build_graph
