@@ -136,8 +136,10 @@ class FiniteField:
     def _exp(self) -> np.ndarray:
         """exp[k] is the index of omega^k, for 0 <= k < order - 1, where
         omega is the first index whose powers reach every nonzero index,
-        that is the first a with a^k != 1 for 0 < k < order - 1."""
-        for a in range(1, self.order):
+        that is the first a with a^k != 1 for 0 < k < order - 1.  For
+        e > 1 the search starts at index p: the prime-field elements 1 ..
+        p - 1 have orders dividing p - 1, so none of them is primitive."""
+        for a in range(1 if self.e == 1 else self.p, self.order):
             powers = self._powers(a)
             if powers is not None:
                 return read_only(powers)

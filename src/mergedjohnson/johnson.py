@@ -250,5 +250,7 @@ def graph_stats(graph: MergedJohnsonGraph) -> GraphStats:
                 if not seen[v]:
                     seen[v] = True
                     stack.append(v)
-    return GraphStats(degree=graph.degree, edge_count=len(graph.edges),
+    # the graph is regular: every edge is counted at both of its ends
+    return GraphStats(degree=graph.degree,
+                      edge_count=graph.num_vertices * graph.degree // 2,
                       connected=components == 1, component_count=components)

@@ -532,14 +532,18 @@ class PermutationGroup:
 
     def _closure_blocks(self, limit: int | None = None):
         """The elements as (count, degree) uint32 arrays of point images, by
-        Dimino's coset enumeration: ⟨g1⟩ by doubling, then for each later
-        generator g not yet reached, the right cosets H·x of the group H
+        Dimino's coset enumeration: ⟨g1⟩ by doubling, for g1 the first
+        generator of largest order, then for each other generator g not yet
+        reached, in the order given, the right cosets H·x of the group H
         generated so far, until their union is closed under every generator
         used.  The last group's cosets are yielded one block each.  With a
         limit, ValueError as soon as the closure has more than limit
         elements."""
-        gens = self.generator_images.astype(np.uint32)
-        cyclic = self.generators[0].order()
+        orders = [g.order() for g in self.generators]
+        seed = orders.index(max(orders))
+        rest = [i for i in range(len(orders)) if i != seed]
+        gens = self.generator_images[[seed] + rest].astype(np.uint32)
+        cyclic = orders[seed]
         if limit is not None and cyclic > limit:
             raise ValueError("closure exceeded limit %d" % limit)
         first = _powers(gens[0], cyclic)

@@ -1,9 +1,10 @@
 """Brute-force oracles that independently validate classification claims.
 
 Everything here recomputes facts from first principles at small scale:
-automorphism groups by pruned enumeration, regular subgroups by closure
-search, orbit lemmas by exhaustive subgroup sweeps.  CLAIMS, at the end,
-is the registry of claims that `mergedjohnson verify --suite` runs.
+automorphism groups by pruned enumeration, regular subgroups and the
+subgroups of S4 by one complete subgroup search, orbit lemmas by sweeps.
+CLAIMS, at the end, is the registry of claims that `mergedjohnson verify
+--suite` runs.
 """
 
 from __future__ import annotations
@@ -261,33 +262,55 @@ def bruteforce_automorphism_group(graph: MergedJohnsonGraph) -> int:
 # Regular subgroup search
 # --------------------------------------------------------------------------
 
-def _prime_factor_count(m: int) -> int:
-    """Omega(m): the prime factors of m counted with multiplicity."""
-    count, p = 0, 2
-    while p * p <= m:
-        while m % p == 0:
-            m //= p
-            count += 1
-        p += 1
-    return count + (m > 1)
+def subgroups(elements, limit: int | None = None, keep=lambda sub: True):
+    """The trivial group, then the subgroups that elements of the list
+    generate and keep accepts, each as (its elements as a frozenset, the
+    generators it was closed from), layer by layer.  Layer 0 is the trivial
+    group, and layer i + 1 is every <gens, g> over the subgroups <gens> of
+    layer i and the g in the list, less the ones found before.  A closure
+    of more than limit elements is dropped.  Nothing is yielded for an
+    empty list.
+
+    The search is complete at every order: a subgroup H generated by list
+    elements, with at most limit elements, is reached through a chain
+    <g1> < <g1, g2> < ... of list elements of H, and every group in that
+    chain is a subgroup of H, so when keep accepts the subgroups of H the
+    chain is kept up to H."""
+    if not elements:
+        return
+    trivial = frozenset([Permutation.identity(elements[0].degree)])
+    found = {trivial}
+    layer = [(trivial, [])]
+    yield layer[0]
+    while layer:
+        grown_layer = []
+        for sub, gens in layer:
+            for g in elements:
+                if g in sub:
+                    continue
+                try:
+                    grown = frozenset(closure(gens + [g], limit=limit))
+                except ValueError:
+                    continue
+                if grown not in found and keep(grown):
+                    found.add(grown)
+                    grown_layer.append((grown, gens + [g]))
+                    yield grown_layer[-1]
+        layer = grown_layer
 
 
 def regular_subgroup_nonexistence(ambient: PermutationGroup,
                                   graph: MergedJohnsonGraph) -> OracleReport:
     """Exhaustive search for a subgroup of order m = |V| acting regularly
-    on the vertices, over subgroups generated by up to 3 elements.
+    on the vertices, complete at every m.
 
-    The search is complete when every group of order m is 3-generated.
-    That holds when Omega(m), the number of prime factors of m counted with
-    multiplicity, is at most 3: in an irredundant generating set each
-    generator outside the group of the ones before it multiplies the order
-    by an integer above 1, so by at least one prime factor.  For a larger
-    Omega(m) the search could miss a regular subgroup, and ValueError is
-    raised instead."""
+    A regular subgroup is the identity and m - 1 fixed-point-free elements
+    whose orders divide m.  The search closes subgroups from those
+    candidates and keeps the ones whose order divides m and whose other
+    elements fix no vertex, which every subgroup of a regular subgroup
+    does; it stops at the first one of order m."""
     t0 = time.perf_counter()
     m = graph.num_vertices
-    if _prime_factor_count(m) > 3:
-        raise ValueError("a group of order %d may need more than 3 generators" % m)
     claim = "no regular subgroup of order %d in ambient of order %d on " \
             "J(%d,%d)_%s" % (m, ambient.order, graph.n, graph.k, sorted(graph.I))
     if ambient.order > 10 ** 4:
@@ -295,48 +318,20 @@ def regular_subgroup_nonexistence(ambient: PermutationGroup,
     if ambient.order % m != 0:
         return _report(claim, True, {"note": "order %d does not divide the "
                                              "ambient order" % m}, t0)
-    elements = ambient.elements()
-    identity = Permutation.identity(ambient.degree)
+    points = np.arange(ambient.degree)
+    candidates = [g for g in ambient.elements()
+                  if (g.images != points).all() and m % g.order() == 0]
 
-    def fixed_point_free(g):
-        return bool((g.images != np.arange(g.degree)).all())
+    def semiregular(sub):
+        moved = np.array([g.images for g in sub]) != points
+        return m % len(sub) == 0 and moved.all(axis=1).sum() == len(sub) - 1
 
-    # a regular subgroup consists of fixed-point-free elements plus the
-    # identity, with element orders dividing |V|
-    candidates = [g for g in elements
-                  if g != identity and fixed_point_free(g) and m % g.order() == 0]
-
-    def close(gens):
-        """The group gens generate, or None when its order exceeds m."""
-        try:
-            return set(closure(gens, limit=m))
-        except ValueError:
-            return None
-
-    def search(gens, generated, start):
-        if len(generated) == m and all(g == identity or fixed_point_free(g)
-                                       for g in generated):
-            return gens
-        if len(gens) == 3:
-            return None
-        for i in range(start, len(candidates)):
-            g = candidates[i]
-            if g in generated:
-                continue  # canonical pruning: skip redundant generators
-            grown = close(gens + [g])
-            if grown is None or m % len(grown) != 0:
-                continue
-            found = search(gens + [g], grown, i + 1)
-            if found is not None:
-                return found
-        return None
-
-    witness = search([], {identity}, 0)
-    if witness is None:
-        return _report(claim, True, {"candidates": len(candidates)}, t0)
-    return _report(claim, False,
-                   {"regular_subgroup_generators":
-                    [g.to_one_based() for g in witness]}, t0)
+    for sub, gens in subgroups(candidates, limit=m, keep=semiregular):
+        if len(sub) == m:
+            return _report(claim, False,
+                           {"regular_subgroup_generators":
+                            [g.to_one_based() for g in gens]}, t0)
+    return _report(claim, True, {"candidates": len(candidates)}, t0)
 
 
 # --------------------------------------------------------------------------
@@ -373,30 +368,6 @@ def lemma_two_orbit_check(group: PermutationGroup, r_max: int = 4) -> OracleRepo
                                "r": rs[0] if rs[0] == rs[1] else rs}, t0)
 
 
-def all_subgroups(group: PermutationGroup) -> list:
-    """Every subgroup, as frozensets of elements (small groups only).  Each
-    one found is kept with the generators it was closed from, so that
-    <sub, g> is closed from those generators and g."""
-    elements = group.elements()
-    identity = Permutation.identity(group.degree)
-    trivial = frozenset({identity})
-
-    found = {trivial}
-    frontier = [(trivial, [])]
-    while frontier:
-        nxt = []
-        for sub, gens in frontier:
-            for g in elements:
-                if g in sub:
-                    continue
-                grown = frozenset(closure(gens + [g]))
-                if grown not in found:
-                    found.add(grown)
-                    nxt.append((grown, gens + [g]))
-        frontier = nxt
-    return sorted(found, key=lambda s: (len(s), sorted(p.images.tolist() for p in s)))
-
-
 def lemma_regorbits_exhaustive_n4() -> OracleReport:
     """Sweep all 30 subgroups of S4: exactly the cyclic order-3 subgroups
     have two regular orbits on 2-subsets."""
@@ -405,7 +376,7 @@ def lemma_regorbits_exhaustive_n4() -> OracleReport:
             "2-subsets"
     s4 = PermutationGroup([Permutation.from_cycles(4, [(0, 1)]),
                            Permutation.from_cycles(4, [(0, 1, 2, 3)])])
-    subs = all_subgroups(s4)
+    subs = [sub for sub, _ in subgroups(s4.elements())]
     if len(subs) != 30:
         return _report(claim, False, {"subgroup_count": len(subs)}, t0)
     domain = ActionDomain.ksubsets(4, 2)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import field_reference
-from mergedjohnson.fields import (DESK_BOUND, FACTOR_BOUND, build_field, is_prime,
-                                  prime_power_decomposition)
+from mergedjohnson.fields import (DESK_BOUND, FACTOR_BOUND, FiniteField, build_field,
+                                  is_prime, prime_power_decomposition)
 
 
 def test_prime_power_decomposition():
@@ -86,6 +86,21 @@ def test_exp_and_log_against_the_reference():
         assert np.array_equal(f.exp[f.log[1:]], np.arange(1, n))
         # a = omega^log(a) has order (n - 1) / gcd(log a, n - 1)
         assert (np.gcd(f.log[1:f.exp[1 % (n - 1)]], n - 1) > 1).all()
+
+
+def test_primitive_search_skips_the_prime_field(monkeypatch):
+    """For e > 1 the prime-field indices 1 .. p - 1 are never tried:
+    GF(59^2) tries 59, 60, 61 and takes omega = 62."""
+    assert build_field(59, 2).exp[1] == 62
+    tried = []
+    powers = FiniteField._powers
+    monkeypatch.setattr(FiniteField, "_powers",
+                        lambda self, a: tried.append(a) or powers(self, a))
+    assert FiniteField(59, 2).exp[1] == 62
+    assert tried == [59, 60, 61, 62]
+    tried.clear()
+    assert FiniteField(59, 1).exp[1] == 2
+    assert tried == [1, 2]
 
 
 def test_each_field_is_built_once():

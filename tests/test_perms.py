@@ -378,6 +378,17 @@ def test_elements_match_a_closure_grown_in_plain_python(name):
     assert len(want) == group.order
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_closure_starts_from_the_generator_of_largest_order(swap):
+    """S4 closes from <(0 1 2 3)> in 6 blocks, whichever generator comes
+    first: from <(0 1)> it would take 12."""
+    gens = s_n(4).generators
+    group = PermutationGroup(gens[::-1] if swap else gens)
+    blocks = list(group._closure_blocks())
+    assert [len(block) for block in blocks] == [4] * 6
+    assert len(group.elements()) == 24
+
+
 def test_elements_limit_when_the_first_generator_overflows(monkeypatch):
     c = _cycle(12, tuple(range(12)))
     group = PermutationGroup([c, c * c * c * c * c])  # C12, twice

@@ -86,18 +86,64 @@ def test_regular_subgroup_search_finds_a_witness():
     assert "regular_subgroup_generators" in report.evidence
 
 
-def test_regular_subgroup_search_refuses_orders_with_four_prime_factors():
-    """C(9,2) = 36 = 2·2·3·3: a group of that order might need 4
-    generators, more than the search tries.  C(8,2) = 28 = 2·2·7 is
-    searched."""
-    trivial = PermutationGroup([Permutation.identity(36)])
-    with pytest.raises(ValueError, match="more than 3 generators"):
-        regular_subgroup_nonexistence(trivial, build_graph(9, 2, {1}))
-    report = regular_subgroup_nonexistence(PermutationGroup([Permutation.identity(28)]),
-                                           build_graph(8, 2, {1}))
+def test_regular_subgroup_search_finds_agl18_at_four_prime_factors():
+    """C(8,3) = 56 = 2·2·2·7: inside AGammaL1(8) on 3-subsets the search
+    reaches a regular subgroup, and J(8,3) is Cayley in the census."""
+    from mergedjohnson.classify import classify_cayley
+    from mergedjohnson.fields import build_field
+    ambient = affine_group(build_field(2, 3), "AGammaL").induced_subset_action(3)
+    graph = build_graph(8, 3, {1})
+    report = regular_subgroup_nonexistence(ambient, graph)
+    assert report.outcome == "refuted"
+    gens = [Permutation([x - 1 for x in g])
+            for g in report.evidence["regular_subgroup_generators"]]
+    assert regular_action_check(PermutationGroup(gens), graph, 1).confirmed
+    assert classify_cayley(8, 3, {1}).outcome
+
+
+def test_regular_subgroup_search_finds_none_at_four_prime_factors():
+    """C(9,2) = 36 = 2·2·3·3: AGammaL1(9) on 2-subsets has no regular
+    subgroup, and J(9,2) is not Cayley in the census."""
+    from mergedjohnson.classify import classify_cayley
+    from mergedjohnson.fields import build_field
+    report = regular_subgroup_nonexistence(
+        affine_group(build_field(3, 2), "AGammaL").induced_subset_action(2),
+        build_graph(9, 2, {1}))
     assert report.confirmed
-    assert [verify._prime_factor_count(m) for m in (1, 2, 6, 10, 28, 36, 97, 1024)] == \
-        [0, 1, 2, 2, 3, 4, 1, 10]
+    assert not classify_cayley(9, 2, {1}).outcome
+
+
+def test_regular_subgroup_search_in_pgl27_on_pairs():
+    """C(8,2) = 28 = 2·2·7: PGL2(7) of order 336 on 2-subsets has no
+    regular subgroup, and neither has a group of order prime to 28."""
+    from mergedjohnson.catalog import projective_line_group
+    graph = build_graph(8, 2, {1})
+    report = regular_subgroup_nonexistence(
+        projective_line_group(7, "PGL2").induced_subset_action(2), graph)
+    assert report.confirmed
+    assert report.evidence == {"candidates": 90}
+    report = regular_subgroup_nonexistence(PermutationGroup([Permutation.identity(28)]),
+                                           graph)
+    assert report.confirmed
+    assert report.evidence == {"note": "order 28 does not divide the ambient order"}
+
+
+def test_subgroups_of_s4_layer_by_layer():
+    s4 = PermutationGroup([Permutation.from_cycles(4, [(0, 1)]),
+                           Permutation.from_cycles(4, [(0, 1, 2, 3)])])
+    found = list(verify.subgroups(s4.elements()))
+    orders = sorted(len(sub) for sub, _ in found)
+    assert orders == [1] + [2] * 9 + [3] * 4 + [4] * 7 + [6] * 4 + [8] * 3 + [12, 24]
+    for sub, gens in found:
+        assert sub == frozenset(PermutationGroup(gens or [Permutation.identity(4)])
+                                .elements())
+    # each layer adds one generator
+    assert [len(gens) for _, gens in found] == sorted(len(gens) for _, gens in found)
+    # keep and limit prune every subgroup above the ones they drop
+    small = list(verify.subgroups(s4.elements(), limit=4,
+                                  keep=lambda sub: len(sub) != 2))
+    assert sorted(len(sub) for sub, _ in small) == [1, 3, 3, 3, 3, 4, 4, 4]
+    assert list(verify.subgroups([])) == []
 
 
 def test_lemma_two_orbit_refutes_transitive_group():
