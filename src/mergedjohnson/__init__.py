@@ -1,11 +1,10 @@
 """Merged Johnson graphs J(n,k)_I: construction, Cayley and 2-regular
 classification, explicit witness groups, and brute-force verification."""
 
-from .classify import (AutDescriptor, CayleyVerdict, DeficiencyResult,
-                       TwoRegularVerdict, aut_descriptor, cayley_deficiency,
-                       classify_cayley, classify_instance,
-                       classify_instance_json, classify_two_regular,
-                       only_an_sn, witness_group)
+from .classify import (AutDescriptor, DeficiencyResult, Verdict,
+                       aut_descriptor, cayley_deficiency, classify_cayley,
+                       classify_instance, classify_instance_json,
+                       classify_two_regular, only_an_sn, witness_group)
 from .johnson import MergedJohnsonGraph, MergeSet, build_graph, graph_stats
 from .nearfields import (NearField, affine_group, build_dickson,
                          exceptional_group, exceptional_spec, is_dickson_pair)
@@ -16,9 +15,9 @@ from .verify import (OracleReport, bruteforce_automorphism_group,
                      regular_subgroup_nonexistence)
 
 __all__ = [
-    "ActionDomain", "AutDescriptor", "CayleyVerdict", "DeficiencyResult",
-    "MergeSet", "MergedJohnsonGraph", "NearField", "OracleReport",
-    "Permutation", "PermutationGroup", "TwoRegularVerdict",
+    "ActionDomain", "AutDescriptor", "DeficiencyResult", "MergeSet",
+    "MergedJohnsonGraph", "NearField", "OracleReport", "Permutation",
+    "PermutationGroup", "Verdict",
     "affine_group", "aut_descriptor", "build_dickson", "build_graph",
     "bruteforce_automorphism_group", "cayley_deficiency", "classify_cayley",
     "classify_instance", "classify_instance_json", "classify_two_regular",

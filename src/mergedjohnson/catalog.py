@@ -45,15 +45,6 @@ class HomogRecord:
         return self.build()
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
-    """An infinite family contributing to H_k, expanded on demand."""
-
-    name: str
-    degree_form: str
-    min_homogeneity: int
-
-
 # --------------------------------------------------------------------------
 # Projective line groups PSL2(q) <= G <= PGammaL2(q) on q+1 points
 # --------------------------------------------------------------------------
@@ -235,25 +226,13 @@ _RECORDS = (
     *_affine_line_records(),
 )
 
-_FAMILIES = (
-    FamilyDescriptor("subgroups of AGammaL_d(2), degree 2^d", "2^d", 3),
-    FamilyDescriptor("groups PSL2(q) <= G <= PGammaL2(q), degree q+1", "q+1", 3),
-    FamilyDescriptor("affine subgroups of AGammaL_d(q), degree q^d", "q^d", 2),
-    FamilyDescriptor("projective PSL_d(q) <= G <= PGammaL_d(q), degree (q^d-1)/(q-1), d >= 3", "(q^d-1)/(q-1)", 2),
-    FamilyDescriptor("unitary PSU3(q) <= G <= PGammaU3(q), degree q^3+1", "q^3+1", 2),
-    FamilyDescriptor("symplectic Sp_2d(2), degrees 2^(d-1)(2^d +- 1)", "2^(d-1)(2^d+-1)", 2),
-    FamilyDescriptor("Suzuki Sz(q) <= G <= Aut Sz(q), degree q^2+1", "q^2+1", 2),
-    FamilyDescriptor("Ree Re(q) <= G <= Aut Re(q), degree q^3+1", "q^3+1", 2),
-)
-
-
-def homogeneous_catalog(k: int):
-    """Records and family descriptors for H_k (records expanded for
-    degrees <= 64, infinite families as descriptors)."""
+def homogeneous_catalog(k: int) -> list[HomogRecord]:
+    """The shipped records of H_k, in table order.  The infinite families
+    of H_2 and H_3 are listed up to degree 64 only; khomog_candidates says
+    at which degrees the list is complete."""
     if k < 2:
         raise ValueError("k must be at least 2")
-    return {"records": [r for r in _RECORDS if r.max_homogeneity >= k],
-            "families": [f for f in _FAMILIES if f.min_homogeneity >= k]}
+    return [r for r in _RECORDS if r.max_homogeneity >= k]
 
 
 # --------------------------------------------------------------------------
@@ -291,8 +270,7 @@ def khomog_candidates(n: int, k: int):
     """Catalog records of degree n whose max_homogeneity is at least k,
     sorted by order, with a flag saying whether the list is known complete
     at this degree (so a minimum over it is exact)."""
-    cat = homogeneous_catalog(k)
-    records = sorted((r for r in cat["records"] if r.degree == n),
+    records = sorted((r for r in homogeneous_catalog(k) if r.degree == n),
                      key=lambda r: r.order)
     if k >= 4:
         complete = True

@@ -151,10 +151,7 @@ def _aut_descriptor(n: int, k: int, case: int) -> AutDescriptor:
 def only_an_sn(n: int, k: int, I) -> bool:
     """Whether A_n and S_n are the only vertex-transitive automorphism
     groups of J(n,k)_I."""
-    return _only_an_sn(n, k, _check_bounds(n, k, I))
-
-
-def _only_an_sn(n: int, k: int, ms) -> bool:
+    ms = _check_bounds(n, k, I)
     if ms.is_complete:
         return False
     if 4 <= k < (n - 1) / 2:
@@ -245,28 +242,19 @@ def _psl28_witness(n: int, k: int) -> PermutationGroup:
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CayleyVerdict:
+class Verdict:
+    """One theorem's answer for J(n,k)_I: on YES the cases of its clause
+    table that apply, in order, with their witness texts; on NO the
+    reason.  disconnected marks J(2k,k)_{k}, a perfect matching."""
     outcome: bool
     cases: tuple = ()
     reason: str | None = None
-    witness_spec: str | None = None
+    witness_specs: tuple = ()
     disconnected: bool = False
 
     @property
     def case(self):
         return self.cases[0] if self.cases else None
-
-
-@dataclass(frozen=True)
-class TwoRegularVerdict:
-    outcome: bool
-    cases: tuple = ()
-    reason: str | None = None
-    witness_specs: tuple = ()
-
-
-def _is_connected(n: int, k: int, ms) -> bool:
-    return not (2 * k == n and ms.I == frozenset({k}))
 
 
 def _no_reason(case: int) -> str:
@@ -324,31 +312,24 @@ def _clauses(kind: str, n: int, k: int, ms) -> list:
     return [row for row in CLAUSES[kind] if row[1](n, k, ms)]
 
 
-def classify_cayley(n: int, k: int, I) -> CayleyVerdict:
+def classify_cayley(n: int, k: int, I) -> Verdict:
     ms = _check_bounds(n, k, I)
-    return _classify_cayley(n, k, ms, _aut_case(n, k, ms))
+    return _verdict("cayley", n, k, ms, _aut_case(n, k, ms))
 
 
-def _classify_cayley(n: int, k: int, ms, case: int) -> CayleyVerdict:
-    rows = _clauses("cayley", n, k, ms)
-    if rows:
-        return CayleyVerdict(True, tuple(row[0] for row in rows),
-                             witness_spec=rows[0][2].format(n=n, k=k),
-                             disconnected=not _is_connected(n, k, ms))
-    return CayleyVerdict(False, reason=_no_reason(case))
-
-
-def classify_two_regular(n: int, k: int, I) -> TwoRegularVerdict:
+def classify_two_regular(n: int, k: int, I) -> Verdict:
     ms = _check_bounds(n, k, I)
-    return _classify_two_regular(n, k, ms, _aut_case(n, k, ms))
+    return _verdict("two-regular", n, k, ms, _aut_case(n, k, ms))
 
 
-def _classify_two_regular(n: int, k: int, ms, case: int) -> TwoRegularVerdict:
-    rows = _clauses("two-regular", n, k, ms)
-    if rows:
-        return TwoRegularVerdict(True, tuple(row[0] for row in rows), witness_specs=tuple(
-            row[2].format(n=n, k=k) for row in rows))
-    return TwoRegularVerdict(False, reason=_no_reason(case))
+def _verdict(kind: str, n: int, k: int, ms, case: int) -> Verdict:
+    """The verdict of CLAUSES[kind] on J(n,k)_I, whose Aut case is case."""
+    rows = _clauses(kind, n, k, ms)
+    if not rows:
+        return Verdict(False, reason=_no_reason(case))
+    return Verdict(True, tuple(row[0] for row in rows),
+                   witness_specs=tuple(row[2].format(n=n, k=k) for row in rows),
+                   disconnected=2 * k == n and ms.I == frozenset({k}))
 
 
 def witness_group(n: int, k: int, I, kind: str = "cayley",
@@ -378,7 +359,6 @@ class DeficiencyResult:
     exact: int | None = None
     interval: tuple | None = None
     witness: str | None = None
-    disconnected: bool = False
 
     def as_json_value(self):
         if self.exact is not None:
@@ -389,22 +369,22 @@ class DeficiencyResult:
 def cayley_deficiency(n: int, k: int, I) -> DeficiencyResult:
     ms = _check_bounds(n, k, I)
     case = _aut_case(n, k, ms)
-    return _deficiency(n, k, ms, case, _classify_cayley(n, k, ms, case),
-                       _classify_two_regular(n, k, ms, case))
+    return _deficiency(n, k, case, _verdict("cayley", n, k, ms, case),
+                       _verdict("two-regular", n, k, ms, case))
 
 
-def _deficiency(n, k, ms, case: int, cayley: CayleyVerdict,
-                two_reg: TwoRegularVerdict) -> DeficiencyResult:
+def _deficiency(n, k, case: int, cayley: Verdict, two_reg: Verdict) -> DeficiencyResult:
     if cayley.outcome:
-        return DeficiencyResult(exact=1, witness=cayley.witness_spec,
-                                disconnected=cayley.disconnected)
+        return DeficiencyResult(exact=1, witness=cayley.witness_specs[0])
     if two_reg.outcome:
         return DeficiencyResult(exact=2, witness=two_reg.witness_specs[0])
     upper = _power_factorial(-1, k, "%d!*%d!/2", k, n - k, m2=n - k)
     if case not in (1, 3):
         # Aut J exceeds S_n; no exact minimum is known here
         return DeficiencyResult(interval=(3, upper))
-    if _only_an_sn(n, k, ms) or not catalog.degrees_d_k(k, n):
+    # outside D_k only A_n and S_n are k-homogeneous of degree n.  In cases
+    # 1 and 3 only_an_sn implies that n is outside D_k, so it needs no test
+    if not catalog.degrees_d_k(k, n):
         return DeficiencyResult(exact=upper, witness="A%d" % n)
     value, witness = catalog.minimal_stabilizer_order(n, k)
     if value is None:
@@ -420,9 +400,9 @@ def classify_instance(n: int, k: int, I) -> dict:
     ms = _check_bounds(n, k, I)
     case = _aut_case(n, k, ms)
     desc = _aut_descriptor(n, k, case)
-    cayley = _classify_cayley(n, k, ms, case)
-    two_reg = _classify_two_regular(n, k, ms, case)
-    deficiency = _deficiency(n, k, ms, case, cayley, two_reg)
+    cayley = _verdict("cayley", n, k, ms, case)
+    two_reg = _verdict("two-regular", n, k, ms, case)
+    deficiency = _deficiency(n, k, case, cayley, two_reg)
     record = {
         "n": n,
         "k": k,
@@ -437,7 +417,7 @@ def classify_instance(n: int, k: int, I) -> dict:
     if cayley.outcome:
         record["cayley"]["case"] = cayley.case
         record["cayley"]["cases"] = list(cayley.cases)
-        record["cayley"]["witness"] = cayley.witness_spec
+        record["cayley"]["witness"] = cayley.witness_specs[0]
         if cayley.disconnected:
             record["cayley"]["disconnected_flag"] = "disconnected - not a Cayley graph"
     else:

@@ -89,7 +89,6 @@ def _phi_images(images) -> np.ndarray:
 @dataclass(frozen=True)
 class CocycleData:
     pointed: PointedPSL28
-    phi0_index: int                # the base equipartition's index
     V: tuple                       # the four stabilizer elements, identity first
     transversal: tuple             # index -> t_phi with phi0 * t_phi = phi
     delta_label: int               # 0..3
@@ -116,23 +115,22 @@ class CocycleData:
 
 
 def equipartition_setup(pointed: PointedPSL28):
-    """phi0, its Klein four stabilizer and a transversal over the single
-    126-element orbit."""
-    phi0_index = 0
+    """The Klein four stabilizer of phi0, index 0, and a transversal over
+    the single 126-element orbit."""
     group = pointed.group
     orbit, transversal = transversal_bfs(
-        phi0_index, _phi_images(group.generator_images), group.generators)
+        0, _phi_images(group.generator_images), group.generators)
     if len(orbit) != 126:
         raise AssertionError("equipartition action is not transitive")
     identity = Permutation.identity(10)
     elements = group.elements()
-    fixes = _phi_images(np.stack([s.images for s in elements]))[:, phi0_index]
-    stab = [s for s, phi in zip(elements, fixes) if phi == phi0_index]
+    fixes = _phi_images(np.stack([s.images for s in elements]))[:, 0]
+    stab = [s for s, phi in zip(elements, fixes) if phi == 0]
     if len(stab) != 4 or any(s * s != identity for s in stab):
         raise AssertionError("stabilizer of phi0 is not a Klein four-group")
     V = tuple([identity] + sorted((s for s in stab if s != identity),
                                   key=lambda s: s.images.tolist()))
-    return phi0_index, V, tuple(transversal[i] for i in range(126))
+    return V, tuple(transversal[i] for i in range(126))
 
 
 @functools.cache
@@ -222,7 +220,7 @@ def frobenius_class_action(data: CocycleData) -> int:
             raise AssertionError("sigma does not normalize PSL2(8)")
     sigma_vertex = vertex_permutation(data, sigma, m=(0,) * 126)
     halves, _ = _equipartition_tables()
-    k0 = int(ksubsets(10, 5).rank(halves[data.phi0_index]))
+    k0 = int(ksubsets(10, 5).rank(halves[0]))
     comp_rank = complement_ranks(10, 5)
     labels = {}
     for idx in (1, 2, 3):

@@ -99,7 +99,7 @@ def _poly_divides(divisor, poly, p) -> bool:
 class FiniteField:
     """GF(p^e) on element indices: digits, exp and log arrays."""
 
-    def __init__(self, p: int, e: int, modulus=None):
+    def __init__(self, p: int, e: int):
         check_desk_bound(p, e)
         if not is_prime(p):
             raise ValueError("p = %d is not prime" % p)
@@ -108,14 +108,10 @@ class FiniteField:
         self.p = p
         self.e = e
         self.order = p ** e
-        if modulus is None:
-            modulus = self._pick_modulus(p, e)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != e:
-            raise ValueError("modulus must list the e lower coefficients")
-        if e > 1 and not _is_irreducible(modulus, p):
-            raise ValueError("modulus is reducible")
-        self.modulus = modulus
+        self.modulus = self._pick_modulus(p, e)
+        # the pinned GF(8) modulus is not found by the search: this vouches for it
+        if e > 1 and not _is_irreducible(self.modulus, p):
+            raise AssertionError("modulus is reducible")
         # (order, e): row i holds the coefficients of element i
         self.digits = read_only(np.arange(self.order)[:, None]
                                 // p ** np.arange(e) % p)

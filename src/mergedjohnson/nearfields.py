@@ -30,7 +30,7 @@ import numpy as np
 
 from .fields import (FiniteField, build_field, check_desk_bound,
                      prime_power_decomposition)
-from .perms import Permutation, PermutationGroup, closure, frontier_bfs
+from .perms import Permutation, PermutationGroup, frontier_bfs
 from .subsets import read_only
 
 
@@ -301,12 +301,12 @@ def _half_multiplier_gens(right_mult, logs):
     logs of the nonzero elements in element order."""
     target = {right_mult(k) for k in logs if k % 2 == 0}
     gens = [right_mult(2)]
-    current = set(closure(gens))
+    current = set(PermutationGroup(gens).elements())
     # greedy completion; the square maps form a group, so this terminates
     while len(current) < len(target):
         missing = next(p for p in target if p not in current)
         gens.append(missing)
-        current = set(closure(gens))
+        current = set(PermutationGroup(gens).elements())
     if current != target:
         raise AssertionError("square-multiplier subgroup came out wrong")
     return gens

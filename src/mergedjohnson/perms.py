@@ -597,8 +597,7 @@ class PermutationGroup:
         Returns (orbit_list, transversal) with transversal[y] a Permutation
         carrying x to y and transversal[x] the identity.
         """
-        if domain is None:
-            domain = ActionDomain.points(self.degree)
+        domain = self._domain(domain)
         if not domain.contains(x, self.degree):
             raise ValueError("label outside the action domain")
         if domain.kind == "points":
@@ -608,6 +607,17 @@ class PermutationGroup:
             ksubset_rank(x), self._domain_generators(domain), self.generators)
         return ([masks[i] for i in orbit_list],
                 {masks[i]: t for i, t in transversal.items()})
+
+    def _domain(self, domain: ActionDomain | None) -> ActionDomain:
+        """domain, by default the points; ValueError unless it is the
+        points or the k-subsets of this group's degree."""
+        if domain is None:
+            return ActionDomain.points(self.degree)
+        size = self.degree if domain.kind == "points" else math.comb(self.degree, domain.k)
+        if domain.size != size:
+            raise ValueError("a %s domain of size %d does not match degree %d"
+                             % (domain.kind, domain.size, self.degree))
+        return domain
 
     def _domain_generators(self, domain: ActionDomain) -> np.ndarray:
         """(generators, domain size) array of the generators' images on the
@@ -626,15 +636,14 @@ class PermutationGroup:
             if not seen[x]:
                 yield frontier_bfs(x, lambda f: gens[:, f].T.ravel(), seen)
 
-    def _orbit_size(self, domain: ActionDomain, x: int = 0) -> int:
-        """Size of the orbit of the domain index x (a point, or a rank)."""
-        return len(next(self._orbit_blocks(domain, [x])))
+    def _orbit_size(self, domain: ActionDomain) -> int:
+        """Size of the orbit of the domain index 0."""
+        return len(next(self._orbit_blocks(domain, [0])))
 
     def orbits(self, domain: ActionDomain | None = None):
         """Partition of the domain into orbits (no transversals): lists of
         labels in breadth-first order, by first label."""
-        if domain is None:
-            domain = ActionDomain.points(self.degree)
+        domain = self._domain(domain)
         blocks = [block.tolist() for block in self._orbit_blocks(domain)]
         if domain.kind == "ksubsets":
             masks = all_masks(self.degree, domain.k)
@@ -643,13 +652,11 @@ class PermutationGroup:
 
     def orbit_sizes(self, domain: ActionDomain | None = None) -> tuple:
         """Sorted orbit lengths on the domain."""
-        if domain is None:
-            domain = ActionDomain.points(self.degree)
+        domain = self._domain(domain)
         return tuple(sorted(len(block) for block in self._orbit_blocks(domain)))
 
     def is_transitive(self, domain: ActionDomain | None = None) -> bool:
-        if domain is None:
-            domain = ActionDomain.points(self.degree)
+        domain = self._domain(domain)
         return self._orbit_size(domain) == domain.size
 
     # -- induced subset action -------------------------------------------
@@ -694,10 +701,6 @@ class PermutationGroup:
                 reached[images[:, 0]] = True
         return counts, reached
 
-    def _fixed_point_counts(self, domain: ActionDomain) -> np.ndarray:
-        """For each domain index, the number of group elements fixing it."""
-        return self._sweep(domain)[0]
-
     def regularity_degree(self, domain: ActionDomain | None = None,
                           exhaustive_limit: int = 20000) -> int | None:
         """Common vertex-stabilizer order r if transitive, else None.
@@ -712,8 +715,7 @@ class PermutationGroup:
         a transitive group fails here.  Any other group takes its orbit from
         a breadth-first search and is not enumerated.
         """
-        if domain is None:
-            domain = ActionDomain.points(self.degree)
+        domain = self._domain(domain)
         order = self.order
         limit = min(exhaustive_limit, _SWEEP_ENTRIES // self.degree)
         sweep = order <= limit
@@ -738,14 +740,3 @@ class PermutationGroup:
     def __repr__(self):
         return "PermutationGroup(degree=%d, gens=%d)" % (self.degree, len(self.generators))
 
-
-def closure(perms, limit: int | None = None) -> list[Permutation]:
-    """Multiplicative closure of a set of permutations.
-
-    With a limit, raises ValueError as soon as the closure exceeds it
-    (used to prune subgroup searches cheaply).
-    """
-    perms = list(perms)
-    if not perms:
-        raise ValueError("empty generating set")
-    return PermutationGroup(perms).elements(limit=limit)

@@ -25,8 +25,7 @@ from .fields import is_prime
 from .johnson import MergedJohnsonGraph, build_graph
 from .nearfields import (EXCEPTIONAL_SPECS, affine_group, build_dickson,
                          exceptional_group)
-from .perms import (ActionDomain, Permutation, PermutationGroup, closure,
-                    frontier_bfs)
+from .perms import ActionDomain, Permutation, PermutationGroup, frontier_bfs
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,7 @@ def subgroups(elements, limit: int | None = None, keep=lambda sub: True):
                 if g in sub:
                     continue
                 try:
-                    grown = frozenset(closure(gens + [g], limit=limit))
+                    grown = frozenset(PermutationGroup(gens + [g]).elements(limit))
                 except ValueError:
                     continue
                 if grown not in found and keep(grown):
@@ -338,9 +337,9 @@ def regular_subgroup_nonexistence(ambient: PermutationGroup,
 # Orbit lemmas
 # --------------------------------------------------------------------------
 
-def lemma_two_orbit_check(group: PermutationGroup, r_max: int = 4) -> OracleReport:
+def lemma_two_orbit_check(group: PermutationGroup) -> OracleReport:
     """For H of even degree n = 2k: exactly two orbits on k-subsets, both
-    r-regular for a common r <= r_max."""
+    r-regular for a common r <= 4."""
     t0 = time.perf_counter()
     n = group.degree
     claim = "two r-regular orbits on %d-subsets of %d points" % (n // 2, n)
@@ -352,7 +351,7 @@ def lemma_two_orbit_check(group: PermutationGroup, r_max: int = 4) -> OracleRepo
         return _report(claim, False, {"orbit_count": len(parts)}, t0)
     # stabilizer orders counted over the enumerated elements, independent
     # of the chain's order
-    stabilizers = group._fixed_point_counts(domain)
+    stabilizers = group._sweep(domain)[0]
     rs = []
     for part in parts:
         if group.order % len(part) != 0:
@@ -363,7 +362,7 @@ def lemma_two_orbit_check(group: PermutationGroup, r_max: int = 4) -> OracleRepo
         if stab_orders != {r}:
             return _report(claim, False, {"nonuniform": sorted(stab_orders)}, t0)
         rs.append(r)
-    ok = rs[0] == rs[1] and rs[0] <= r_max
+    ok = rs[0] == rs[1] and rs[0] <= 4
     return _report(claim, ok, {"orbit_sizes": [len(p) for p in parts],
                                "r": rs[0] if rs[0] == rs[1] else rs}, t0)
 

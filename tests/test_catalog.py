@@ -34,7 +34,7 @@ def test_projective_line_group_refuses_other_names(q, name):
         projective_line_group(q, name)
 
 
-CONSTRUCTIBLE = [r for r in homogeneous_catalog(2)["records"] if r.build is not None]
+CONSTRUCTIBLE = [r for r in homogeneous_catalog(2) if r.build is not None]
 
 
 @pytest.mark.parametrize("record", CONSTRUCTIBLE,
@@ -58,12 +58,12 @@ def test_mathieu_orders(n, order):
 
 
 def test_h5_catalog():
-    names = {(r.name, r.degree) for r in homogeneous_catalog(5)["records"]}
+    names = {(r.name, r.degree) for r in homogeneous_catalog(5)}
     assert names == {("M12", 12), ("M24", 24)}
 
 
 def test_h4_includes_m11_and_m23():
-    names = {(r.name, r.degree) for r in homogeneous_catalog(4)["records"]}
+    names = {(r.name, r.degree) for r in homogeneous_catalog(4)}
     assert ("M11", 11) in names
     assert ("M23", 23) in names
     assert ("PGammaL2(32)", 33) in names
@@ -71,7 +71,7 @@ def test_h4_includes_m11_and_m23():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_catalog_lists_each_group_once(k):
-    keys = [(r.name, r.degree) for r in homogeneous_catalog(k)["records"]]
+    keys = [(r.name, r.degree) for r in homogeneous_catalog(k)]
     assert len(keys) == len(set(keys))
 
 

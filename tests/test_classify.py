@@ -63,6 +63,20 @@ def test_only_an_sn():
     assert only_an_sn(13, 4, {1})
 
 
+def test_only_an_sn_implies_a_degree_outside_d_k_in_aut_cases_1_and_3():
+    """The A_n deficiency of Aut cases 1 and 3 tests only that n lies
+    outside D_k: there only_an_sn implies it."""
+    rows = implied = 0
+    for n, k, I in census_instances(24):
+        if classify._aut_case(n, k, classify._check_bounds(n, k, I)) not in (1, 3):
+            continue
+        rows += 1
+        if only_an_sn(n, k, I):
+            implied += 1
+            assert not catalog.degrees_d_k(k, n), (n, k, I)
+    assert (rows, implied) == (15900, 15604)
+
+
 # -- Cayley classification -------------------------------------------------
 
 def test_cayley_case1_requires_3_mod_4_prime_power():

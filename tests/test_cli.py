@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import random
 import time
 from math import lgamma, log
 from pathlib import Path
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 
 from mergedjohnson import verify
 from mergedjohnson.cli import main
+from mergedjohnson.fields import prime_power_decomposition
 
 CENSUS_14 = Path(__file__).parent / "data" / "census_14.jsonl"
 
@@ -46,6 +48,13 @@ def test_classify_invalid_merge_exits_2():
     assert run("classify", "-n", "7", "-k", "2", "-I", "3").exit_code == 2
     assert run("classify", "-n", "7", "-k", "2", "-I", "").exit_code == 2
     assert run("classify", "-n", "5", "-k", "3", "-I", "1").exit_code == 2
+
+
+def test_a_bad_k_is_named_before_the_merge_set():
+    for command in (["classify"], ["graph", "export"]):
+        result = run(*command, "-n", "7", "-k", "-2", "-I", "1")
+        _usage_error(result)
+        assert "need 2 <= k <= n/2" in result.stderr
 
 
 def test_census_n5():
@@ -303,3 +312,65 @@ def test_group_output_matches_recorded_digests(args):
     result = run("group", *args.split())
     assert result.exit_code == 0
     assert hashlib.sha256(result.output.encode()).hexdigest() == GROUP_SHA256[args]
+
+
+def _cli_inputs(rng):
+    """A seeded sample of argument lists: valid and invalid classify and
+    graph export queries, group builds up to order 400, and exceptional
+    near-fields, each with some bad values.  Valid exports stop at n = 10:
+    J(14,6) with a dense merge set has millions of edges to write."""
+    def merge(k):
+        return ",".join(map(str, sorted(rng.sample(range(1, k + 1), rng.randint(1, k)))))
+
+    for _ in range(30):
+        n = rng.randint(4, 14)
+        k = rng.randint(2, n // 2)
+        yield ["classify", "-n", str(n), "-k", str(k), "-I", merge(k)]
+        if n <= 10:
+            yield ["graph", "export", "-n", str(n), "-k", str(k), "-I", merge(k)]
+    for _ in range(30):
+        n = rng.choice([15, 40, 101, 10 ** 4, 10 ** 6])
+        k = rng.choice([2, 3, 4, rng.randint(2, n // 2)])
+        I = merge(min(k, 6))
+        bad = rng.choice(["n", "k", "I", None])
+        if bad == "n":
+            n = rng.choice([-3, 0, 1, 3, 10 ** 13, "x"])
+        elif bad == "k":
+            k = rng.choice([-2, 0, 1, n // 2 + 1, "x"])
+        elif bad == "I":
+            I = rng.choice(["0", str(k + 1), "", "1,,2", "-1", "a", "1;2"])
+        yield [*rng.choice([["classify"], ["graph", "export"]]),
+               "-n", str(n), "-k", str(k), "-I", I]
+    prime_powers = [q for q in range(2, 401) if prime_power_decomposition(q)]
+    for _ in range(30):
+        kind = rng.choice(["agl", "ahl", "agammal", "dickson"])
+        q = rng.choice(prime_powers + [-4, 0, 1, 6, 4096])
+        d = rng.choice([1, 1, 2, 3, 4, 0, -1])
+        if q >= 2 and q ** d > 400:
+            d = 1
+        yield ["group", kind, "-q", str(q), "-d", str(d)]
+    for _ in range(10):
+        yield ["group", "exceptional", "-p", str(rng.choice([5, 7, 11, 23, 29, 2, 13, -1])),
+               "--variant", str(rng.choice([1, 1, 2, 0, 3]))]
+
+
+def test_every_sampled_cli_input_answers_or_exits_2():
+    """Each sampled input prints JSON lines and exits 0, or prints one
+    error line on stderr and exits 2, with no traceback."""
+    t0 = time.perf_counter()
+    codes = []
+    for args in _cli_inputs(random.Random(22)):
+        result = run(*args)
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        assert "Traceback" not in result.output, args
+        codes.append(result.exit_code)
+        if result.exit_code == 0:
+            assert result.stderr == "" and result.stdout, args
+            for line in result.stdout.splitlines():
+                json.loads(line)
+        else:
+            assert result.exit_code == 2 and result.stdout == "", args
+            errors = [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+            assert len(errors) == 1, args
+    assert min(codes.count(0), codes.count(2)) >= 20
+    assert time.perf_counter() - t0 < 10.0

@@ -96,6 +96,21 @@ def test_orbit_rejects_labels_outside_the_domain():
             g.orbit(bad, pairs)
 
 
+@pytest.mark.parametrize("domain", [ActionDomain.points(6), ActionDomain.ksubsets(6, 2)])
+@pytest.mark.parametrize("call", [
+    lambda g, d: g.is_transitive(d),
+    lambda g, d: g.regularity_degree(d, exhaustive_limit=0),
+    lambda g, d: g.regularity_degree(d),
+    lambda g, d: g.orbits(d),
+    lambda g, d: g.orbit_sizes(d),
+    lambda g, d: g.orbit(3, d),
+], ids=["is_transitive", "regularity_unswept", "regularity_swept", "orbits",
+        "orbit_sizes", "orbit"])
+def test_a_domain_of_another_degree_is_refused(call, domain):
+    with pytest.raises(ValueError, match="does not match degree 5"):
+        call(s_n(5), domain)
+
+
 @pytest.mark.parametrize("domain", [ActionDomain.points(6),
                                     ActionDomain.ksubsets(6, 3)])
 def test_domain_membership_matches_its_labels(domain):
@@ -162,14 +177,14 @@ def _fixed_points_by_loop(group, domain, elements=None):
 def test_sweep_counts_match_a_loop_over_elements(n, kind):
     domain = ActionDomain.points(n) if kind == "points" else ActionDomain.ksubsets(n, 2)
     group = s_n(n)
-    counts = group._fixed_point_counts(domain)
+    counts = group._sweep(domain)[0]
     assert counts.tolist() == _fixed_points_by_loop(group, domain)
 
 
 def test_sweep_counts_match_a_loop_for_a_j12_6_witness():
     dihedral = CLOSURE_GROUPS["J(12,6) dihedral"]()
     domain = ActionDomain.points(dihedral.degree)
-    counts = dihedral._fixed_point_counts(domain)
+    counts = dihedral._sweep(domain)[0]
     elements = _closure_of("J(12,6) dihedral")
     assert counts.tolist() == _fixed_points_by_loop(dihedral, domain, elements)
     assert set(counts.tolist()) == {2}
@@ -406,8 +421,6 @@ def test_elements_limit_when_a_coset_overflows(name):
     assert group.generators[0].order() < group.order
     with pytest.raises(ValueError):
         group.elements(limit=group.order - 1)
-    with pytest.raises(ValueError):
-        perms.closure(group.generators, limit=group.order - 1)
     assert len(group.elements(limit=group.order)) == group.order
 
 
