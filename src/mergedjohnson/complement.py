@@ -83,7 +83,7 @@ def _phi_images(images) -> np.ndarray:
     """The index of phi * s for every equipartition phi, along the last
     axis, under each point map s in images (shape (..., 10))."""
     halves, phi_of_rank = _equipartition_tables()
-    return phi_of_rank[ksubsets(10, 5).rank(np.sort(images[..., halves], axis=-1))]
+    return phi_of_rank[ksubsets(10, 5).rank(images[..., halves])]
 
 
 @dataclass(frozen=True)

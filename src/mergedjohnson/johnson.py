@@ -130,7 +130,7 @@ class MergedJohnsonGraph:
             shape = (len(inside), len(keep), len(add))
             rows = np.concatenate([np.broadcast_to(kept, shape + (self.k - i,)),
                                    np.broadcast_to(added, shape + (i,))], axis=-1)
-            blocks.append(codec.rank(np.sort(rows, axis=-1)).reshape(len(inside), -1))
+            blocks.append(codec.rank(rows).reshape(len(inside), -1))
         return np.concatenate(blocks, axis=1)
 
     def _materialize(self):
@@ -197,8 +197,14 @@ class MergedJohnsonGraph:
 
     # -- exports ----------------------------------------------------------
 
+    def _numbered_edges(self) -> np.ndarray:
+        """(edges, 2) array of the 1-based ends u + 1, v + 1 of each edge,
+        in the order of edges."""
+        return np.stack(self.edge_arrays(), axis=1) + 1
+
     def edge_lines(self) -> str:
-        return "\n".join("%d %d" % (u + 1, v + 1) for u, v in self.edges) + "\n"
+        ends = self._numbered_edges()
+        return ("%d %d\n" * len(ends)) % tuple(ends.ravel().tolist())
 
     def export_json(self) -> str:
         return json.dumps({
@@ -206,13 +212,13 @@ class MergedJohnsonGraph:
             "k": self.k,
             "I": sorted(self.I),
             "vertices": self.num_vertices,
-            "edges": [[u + 1, v + 1] for u, v in self.edges],
+            "edges": self._numbered_edges().tolist(),
         })
 
     def export_dimacs(self) -> str:
-        lines = ["p edge %d %d" % (self.num_vertices, len(self.edges))]
-        lines.extend("e %d %d" % (u + 1, v + 1) for u, v in self.edges)
-        return "\n".join(lines) + "\n"
+        ends = self._numbered_edges()
+        return ("p edge %d %d\n" % (self.num_vertices, len(ends))
+                + ("e %d %d\n" * len(ends)) % tuple(ends.ravel().tolist()))
 
     def __repr__(self):
         return "MergedJohnsonGraph(n=%d, k=%d, I=%s)" % (self.n, self.k, sorted(self.I))

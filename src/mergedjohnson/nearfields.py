@@ -360,11 +360,12 @@ def _basis_orbit(gens, p, cap):
     are points p and 1, under the elements g of <gens> ≤ GL_2(p), in
     breadth-first order; None when there are more than cap.  Only the
     identity fixes a basis, so the orbit has one pair per element."""
+    maps = [g.images.tolist() for g in gens]
     orbit = [(p, 1)]
     seen = set(orbit)
     for v, w in orbit:
-        for g in gens:
-            pair = g(v), g(w)
+        for g in maps:
+            pair = g[v], g[w]
             if pair not in seen:
                 if len(orbit) == cap:
                     return None

@@ -19,7 +19,7 @@ lookup walks fewer than stride edges from a cached point.  The closure is
 Dimino's coset enumeration (Butler, Fundamental Algorithms for Permutation
 Groups, LNCS 559, 1991): powers of the first generator by doubling, then
 whole cosets x[H] of the subgroup H generated so far, one gather each, with
-hashed membership.  It shares
+membership hashed by splitmix64 weights of the points.  It shares
 nothing with the chain, so the stabilizer sweep that counts fixed points
 over it is an independent check of the chain's order, or of an order a
 construction recorded.
@@ -252,15 +252,21 @@ def _powers(g: np.ndarray, order: int) -> np.ndarray:
 
 @functools.cache
 def _fingerprint_weights(degree: int) -> np.ndarray:
-    return read_only(np.random.default_rng(degree).integers(
-        0, 1 << 32, degree, dtype=np.uint32))
+    """Nonzero uint32 weights: splitmix64 outputs 1..degree from seed 0,
+    mod 2^32 (Steele, Lea & Flood, OOPSLA 2014)."""
+    z = np.arange(1, degree + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    weights = (z ^ (z >> np.uint64(31))).astype(np.uint32)
+    weights[weights == 0] = 1
+    return read_only(weights)
 
 
 class _Cosets:
     """A union of right cosets H·x of a group H, given as uint32 rows of
     point images: the block x[H] for each representative x in the order
     added, and a dict from each element's fingerprint (its images dotted
-    with fixed pseudo-random weights, mod 2^32) to its position, so that a
+    with _fingerprint_weights, mod 2^32) to its position, so that a
     membership test is one hashed lookup and one row compare."""
 
     def __init__(self, subgroup: np.ndarray):

@@ -5,8 +5,10 @@ order: for a subset with elements e_0 < e_1 < ... < e_{k-1} the rank is
 sum(C(e_i, i+1)), so rank 0 is always {0..k-1} and ranking is O(k).
 
 `ksubsets(n, k)` is the same codec on arrays, for whole domains at once:
-the co-lex element table and a binomial table, so that the ranks of many
-subsets are one numpy expression.
+the co-lex element table and a binomial table.  Its `rank` takes each
+row's elements in any order: the rows are split into k columns, sorted
+position by position by a fixed compare-exchange network on whole columns,
+and ranked with one binomial-table `take` per position.
 """
 
 from __future__ import annotations
@@ -83,6 +85,9 @@ class KSubsets:
         self.n = n
         self.k = k
         self.size = math.comb(n, k)
+        # the narrowest type that holds a point: the sorting network runs
+        # on columns of it, which take less memory traffic than intp
+        self.point_dtype = np.min_scalar_type(n - 1)
 
     @functools.cached_property
     def elements(self) -> np.ndarray:
@@ -95,19 +100,38 @@ class KSubsets:
 
     @functools.cached_property
     def binomial(self) -> np.ndarray:
-        return read_only(np.array([[math.comb(e, j) for j in range(self.k + 1)]
-                                   for e in range(self.n)], dtype=np.int64))
+        # stored by column, so that binomial.T[j] is a contiguous C(., j)
+        return read_only(np.array([[math.comb(e, j) for e in range(self.n)]
+                                   for j in range(self.k + 1)], dtype=np.int64)).T
 
     def rank(self, rows) -> np.ndarray:
-        """Co-lex ranks of k-subsets given as ascending rows along the last
-        axis: sum_i B[e_i, i + 1]."""
-        return self.binomial[rows, np.arange(1, self.k + 1)].sum(axis=-1)
+        """Co-lex ranks of k-subsets given as rows along the last axis, each
+        row's elements in any order."""
+        rows = np.asarray(rows).astype(self.point_dtype, copy=False)
+        return self._rank_columns([rows[..., i] for i in range(self.k)])
 
     def image_ranks(self, images) -> np.ndarray:
         """Rank of the image of every k-subset, in rank order, under each
         point map in images (shape (..., n)); result shape (..., C(n,k))."""
-        images = np.asarray(images)
-        return self.rank(np.sort(images[..., self.elements], axis=-1))
+        images = np.asarray(images).astype(self.point_dtype, copy=False)
+        return self._rank_columns([images[..., column] for column in self.elements.T])
+
+    def _rank_columns(self, columns: list) -> np.ndarray:
+        """sum_i B[e_i, i + 1] for e_0 < ... < e_{k-1} the elements held
+        at one position of the k columns.  The columns are sorted position
+        by position by odd-even transposition: k rounds of compare-exchange
+        on adjacent columns sort any k values (Knuth, TAOCP vol. 3, §5.3.4,
+        by the 0-1 principle)."""
+        k = self.k
+        for start in range(k):
+            for i in range(start % 2, k - 1, 2):
+                a, b = columns[i], columns[i + 1]
+                columns[i], columns[i + 1] = np.minimum(a, b), np.maximum(a, b)
+        by_position = self.binomial.T
+        rank = by_position[1].take(columns[0])
+        for i in range(1, k):
+            rank += by_position[i + 1].take(columns[i])
+        return rank
 
     def complements(self) -> np.ndarray:
         """The (C(n,k), n-k) table of each subset's complement, ascending

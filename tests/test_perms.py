@@ -1,7 +1,11 @@
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -431,6 +435,34 @@ def test_closure_is_exact_when_every_fingerprint_collides(monkeypatch, name):
                         lambda degree: np.zeros(degree, dtype=np.uint32))
     # with the limit, a coset added twice raises instead of looping on
     assert _element_rows(CLOSURE_GROUPS[name](), limit=len(want)) == want
+
+
+def test_fingerprint_weights_are_pinned_and_nonzero():
+    assert perms._fingerprint_weights(8).tolist() == [
+        2065550767, 2713282036, 2148091215, 1917616620,
+        1369994395, 1954456298, 524628705, 3373706044]
+    assert (perms._fingerprint_weights(1 << 18) != 0).all()
+
+
+def test_closures_leave_numpy_random_unloaded():
+    # numpy 1.x imports numpy.random with numpy itself
+    script = """
+import sys
+import numpy
+eager = "numpy.random" in sys.modules
+from mergedjohnson.perms import ActionDomain, Permutation, PermutationGroup
+s6 = PermutationGroup([Permutation.from_cycles(6, [(0, 1)]),
+                       Permutation.from_cycles(6, [tuple(range(6))])])
+assert len(s6.elements()) == 720
+assert s6.regularity_degree(ActionDomain.ksubsets(6, 3)) == 36
+print(eager, "numpy.random" in sys.modules)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", script], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout.split()
+    if out[0] == "True":
+        pytest.skip("this numpy imports numpy.random on import")
+    assert out == ["False", "False"]
 
 
 def test_hash_is_the_image_tuple_hash_and_images_are_read_only():

@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from rank_reference import check_ranks
 
 from mergedjohnson.subsets import (all_masks, complement_ranks, elements_of,
                                    ksubset_rank, ksubset_unrank, ksubsets,
@@ -61,6 +62,12 @@ def test_rank_kernel_matches_scalar_rank(n):
         assert codec.rank(rows).tolist() == want
         assert [mask_of(row) for row in codec.elements.tolist()] == \
             [ksubset_unrank(k, r) for r in range(comb(n, k))]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rank_kernel_takes_rows_in_any_order(n):
+    for k in range(1, n + 1):
+        check_ranks(n, k)
 
 
 def test_rank_kernel_on_pairs_of_343_points():
