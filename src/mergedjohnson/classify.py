@@ -15,7 +15,6 @@ carries x <-> x + m/2 to complementation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -225,7 +224,7 @@ def _rank_witness(n: int, k: int, dihedral: bool, matched: bool) -> PermutationG
     points = np.arange(m)
     rows = np.array([(points + 1) % m, -points % m][:1 + dihedral])
     if matched:
-        comp = np.array(complement_ranks(n, k))
+        comp = complement_ranks(n, k)
         low = np.flatnonzero(points < comp)
         to_vertex = np.concatenate([low, comp[low]])
         rows = to_vertex[rows[:, invert_array(to_vertex)]]
@@ -428,10 +427,6 @@ def classify_instance(n: int, k: int, I) -> dict:
     else:
         record["two_regular"]["reason"] = two_reg.reason
     return record
-
-
-def classify_instance_json(n: int, k: int, I) -> str:
-    return json.dumps(classify_instance(n, k, I), sort_keys=True)
 
 
 def census_instances(n_max: int):

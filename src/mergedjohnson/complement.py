@@ -75,7 +75,7 @@ def _equipartition_tables() -> tuple:
     key_rank = ksubsets(10, 5).rank(halves)
     phi_of_rank = np.empty(252, dtype=np.intp)
     phi_of_rank[key_rank] = np.arange(126)
-    phi_of_rank[np.array(complement_ranks(10, 5))[key_rank]] = np.arange(126)
+    phi_of_rank[complement_ranks(10, 5)[key_rank]] = np.arange(126)
     return read_only(halves), read_only(phi_of_rank)
 
 
@@ -188,10 +188,12 @@ def vertex_permutation(data: CocycleData, s: Permutation,
     ranks = ksubsets(10, 5).image_ranks(s.images)
     _, phi_of_rank = _equipartition_tables()
     flip = np.array(m, dtype=bool)[phi_of_rank[ranks]]
-    return Permutation(np.where(flip, np.array(complement_ranks(10, 5))[ranks], ranks))
+    return Permutation(np.where(flip, complement_ranks(10, 5)[ranks], ranks))
 
 
+@functools.cache
 def complement_vertex_group(data: CocycleData) -> PermutationGroup:
+    """The vertex action of data's complement, built once per class."""
     gens = [vertex_permutation(data, s) for s in data.pointed.group.generators]
     group = PermutationGroup(gens)
     if group.order != 504:

@@ -60,7 +60,7 @@ def merge_set(k: int, I) -> MergeSet:
 # Adjacency and graphs
 # --------------------------------------------------------------------------
 
-MATERIALIZE_LIMIT = 10 ** 6
+MATERIALIZE_LIMIT = 10_000
 
 # entries of the (vertices, neighbours, k) block built at a time
 _BLOCK_ENTRIES = 1 << 21
@@ -69,33 +69,29 @@ _BLOCK_ENTRIES = 1 << 21
 class MergedJohnsonGraph:
     """J(n,k)_I on C(n,k) vertices, immutable after build.
 
-    A materialized graph stores its neighbours as a (V, degree) int32
-    matrix: the graph is regular, so this is CSR with a constant row
-    length.  Row u lists u's neighbours in generation order (see
-    neighbors).  The matrix is built when edges, adjacency, neighbors,
-    edge_arrays or has_edges first reads it; edges and adjacency are views
-    derived from it on first use.  Adjacency queries always work through
-    the intersection test.
+    A graph with at most MATERIALIZE_LIMIT vertices is materialized: it
+    stores its neighbours as a (V, degree) int32 matrix, which the graph
+    being regular makes CSR with a constant row length.  Row u lists u's
+    neighbours in generation order (see neighbors).  The matrix is built
+    when edges, neighbors, edge_arrays or has_edges first reads it; edges
+    is a view derived from it on first use.  A larger graph answers
+    neighbors by generation alone.  Vertex ranks are int64, so a graph of
+    2^63 vertices or more is refused.
     """
 
-    def __init__(self, n: int, k: int, I, materialize: bool | None = None):
+    def __init__(self, n: int, k: int, I):
         if not 2 <= k <= n // 2:
             raise ValueError("need 2 <= k <= n/2, got (n, k) = (%d, %d)" % (n, k))
         self.n = n
         self.k = k
+        self.num_vertices = ksubsets(n, k).size  # refuses C(n,k) >= 2^63
         self.merge = merge_set(k, I)
         self.I = self.merge.I
-        self.num_vertices = comb(n, k)
         self.degree = sum(comb(k, i) * comb(n - k, i) for i in self.I)
-        if materialize is None:
-            materialize = self.num_vertices <= 10_000
-        if materialize and self.num_vertices > MATERIALIZE_LIMIT:
-            raise ValueError("refusing to materialize %d vertices" % self.num_vertices)
-        self.materialized = bool(materialize)
+        self.materialized = self.num_vertices <= MATERIALIZE_LIMIT
         self._neighbours = None
         self._keys = None
         self._edges = None
-        self._adjacency = None
 
     def vertex_mask(self, rank: int) -> int:
         if not 0 <= rank < self.num_vertices:
@@ -158,10 +154,10 @@ class MergedJohnsonGraph:
 
     @cached_property
     def complement(self) -> MergedJohnsonGraph | None:
-        """J(n,k)_{[k]∖I}, whose edges are this graph's non-edges, with the
-        same materialize policy; None when I = [k] leaves no non-edges."""
+        """J(n,k)_{[k]∖I}, whose edges are this graph's non-edges; None when
+        I = [k] leaves no non-edges."""
         rest = set(range(1, self.k + 1)) - self.I
-        return MergedJohnsonGraph(self.n, self.k, rest, self.materialized) if rest else None
+        return MergedJohnsonGraph(self.n, self.k, rest) if rest else None
 
     def edge_arrays(self) -> tuple:
         """(u, v) int arrays of the edges u < v, in the order of edges."""
@@ -186,14 +182,6 @@ class MergedJohnsonGraph:
             u, v = self.edge_arrays()
             self._edges = list(zip(u.tolist(), v.tolist()))
         return self._edges
-
-    @property
-    def adjacency(self) -> list:
-        if self._adjacency is None:
-            self._matrix()
-            rows = self._keys.reshape(self.num_vertices, self.degree)
-            self._adjacency = (rows % self.num_vertices).tolist()
-        return self._adjacency
 
     # -- exports ----------------------------------------------------------
 
@@ -224,8 +212,8 @@ class MergedJohnsonGraph:
         return "MergedJohnsonGraph(n=%d, k=%d, I=%s)" % (self.n, self.k, sorted(self.I))
 
 
-def build_graph(n: int, k: int, I, materialize: bool | None = None) -> MergedJohnsonGraph:
-    return MergedJohnsonGraph(n, k, I, materialize=materialize)
+def build_graph(n: int, k: int, I) -> MergedJohnsonGraph:
+    return MergedJohnsonGraph(n, k, I)
 
 
 # --------------------------------------------------------------------------
@@ -241,7 +229,8 @@ class GraphStats:
 
 
 def graph_stats(graph: MergedJohnsonGraph) -> GraphStats:
-    adjacency = graph.adjacency
+    # Python lists: a DFS over numpy rows pays for every scalar it reads
+    rows = graph._matrix().tolist()
     seen = [False] * graph.num_vertices
     components = 0
     for start in range(graph.num_vertices):
@@ -252,7 +241,7 @@ def graph_stats(graph: MergedJohnsonGraph) -> GraphStats:
         seen[start] = True
         while stack:
             u = stack.pop()
-            for v in adjacency[u]:
+            for v in rows[u]:
                 if not seen[v]:
                     seen[v] = True
                     stack.append(v)

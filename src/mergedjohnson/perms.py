@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subsets import all_masks, ksubset_rank, ksubsets, read_only
+from .subsets import ksubsets, read_only
 
 # entries of the (elements, domain points[, k]) block compared at a time in
 # the stabilizer sweep
@@ -461,8 +461,8 @@ class StabilizerChain:
 
 @dataclass(frozen=True)
 class ActionDomain:
-    """What a group acts on: natural points, or k-subsets, labelled by
-    bitmasks and indexed by co-lex rank."""
+    """What a group acts on: natural points, or k-subsets, each named by
+    its index, a point or a co-lex rank."""
 
     kind: str  # "points" | "ksubsets"
     size: int
@@ -477,13 +477,6 @@ class ActionDomain:
         if not 1 <= k <= n:
             raise ValueError("k out of range")
         return cls("ksubsets", math.comb(n, k), k)
-
-    def contains(self, label, degree: int) -> bool:
-        """Whether label is in the domain on `degree` points, in O(1): a
-        point below size, or a k-bit mask within `degree` bits."""
-        if self.kind == "points":
-            return 0 <= label < self.size
-        return label >= 0 and label >> degree == 0 and label.bit_count() == self.k
 
 
 class PermutationGroup:
@@ -597,22 +590,16 @@ class PermutationGroup:
     # -- orbits ----------------------------------------------------------
 
     def orbit(self, x, domain: ActionDomain | None = None):
-        """Orbit of the label x plus a transversal mapping x to each orbit
-        label, by transversal_bfs over the domain's indices.
+        """Orbit of the domain index x plus a transversal mapping x to each
+        orbit index, by transversal_bfs over the domain's indices.
 
         Returns (orbit_list, transversal) with transversal[y] a Permutation
         carrying x to y and transversal[x] the identity.
         """
         domain = self._domain(domain)
-        if not domain.contains(x, self.degree):
-            raise ValueError("label outside the action domain")
-        if domain.kind == "points":
-            return transversal_bfs(x, self.generator_images, self.generators)
-        masks = all_masks(self.degree, domain.k)
-        orbit_list, transversal = transversal_bfs(
-            ksubset_rank(x), self._domain_generators(domain), self.generators)
-        return ([masks[i] for i in orbit_list],
-                {masks[i]: t for i, t in transversal.items()})
+        if not 0 <= x < domain.size:
+            raise ValueError("index %r outside the action domain" % (x,))
+        return transversal_bfs(x, self._domain_generators(domain), self.generators)
 
     def _domain(self, domain: ActionDomain | None) -> ActionDomain:
         """domain, by default the points; ValueError unless it is the
@@ -648,13 +635,9 @@ class PermutationGroup:
 
     def orbits(self, domain: ActionDomain | None = None):
         """Partition of the domain into orbits (no transversals): lists of
-        labels in breadth-first order, by first label."""
+        indices in breadth-first order, by first index."""
         domain = self._domain(domain)
-        blocks = [block.tolist() for block in self._orbit_blocks(domain)]
-        if domain.kind == "ksubsets":
-            masks = all_masks(self.degree, domain.k)
-            blocks = [[masks[i] for i in block] for block in blocks]
-        return blocks
+        return [block.tolist() for block in self._orbit_blocks(domain)]
 
     def orbit_sizes(self, domain: ActionDomain | None = None) -> tuple:
         """Sorted orbit lengths on the domain."""

@@ -1,14 +1,16 @@
-"""Bitmask k-subsets with co-lexicographic ranking.
+"""k-subsets of {0..n-1} named by co-lexicographic rank.
 
-Subsets of {0..n-1} are stored as integer bitmasks.  Ranks follow co-lex
-order: for a subset with elements e_0 < e_1 < ... < e_{k-1} the rank is
-sum(C(e_i, i+1)), so rank 0 is always {0..k-1} and ranking is O(k).
+For a subset with elements e_0 < e_1 < ... < e_{k-1} the rank is
+sum(C(e_i, i+1)), so rank 0 is always {0..k-1}.  `ksubset_rank` and
+`ksubset_unrank` convert one subset at a time, as an integer bitmask, in
+O(k); `elements_of` lists a bitmask's elements.
 
 `ksubsets(n, k)` is the same codec on arrays, for whole domains at once:
 the co-lex element table and a binomial table.  Its `rank` takes each
 row's elements in any order: the rows are split into k columns, sorted
 position by position by a fixed compare-exchange network on whole columns,
-and ranked with one binomial-table `take` per position.
+and ranked with one binomial-table `take` per position.  Ranks are int64,
+so a codec whose C(n,k) does not fit is refused.
 """
 
 from __future__ import annotations
@@ -18,13 +20,6 @@ import itertools
 import math
 
 import numpy as np
-
-
-def mask_of(elements) -> int:
-    mask = 0
-    for x in elements:
-        mask |= 1 << x
-    return mask
 
 
 def elements_of(mask: int) -> list[int]:
@@ -64,15 +59,11 @@ def ksubset_unrank(k: int, rank: int) -> int:
     return mask
 
 
-def all_masks(n: int, k: int) -> list[int]:
-    """All k-subset masks of {0..n-1} in co-lex (rank) order."""
-    return [mask_of(row) for row in ksubsets(n, k).elements.tolist()]
-
-
-def complement_ranks(n: int, k: int) -> list[int]:
+@functools.cache
+def complement_ranks(n: int, k: int) -> np.ndarray:
     """Co-lex rank of the complement of each k-subset of {0..n-1}, indexed
-    by the k-subset's rank."""
-    return ksubsets(n, n - k).rank(ksubsets(n, k).complements()).tolist()
+    by the k-subset's rank; one read-only array per (n, k)."""
+    return read_only(ksubsets(n, n - k).rank(ksubsets(n, k).complements()))
 
 
 class KSubsets:
@@ -82,9 +73,14 @@ class KSubsets:
     Each table is built on first use; both are read-only."""
 
     def __init__(self, n: int, k: int):
+        # C(n,k) >= 2^min(k, n-k), so min(k, n-k) >= 63 is refused
+        # without building C(n,k)
+        self.size = math.comb(n, k) if min(k, n - k) < 63 else 1 << 63
+        if self.size >= 1 << 63:
+            raise ValueError("C(%d,%d) is at least 2^63: the %d-subsets' ranks "
+                             "do not fit int64" % (n, k, k))
         self.n = n
         self.k = k
-        self.size = math.comb(n, k)
         # the narrowest type that holds a point: the sorting network runs
         # on columns of it, which take less memory traffic than intp
         self.point_dtype = np.min_scalar_type(n - 1)

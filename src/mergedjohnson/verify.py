@@ -221,7 +221,7 @@ def bruteforce_automorphism_group(graph: MergedJohnsonGraph) -> int:
     nv = graph.num_vertices
     if nv > 10:
         raise ValueError("brute force capped at 10 vertices")
-    nbr = [set(row) for row in graph.adjacency]
+    nbr = [set(graph.neighbors(u)) for u in range(nv)]
     deg = [len(s) for s in nbr]
     # common-neighbor counts, a cheap label-invariant
     common = [[len(nbr[u] & nbr[v]) for v in range(nv)] for u in range(nv)]

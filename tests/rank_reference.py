@@ -1,10 +1,24 @@
-"""The k-subset rank kernel against the formula that sorts each row first.
-tests/test_subsets.py runs check_ranks for every n <= 12, and CI for every
-n <= 20."""
+"""Reference code for k-subsets: the rank kernel against the formula that
+sorts each row first (tests/test_subsets.py runs check_ranks for every
+n <= 12, and CI for every n <= 20), and bitmask subsets for the scalar
+loops the tests compare with."""
 
 import numpy as np
 
-from mergedjohnson.subsets import KSubsets
+from mergedjohnson.subsets import KSubsets, ksubsets
+
+
+def mask_of(elements) -> int:
+    """The bitmask of a set of points."""
+    mask = 0
+    for x in elements:
+        mask |= 1 << x
+    return mask
+
+
+def all_masks(n: int, k: int) -> list[int]:
+    """All k-subset masks of {0..n-1} in co-lex (rank) order."""
+    return [mask_of(row) for row in ksubsets(n, k).elements.tolist()]
 
 
 def sorted_image_ranks(codec, images):

@@ -179,6 +179,22 @@ def test_graph_export_unmaterialized_is_usage_error():
     _usage_error(run("graph", "export", "-n", "50", "-k", "3", "-I", "1"))
 
 
+# graphs with C(n,k) >= 2^63: without the int64 refusal the first printed a
+# traceback, the second spent 39 s building C(n,k), and J(67,33) gave
+# negative neighbour ranks
+OVERSIZED_EXPORTS = [("200000", "100000"), ("2000000", "1000000"), ("67", "33")]
+
+
+@pytest.mark.parametrize("n, k", OVERSIZED_EXPORTS)
+def test_graph_export_past_int64_ranks_is_usage_error(n, k):
+    t0 = time.perf_counter()
+    result = run("graph", "export", "-n", n, "-k", k, "-I", "1")
+    _usage_error(result)
+    assert "at least 2^63" in result.stderr
+    assert sum(line.startswith("Error:") for line in result.stderr.splitlines()) == 1
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_classify_huge_deficiency_bound_by_formula():
     # k!(n-k)!/2 past 4300 digits is given by formula, not built
     for n, k, formula in [(2000, 2, "2!*1998!/2"), (2200, 1100, "1100!*1100!/2")]:
@@ -352,6 +368,9 @@ def _cli_inputs(rng):
     for _ in range(10):
         yield ["group", "exceptional", "-p", str(rng.choice([5, 7, 11, 23, 29, 2, 13, -1])),
                "--variant", str(rng.choice([1, 1, 2, 0, 3]))]
+    # graphs with C(n,k) >= 2^63, which the seeded draws above may miss
+    for n, k in OVERSIZED_EXPORTS[:2]:
+        yield ["graph", "export", "-n", n, "-k", k, "-I", "1"]
 
 
 def test_every_sampled_cli_input_answers_or_exits_2():

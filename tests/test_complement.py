@@ -54,6 +54,18 @@ def test_cocycle_classes_share_one_pointed_group_and_setup(datas):
         [datas[label].transversal for label in range(4)]
 
 
+def test_equal_cocycle_data_share_one_vertex_group(datas):
+    groups = []
+    for label in range(4):
+        fresh = build_cocycle_data(label, datas[label].pointed)
+        assert fresh == datas[label] and fresh is not datas[label]
+        groups.append(complement_vertex_group(datas[label]))
+        assert complement_vertex_group(fresh) is groups[-1]
+    assert len(set(map(id, groups))) == 4
+    assert complement_vertex_group(build_cocycle_data(1)) is \
+        complement_vertex_group(build_cocycle_data(1))
+
+
 def test_split_complement_has_two_orbits(datas):
     assert orbit_signature(datas[0]) == (126, 126)
 

@@ -1,12 +1,14 @@
+import time
 from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
 import pytest
+from rank_reference import all_masks, mask_of
 
 from mergedjohnson.johnson import (MergedJohnsonGraph, build_graph, graph_stats,
                                    merge_set)
-from mergedjohnson.subsets import all_masks, elements_of, ksubset_rank, mask_of
+from mergedjohnson.subsets import elements_of, ksubset_rank
 
 
 def adjacent(k, I, K, Kp):
@@ -59,11 +61,13 @@ def test_edge_partition_of_complete_graph():
 
 def johnson_distance(n, k, K, Kp):
     """BFS distance from K to K' in the Johnson graph J(n,k)_1, over the
-    neighbours the unmaterialized graph generates."""
-    graph = MergedJohnsonGraph(n, k, {1}, materialize=False)
+    neighbours the unmaterialized graph generates, stopping at K'."""
+    graph = MergedJohnsonGraph(n, k, {1})
+    assert not graph.materialized
+    target = ksubset_rank(Kp)
     dist = {ksubset_rank(K): 0}
     frontier = list(dist)
-    while frontier:
+    while target not in dist:
         nxt = []
         for u in frontier:
             for v in graph.neighbors(u):
@@ -71,13 +75,15 @@ def johnson_distance(n, k, K, Kp):
                     dist[v] = dist[u] + 1
                     nxt.append(v)
         frontier = nxt
-    return dist[ksubset_rank(Kp)]
+    return dist[target]
 
 
 def test_johnson_distance_formula():
-    for K in [mask_of([0, 1, 2, 3]), mask_of([0, 2, 4, 6])]:
-        for Kp in [mask_of([4, 5, 6, 7]), mask_of([0, 1, 6, 7])]:
-            assert johnson_distance(8, 4, K, Kp) == 4 - bin(K & Kp).count("1")
+    # J(17,6)_1 has 12 376 vertices, past the materialize limit
+    for K in [mask_of(range(6)), mask_of([1, 3, 5, 7, 9, 16])]:
+        for Kp in [mask_of([3, 4, 5, 6, 7, 8]), mask_of([0, 1, 5, 7, 9, 16]),
+                   mask_of([0, 1, 2, 3, 4, 16])]:
+            assert johnson_distance(17, 6, K, Kp) == 6 - bin(K & Kp).count("1")
 
 
 # -- the equipartitions {K + {n+1}, complement} of {1..n+1}, n odd ------------
@@ -170,34 +176,47 @@ def _merge_sets(k):
             for c in combinations(range(1, k + 1), size)]
 
 
+def _neighbours_by_rule(graph, u, masks):
+    """The vertices adjacent to u by the intersection rule, ascending."""
+    return [v for v in range(graph.num_vertices)
+            if v != u and adjacent(graph.k, graph.I, masks[u], masks[v])]
+
+
 @pytest.mark.parametrize("n", range(4, 10))
 def test_materialized_adjacency_follows_the_intersection_rule(n):
     for k in range(2, n // 2 + 1):
         masks = all_masks(n, k)
         for I in _merge_sets(k):
             g = build_graph(n, k, I)
-            assert len(g.adjacency) == g.num_vertices
-            for u, row in enumerate(g.adjacency):
-                want = [v for v in range(g.num_vertices)
-                        if v != u and adjacent(k, I, masks[u], masks[v])]
-                assert row == want
-                assert sorted(g.neighbors(u)) == want
+            assert g.materialized
+            for u in range(g.num_vertices):
+                assert sorted(g.neighbors(u)) == _neighbours_by_rule(g, u, masks)
             assert g.edges == [(u, v) for u in range(g.num_vertices)
                                for v in g.neighbors(u) if v > u]
             assert len(g.edges) == g.num_vertices * g.degree // 2
 
 
-def test_unmaterialized_neighbors_match_the_matrix():
-    full = build_graph(9, 3, {1, 3})
-    lazy = build_graph(9, 3, {1, 3}, materialize=False)
-    assert not lazy.materialized
-    assert all(lazy.neighbors(u) == full.neighbors(u) for u in range(0, 84, 5))
-    with pytest.raises(ValueError):
-        lazy.edges
+def _lazy_graph():
+    """J(17,6)_{1,3}: 12 376 vertices, past the materialize limit."""
+    graph = build_graph(17, 6, {1, 3})
+    assert not graph.materialized and graph.num_vertices == 12376
+    return graph
+
+
+def test_unmaterialized_neighbors_follow_the_intersection_rule():
+    lazy = _lazy_graph()
+    masks = all_masks(17, 6)
+    for u in range(0, lazy.num_vertices, 1031):
+        row = lazy.neighbors(u)
+        assert len(row) == lazy.degree
+        assert sorted(row) == _neighbours_by_rule(lazy, u, masks)
+    for read in (lambda g: g.edges, graph_stats):
+        with pytest.raises(ValueError, match="not materialized"):
+            read(lazy)
 
 
 @pytest.mark.parametrize("read", [
-    lambda g: g.edges, lambda g: g.adjacency, lambda g: g.neighbors(3),
+    lambda g: g.edges, lambda g: graph_stats(g), lambda g: g.neighbors(3),
     lambda g: g.edge_arrays(), lambda g: g.has_edges([0], [1]),
 ])
 def test_the_matrix_is_built_when_first_read(read):
@@ -211,15 +230,41 @@ def test_has_edges_against_the_adjacency_lists():
     g = build_graph(8, 3, {1, 3})
     a, b = np.divmod(np.arange(g.num_vertices ** 2), g.num_vertices)
     found = g.has_edges(a, b).reshape(g.num_vertices, g.num_vertices)
-    assert [np.flatnonzero(row).tolist() for row in found] == g.adjacency
+    assert [np.flatnonzero(row).tolist() for row in found] == \
+        [sorted(g.neighbors(u)) for u in range(g.num_vertices)]
 
 
 def test_vertex_ranks_outside_the_graph_are_rejected():
-    full = build_graph(5, 2, {2})
-    lazy = build_graph(5, 2, {2}, materialize=False)
-    for g in (full, lazy):
-        for bad in (-1, 10):
+    for g in (build_graph(5, 2, {2}), _lazy_graph()):
+        for bad in (-1, g.num_vertices):
             with pytest.raises(ValueError):
                 g.neighbors(bad)
-        assert g.neighbors(9) == full.neighbors(9)
-        assert adjacent(2, g.I, g.vertex_mask(0), g.vertex_mask(9))
+        last = g.num_vertices - 1
+        assert sorted(g.neighbors(last)) == _neighbours_by_rule(g, last, all_masks(g.n, g.k))
+        assert g.vertex_mask(last) == mask_of(range(g.n - g.k, g.n))
+
+
+def test_graph_stats_counts_the_kneser_matching_components():
+    # J(14,7)_{7} is a perfect matching on 3432 vertices
+    stats = graph_stats(build_graph(14, 7, {7}))
+    assert (stats.degree, stats.component_count, stats.connected) == (1, 1716, False)
+
+
+def test_the_largest_graph_with_int64_ranks_is_lazy():
+    g = build_graph(66, 33, {1})
+    assert g.num_vertices == comb(66, 33) and not g.materialized
+    last = g.num_vertices - 1
+    assert sorted(g.neighbors(last)) == sorted(
+        ksubset_rank(mask_of([x, *(y for y in range(33, 66) if y != z)]))
+        for z in range(33, 66) for x in range(33))
+
+
+@pytest.mark.parametrize("n, k, I", [(67, 33, {1}), (68, 34, {1}),
+                                     (200000, 100000, {1}),
+                                     (2 * 10 ** 6, 10 ** 6, {1}),
+                                     (20000, 10000, range(1, 10001))])
+def test_graphs_whose_ranks_pass_int64_are_refused(n, k, I):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="at least 2\\^63"):
+        build_graph(n, k, I)
+    assert time.perf_counter() - t0 < 1.0

@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from rank_reference import all_masks, mask_of
 
 from mergedjohnson import perms
 from mergedjohnson.perms import ActionDomain, Permutation, PermutationGroup
-from mergedjohnson.subsets import all_masks, elements_of, mask_of
+from mergedjohnson.subsets import elements_of, ksubset_rank
 
 
 def s_n(n):
@@ -94,8 +95,8 @@ def test_orbit_rejects_labels_outside_the_domain():
         with pytest.raises(ValueError):
             g.orbit(bad)
     pairs = ActionDomain.ksubsets(5, 2)
-    assert len(g.orbit(0b10001, pairs)[0]) == 10
-    for bad in (0b00111, 0b00001, 0b100001, -3):
+    assert len(g.orbit(9, pairs)[0]) == 10
+    for bad in (-1, 10):
         with pytest.raises(ValueError):
             g.orbit(bad, pairs)
 
@@ -115,13 +116,6 @@ def test_a_domain_of_another_degree_is_refused(call, domain):
         call(s_n(5), domain)
 
 
-@pytest.mark.parametrize("domain", [ActionDomain.points(6),
-                                    ActionDomain.ksubsets(6, 3)])
-def test_domain_membership_matches_its_labels(domain):
-    labels = set(_labels(domain, 6))
-    assert [x for x in range(-4, 1 << 7) if domain.contains(x, 6)] == sorted(labels)
-
-
 # -- array orbits and the stabilizer sweep, against plain loops -------------
 
 def _labels(domain, degree):
@@ -136,6 +130,11 @@ def _image(label, domain, images):
     if domain.kind == "points":
         return images[label]
     return mask_of(images[x] for x in elements_of(label))
+
+
+def _index(label, domain):
+    """The domain index of a label: a point, or a k-subset mask's rank."""
+    return label if domain.kind == "points" else ksubset_rank(label)
 
 
 def _closure_by_loop(generators):
@@ -300,7 +299,8 @@ def test_orbits_match_a_point_by_point_search():
         for domain in (ActionDomain.points(group.degree),
                        ActionDomain.ksubsets(group.degree, 2),
                        ActionDomain.ksubsets(group.degree, 3)):
-            want = _orbits_by_loop(group, domain)
+            want = [[_index(x, domain) for x in block]
+                    for block in _orbits_by_loop(group, domain)]
             assert group.orbits(domain) == want
             assert group.orbit_sizes(domain) == tuple(sorted(map(len, want)))
 
@@ -314,7 +314,8 @@ def test_orbit_lists_its_block_with_a_transversal_into_it():
                        ActionDomain.ksubsets(group.degree, 2),
                        ActionDomain.ksubsets(group.degree, 3)):
             blocks = group.orbits(domain)
-            for x in _labels(domain, group.degree):
+            for label in _labels(domain, group.degree):
+                x = _index(label, domain)
                 orbit, transversal = group.orbit(x, domain)
                 block = next(b for b in blocks if x in b)
                 assert sorted(orbit) == sorted(block)
@@ -325,7 +326,7 @@ def test_orbit_lists_its_block_with_a_transversal_into_it():
                 assert sorted(transversal) == sorted(orbit)
                 assert transversal[x] == Permutation.identity(group.degree)
                 for y, t in transversal.items():
-                    assert _image(x, domain, t.images.tolist()) == y
+                    assert _index(_image(label, domain, t.images.tolist()), domain) == y
 
 
 def test_elements_are_every_permutation_in_order():

@@ -1,13 +1,13 @@
 import itertools
+import time
 from math import comb
 
 import numpy as np
 import pytest
-from rank_reference import check_ranks
+from rank_reference import all_masks, check_ranks, mask_of
 
-from mergedjohnson.subsets import (all_masks, complement_ranks, elements_of,
-                                   ksubset_rank, ksubset_unrank, ksubsets,
-                                   mask_of)
+from mergedjohnson.subsets import (KSubsets, complement_ranks, elements_of,
+                                   ksubset_rank, ksubset_unrank, ksubsets)
 
 
 def mask_image(mask, images):
@@ -90,10 +90,32 @@ def test_image_ranks_match_mask_image():
 @pytest.mark.parametrize("n,k", [(8, 4), (9, 2), (10, 5)])
 def test_complement_ranks_match_scalar_complements(n, k):
     full = (1 << n) - 1
-    assert complement_ranks(n, k) == [ksubset_rank(full ^ m) for m in all_masks(n, k)]
+    assert complement_ranks(n, k).tolist() == \
+        [ksubset_rank(full ^ m) for m in all_masks(n, k)]
 
 
 def test_codec_tables_are_shared_and_read_only():
     assert ksubsets(6, 3) is ksubsets(6, 3)
     with pytest.raises(ValueError):
         ksubsets(6, 3).elements[0, 0] = 5
+
+
+def test_complement_ranks_are_one_read_only_array():
+    assert complement_ranks(10, 5) is complement_ranks(10, 5)
+    with pytest.raises(ValueError):
+        complement_ranks(10, 5)[0] = 0
+
+
+@pytest.mark.parametrize("n, k", [(67, 33), (67, 34), (68, 34), (126, 63),
+                                  (200000, 100000), (2 * 10 ** 6, 10 ** 6)])
+def test_codecs_whose_ranks_pass_int64_are_refused(n, k):
+    # C(2*10^6, 10^6) alone took 39 s to build
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="at least 2\\^63"):
+        KSubsets(n, k)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("n, k", [(66, 33), (100, 10), (200, 8), (10 ** 6, 2), (64, 63)])
+def test_codecs_whose_ranks_fit_int64_are_built(n, k):
+    assert KSubsets(n, k).size == comb(n, k) < 2 ** 63

@@ -444,6 +444,6 @@ def test_broken_edge_rejects_a_non_bijection():
 
 
 def test_broken_edge_needs_a_materialized_graph():
-    lazy = build_graph(6, 3, {1, 2, 3}, materialize=False)
+    lazy = build_graph(17, 6, {1, 3})  # 12 376 vertices, past the limit
     with pytest.raises(ValueError, match="not materialized"):
-        _broken_edge([Permutation.identity(20)], lazy)
+        _broken_edge([Permutation.identity(lazy.num_vertices)], lazy)
