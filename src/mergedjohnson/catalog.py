@@ -7,7 +7,9 @@ k = 2, 3.  Every record sits in one table, `_RECORDS`, built at import,
 and ships with degree and order; groups that fit on a desk (degree <= 64,
 order below a few hundred million) carry their constructor, the rest are
 data only.  The groups PSL2(q) <= G <= PGammaL2(q) on the projective line
-all come from `projective_line_group`.
+all come from `projective_line_group`.  The affine groups AGL1, AHL1 and
+AGammaL1 are not listed: no deficiency minimum can read one (see
+`_RECORDS`).
 
 `minimal_stabilizer_order` builds each record's group at most once per
 process, on first use, and checks it k-homogeneous at most once per
@@ -25,7 +27,6 @@ from typing import Callable
 import numpy as np
 
 from .fields import build_field, prime_power_decomposition
-from .nearfields import affine_group
 from .perms import ActionDomain, Permutation, PermutationGroup
 
 
@@ -136,11 +137,6 @@ def mathieu(n: int) -> PermutationGroup:
 # Catalog records
 # --------------------------------------------------------------------------
 
-def _affine_line_group(n: int, kind: str) -> PermutationGroup:
-    p, e = prime_power_decomposition(n)
-    return affine_group(build_field(p, e), kind)
-
-
 def _mathieu(n, homogeneity):
     return HomogRecord("M%d" % n, n, _MATHIEU_ORDERS[n], homogeneity,
                        partial(mathieu, n))
@@ -149,11 +145,6 @@ def _mathieu(n, homogeneity):
 def _projective(q, name, order, homogeneity):
     return HomogRecord("%s(%d)" % (name, q), q + 1, order, homogeneity,
                        partial(projective_line_group, q, name))
-
-
-def _affine(n, kind, order, homogeneity):
-    return HomogRecord("%s1(%d)" % (kind, n), n, order, homogeneity,
-                       partial(_affine_line_group, n, kind))
 
 
 def _projective_line_records():
@@ -182,27 +173,13 @@ def _projective_line_records():
     return out
 
 
-def _affine_line_records():
-    # AGL1(8), AGammaL1(8) and AGammaL1(32), 3-homogeneous, are on the H_3
-    # list already and are skipped here.
-    out = []
-    for n in range(5, 65):
-        dec = prime_power_decomposition(n)
-        if dec is None:
-            continue
-        _, e = dec
-        if n != 8:
-            out.append(_affine(n, "AGL", n * (n - 1), 2))
-        if n % 4 == 3:
-            out.append(_affine(n, "AHL", n * (n - 1) // 2, 2))
-        if e > 1 and n not in (8, 32):
-            out.append(_affine(n, "AGammaL", n * (n - 1) * e, 2))
-    return out
-
-
-# H_5, the rest of H_4, the H_3 sporadics, the projective line, the H_2
-# sporadics and the affine line; khomog_candidates sorts stably by order,
-# so this order picks the witness among groups of equal order
+# H_5, the rest of H_4, the H_3 sporadics, the projective line and the H_2
+# sporadics; khomog_candidates sorts stably by order, so this order picks
+# the witness among groups of equal order.  No affine group is listed: AGL1,
+# AHL1 and AGammaL1 are k-homogeneous at a prime-power degree n for k = 2,
+# where every J(n,2)_I is 2-regular (2-regular case 1), and at n = 8, 32
+# for k = 3, where every J(n,3)_I is Cayley (Cayley cases 2 and 3), so no
+# deficiency minimum is taken at their degrees
 _RECORDS = (
     _mathieu(12, 5),
     _mathieu(24, 5),
@@ -214,22 +191,18 @@ _RECORDS = (
     HomogRecord("M11 on 12", 12, 7920, 3),
     HomogRecord("M22", 22, 443520, 3),
     HomogRecord("Aut M22", 22, 887040, 3),
-    _affine(8, "AGL", 56, 3),
-    _affine(8, "AGammaL", 168, 3),
-    _affine(32, "AGammaL", 4960, 3),
     *_projective_line_records(),
     HomogRecord("PSL2(11) on 11", 11, 660, 2),
     HomogRecord("A7 on 15", 15, 2520, 2),
     HomogRecord("PSigmaL2(8) on 28", 28, 1512, 2),
     HomogRecord("HS", 176, 44352000, 2),
     HomogRecord("Co3", 276, 495766656000, 2),
-    *_affine_line_records(),
 )
 
 def homogeneous_catalog(k: int) -> list[HomogRecord]:
-    """The shipped records of H_k, in table order.  The infinite families
-    of H_2 and H_3 are listed up to degree 64 only; khomog_candidates says
-    at which degrees the list is complete."""
+    """The shipped records of H_k, in table order.  The projective lines
+    are listed up to degree 64 only, and no affine group (see _RECORDS);
+    khomog_candidates says at which degrees the list is complete."""
     if k < 2:
         raise ValueError("k must be at least 2")
     return [r for r in _RECORDS if r.max_homogeneity >= k]
@@ -239,15 +212,15 @@ def homogeneous_catalog(k: int) -> list[HomogRecord]:
 # Degree sets and deficiency candidates
 # --------------------------------------------------------------------------
 
+# H_4 and H_5 are listed in full, so D_4 and D_5 are read off the table
+_DEGREES = {k: frozenset(r.degree for r in homogeneous_catalog(k)) for k in (4, 5)}
+
+
 def degrees_d_k(k: int, n: int) -> bool:
     """Whether degree n lies in D_k, the set of degrees of groups in H_k.
     Exact for k >= 4; for k in {2, 3} exact for n <= 64."""
-    if k >= 6:
-        return False
-    if k == 5:
-        return n in (12, 24)
-    if k == 4:
-        return n in (9, 11, 12, 23, 24, 33)
+    if k >= 4:
+        return n in _DEGREES.get(k, ())
     if k == 3:
         if n in (11, 12, 22, 23, 24):
             return True
@@ -276,10 +249,10 @@ def khomog_candidates(n: int, k: int):
         complete = True
     else:
         # curated: for n <= 14 every k-homogeneous group of degree n with
-        # k in {2, 3} lies in the shipped records (affine line, projective
-        # line, Mathieu); powers of 2 from degree 8 up admit further affine
-        # groups not shipped here
-        complete = n <= 14 and not (k == 3 and n in (8, 16))
+        # k in {2, 3} lies in the shipped records (projective line,
+        # Mathieu), but for the affine groups at the degrees named above
+        complete = n <= 14 and not (k == 2 and prime_power_decomposition(n)
+                                    or k == 3 and n == 8)
     return records, complete
 
 

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 All structured output is JSON lines.  Exit codes: 0 success, 1 refuted
-verification claim, 2 usage error, 3 internal error (an AssertionError in
+verification claim, 2 usage error (a bad option, or a ValueError the
+library raises in any subcommand), 3 internal error (an AssertionError in
 any subcommand, reported in one line on stderr).
 """
 
@@ -40,8 +41,21 @@ def _group_record(group: PermutationGroup, **extra) -> dict:
     return record
 
 
+class _Command(click.Command):
+    """A subcommand, with a ValueError of the library turned into a usage error."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx)
+
+
 class _Main(click.Group):
     """The command group, with internal errors turned into exit code 3."""
+
+    command_class = _Command
+    group_class = type  # the subgroups are _Main too
 
     def invoke(self, ctx):
         try:
@@ -68,12 +82,7 @@ def main(seed):
               help="1-based merge set, e.g. 1,3")
 def classify(n, k, merge):
     """Classify one instance: Aut case, Cayley, 2-regular, deficiency."""
-    I = _parse_merge(merge)
-    try:
-        verdict = cls.classify_instance(n, k, I)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    _emit(verdict, sys.stdout)
+    _emit(cls.classify_instance(n, k, _parse_merge(merge)), sys.stdout)
 
 
 def census_rows(n_max: int):
@@ -128,14 +137,11 @@ def graph():
 @click.option("-I", "--merge", "merge", required=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "edges", "dimacs"]),
               default="json")
-@click.option("-o", "--output", type=click.Path(writable=True), default=None)
+@click.option("-o", "--output", type=click.Path(dir_okay=False, writable=True),
+              default=None)
 def graph_export(n, k, merge, fmt, output):
     """Write J(n,k)_I as JSON, an edge list, or DIMACS."""
-    I = _parse_merge(merge)
-    try:
-        g = build_graph(n, k, I)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    g = build_graph(n, k, _parse_merge(merge))
     if not g.materialized:
         raise click.UsageError("J(%d,%d) has %d vertices, more than export "
                                "materializes" % (n, k, g.num_vertices))
@@ -148,8 +154,11 @@ def graph_export(n, k, merge, fmt, output):
     if output is None:
         sys.stdout.write(text)
     else:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise click.UsageError("cannot write %s: %s" % (output, exc.strerror))
 
 
 @main.group()
@@ -163,10 +172,7 @@ def _affine_cmd(kind):
                   help="Dickson parameter; omit for the field case (d=1)")
     def run(q, d):
         d = 1 if d is None else d
-        try:
-            g = affine_group(build_dickson(q, d), kind)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        g = affine_group(build_dickson(q, d), kind)
         _emit(_group_record(g, kind=kind, q=q, d=d), sys.stdout)
     return run
 
@@ -181,11 +187,7 @@ group.command("agammal")(_affine_cmd("AGammaL"))
 @click.option("-d", required=True, type=int)
 def group_dickson(q, d):
     """Build a Dickson near-field and emit its structure."""
-    try:
-        nf = build_dickson(q, d)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    sys.stdout.write(nf.export_json() + "\n")
+    sys.stdout.write(build_dickson(q, d).export_json() + "\n")
 
 
 @group.command("exceptional")
@@ -193,10 +195,7 @@ def group_dickson(q, d):
 @click.option("--variant", type=int, default=1)
 def group_exceptional(p, variant):
     """Sharply 2-transitive group from an exceptional near-field."""
-    try:
-        spec = exceptional_spec(p, variant)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    spec = exceptional_spec(p, variant)
     g = exceptional_group(spec)
     _emit(_group_record(g, p=p, variant=variant, structure=spec.g0_structure),
           sys.stdout)

@@ -43,12 +43,6 @@ class PointedPSL28:
     group: PermutationGroup
     frobenius: Permutation
 
-    @functools.cached_property
-    def setup(self) -> tuple:
-        """equipartition_setup of this group, computed once: the four
-        cocycle classes over it differ only in delta."""
-        return equipartition_setup(self)
-
 
 def build_pointed_psl28() -> PointedPSL28:
     """catalog's PSL2(8) on P^1(F_8), plus the fixed point 9; frobenius is
@@ -134,18 +128,18 @@ def equipartition_setup(pointed: PointedPSL28):
 
 
 @functools.cache
-def _default_pointed() -> PointedPSL28:
-    """One pointed PSL2(8) per process, for callers that pass none."""
-    return build_pointed_psl28()
+def _setup() -> tuple:
+    """(pointed, V, transversal): one pointed PSL2(8) per process and its
+    equipartition_setup, computed once; the four cocycle classes over it
+    differ only in delta."""
+    pointed = build_pointed_psl28()
+    return (pointed, *equipartition_setup(pointed))
 
 
-def build_cocycle_data(delta_label: int = 0,
-                       pointed: PointedPSL28 | None = None) -> CocycleData:
+def build_cocycle_data(delta_label: int) -> CocycleData:
     if delta_label not in (0, 1, 2, 3):
         raise ValueError("delta_label must be 0..3")
-    if pointed is None:
-        pointed = _default_pointed()
-    return CocycleData(pointed, *pointed.setup, delta_label)
+    return CocycleData(*_setup(), delta_label)
 
 
 # --------------------------------------------------------------------------

@@ -185,28 +185,25 @@ class MergedJohnsonGraph:
 
     # -- exports ----------------------------------------------------------
 
-    def _numbered_edges(self) -> np.ndarray:
-        """(edges, 2) array of the 1-based ends u + 1, v + 1 of each edge,
-        in the order of edges."""
-        return np.stack(self.edge_arrays(), axis=1) + 1
+    def _edge_text(self, pattern: str) -> str:
+        """pattern, which holds two %d, once per edge with its 1-based ends
+        u + 1, v + 1, in the order of edges: one format of the flat array."""
+        ends = np.stack(self.edge_arrays(), axis=1) + 1
+        return (pattern * len(ends)) % tuple(ends.ravel().tolist())
 
     def edge_lines(self) -> str:
-        ends = self._numbered_edges()
-        return ("%d %d\n" * len(ends)) % tuple(ends.ravel().tolist())
+        return self._edge_text("%d %d\n")
 
     def export_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "k": self.k,
-            "I": sorted(self.I),
-            "vertices": self.num_vertices,
-            "edges": self._numbered_edges().tolist(),
-        })
+        # json.dumps of the other keys, in order, with the edges spliced in
+        # as json.dumps would write them: no list per edge is built
+        head = json.dumps({"n": self.n, "k": self.k, "I": sorted(self.I),
+                           "vertices": self.num_vertices})
+        return '%s, "edges": [%s]}' % (head[:-1], self._edge_text("[%d, %d], ")[:-2])
 
     def export_dimacs(self) -> str:
-        ends = self._numbered_edges()
-        return ("p edge %d %d\n" % (self.num_vertices, len(ends))
-                + ("e %d %d\n" * len(ends)) % tuple(ends.ravel().tolist()))
+        edges = self.num_vertices * self.degree // 2
+        return "p edge %d %d\n" % (self.num_vertices, edges) + self._edge_text("e %d %d\n")
 
     def __repr__(self):
         return "MergedJohnsonGraph(n=%d, k=%d, I=%s)" % (self.n, self.k, sorted(self.I))

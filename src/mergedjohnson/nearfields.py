@@ -492,16 +492,15 @@ def exceptional_group(spec: ExceptionalSpec) -> PermutationGroup:
     # far.  G0 is semiregular, so a subgroup holds g iff e1's orbit under it
     # holds e1·g, and e1's orbit under the identity is e1 alone.
     chosen = []
-    orbit = {p}
+    orbit = np.zeros(p * p, dtype=bool)
+    orbit[p] = True
     for v in range(1, p * p):
-        if v not in orbit:
+        if not orbit[v]:
             chosen.append(_linear_map(p, v, second[v]))
-            table = np.array([g.images for g in chosen])
-            orbit = set(frontier_bfs(p, lambda f: table[:, f].T.ravel(),
-                                     np.zeros(p * p, dtype=bool)).tolist())
-            if len(orbit) == p * p - 1:
+            orbit = _reached(p, np.stack([g.images for g in chosen], axis=1))
+            if orbit[1:].all():
                 break
-    if len(orbit) != p * p - 1:
+    if not orbit[1:].all():
         raise AssertionError("the chosen generators do not generate G0")
     group = PermutationGroup(gens + chosen)
     group._order = p * p * (p * p - 1)

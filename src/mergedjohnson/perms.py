@@ -480,8 +480,8 @@ class ActionDomain:
 
 
 class PermutationGroup:
-    """Group generated by permutations of a common degree, whose images
-    generator_images stacks into one read-only (generators, degree) array.
+    """Group generated by one or more permutations of a common degree, whose
+    images generator_images stacks into one read-only (generators, degree) array.
 
     The stabilizer chain is built lazily on first use of order/membership.
     The order is kept in _order once known: read off the chain, or set by
@@ -492,17 +492,15 @@ class PermutationGroup:
     enough to enumerate, regularity_degree checks the order either way.
     """
 
-    def __init__(self, generators, degree: int | None = None):
+    def __init__(self, generators):
         generators = list(generators)
-        if not generators and degree is None:
-            raise ValueError("need generators or an explicit degree")
-        if degree is None:
-            degree = generators[0].degree
-        for g in generators:
-            if g.degree != degree:
-                raise ValueError("degree mismatch among generators")
+        if not generators:
+            raise ValueError("need at least one generator")
+        degree = generators[0].degree
+        if any(g.degree != degree for g in generators):
+            raise ValueError("degree mismatch among generators")
         self.degree = degree
-        self.generators = generators or [Permutation.identity(degree)]
+        self.generators = generators
         self.generator_images = read_only(np.array([g.images for g in self.generators]))
         self._chain: StabilizerChain | None = None
         self._order: int | None = None
@@ -661,7 +659,7 @@ class PermutationGroup:
             raise ValueError("k out of range")
         codec = ksubsets(self.degree, k)
         images = read_only(codec.image_ranks(self.generator_images).astype(np.intp, copy=False))
-        group = PermutationGroup(Permutation._of_rows(images), degree=codec.size)
+        group = PermutationGroup(Permutation._of_rows(images))
         if k < self.degree:
             # a permutation moving x to y moves a k-subset holding x but not y
             group._order = self.order

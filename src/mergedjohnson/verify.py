@@ -46,10 +46,9 @@ class OracleReport:
                           sort_keys=True)
 
 
-def _report(claim, ok, evidence, t0=None) -> OracleReport:
-    # without t0, elapsed_ms is left at 0 for run_suite to fill in
-    elapsed = 0.0 if t0 is None else (time.perf_counter() - t0) * 1000.0
-    return OracleReport(claim, "confirmed" if ok else "refuted", evidence, elapsed)
+def _report(claim, ok, evidence) -> OracleReport:
+    # elapsed_ms is left at 0 for run_suite, which times the whole claim
+    return OracleReport(claim, "confirmed" if ok else "refuted", evidence, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -110,14 +109,13 @@ def _action_claim(r: int, n: int, k: int, I) -> str:
 
 def regular_action_check(group: PermutationGroup, graph: MergedJohnsonGraph,
                          r_expected: int) -> OracleReport:
-    t0 = time.perf_counter()
     claim = _action_claim(r_expected, graph.n, graph.k, graph.I)
     broken = _broken_edge(group.generators, graph)
     if broken is not None:
-        return _report(claim, False, {"broken_edge": list(broken)}, t0)
+        return _report(claim, False, {"broken_edge": list(broken)})
     r = group.regularity_degree()
     ok = r == r_expected
-    return _report(claim, ok, {"regularity_degree": r, "order": group.order}, t0)
+    return _report(claim, ok, {"regularity_degree": r, "order": group.order})
 
 
 def sharply_two_transitive_check(group: PermutationGroup) -> OracleReport:
@@ -129,7 +127,6 @@ def sharply_two_transitive_check(group: PermutationGroup) -> OracleReport:
     pair is visited and no stabilizer chain is built.  Otherwise, or when
     any step of the certificate fails, the orbit comes from a BFS over the
     n^2 ordered pairs and the order from the group's stabilizer chain."""
-    t0 = time.perf_counter()
     n = group.degree
     claim = "sharply 2-transitive on %d points" % n
     certified = _affine_certificate(group.generator_images, n)
@@ -138,7 +135,7 @@ def sharply_two_transitive_check(group: PermutationGroup) -> OracleReport:
     else:
         order, orbit = certified
     ok = orbit == n * (n - 1) == order
-    return _report(claim, ok, {"pair_orbit": orbit, "order": order}, t0)
+    return _report(claim, ok, {"pair_orbit": orbit, "order": order})
 
 
 def _pair_orbit_bfs(group: PermutationGroup) -> int:
@@ -308,7 +305,6 @@ def regular_subgroup_nonexistence(ambient: PermutationGroup,
     candidates and keeps the ones whose order divides m and whose other
     elements fix no vertex, which every subgroup of a regular subgroup
     does; it stops at the first one of order m."""
-    t0 = time.perf_counter()
     m = graph.num_vertices
     claim = "no regular subgroup of order %d in ambient of order %d on " \
             "J(%d,%d)_%s" % (m, ambient.order, graph.n, graph.k, sorted(graph.I))
@@ -316,7 +312,7 @@ def regular_subgroup_nonexistence(ambient: PermutationGroup,
         raise ValueError("ambient too large for exhaustive search")
     if ambient.order % m != 0:
         return _report(claim, True, {"note": "order %d does not divide the "
-                                             "ambient order" % m}, t0)
+                                             "ambient order" % m})
     points = np.arange(ambient.degree)
     candidates = [g for g in ambient.elements()
                   if (g.images != points).all() and m % g.order() == 0]
@@ -329,8 +325,8 @@ def regular_subgroup_nonexistence(ambient: PermutationGroup,
         if len(sub) == m:
             return _report(claim, False,
                            {"regular_subgroup_generators":
-                            [g.to_one_based() for g in gens]}, t0)
-    return _report(claim, True, {"candidates": len(candidates)}, t0)
+                            [g.to_one_based() for g in gens]})
+    return _report(claim, True, {"candidates": len(candidates)})
 
 
 # --------------------------------------------------------------------------
@@ -340,7 +336,6 @@ def regular_subgroup_nonexistence(ambient: PermutationGroup,
 def lemma_two_orbit_check(group: PermutationGroup) -> OracleReport:
     """For H of even degree n = 2k: exactly two orbits on k-subsets, both
     r-regular for a common r <= 4."""
-    t0 = time.perf_counter()
     n = group.degree
     claim = "two r-regular orbits on %d-subsets of %d points" % (n // 2, n)
     if n % 2 != 0:
@@ -348,7 +343,7 @@ def lemma_two_orbit_check(group: PermutationGroup) -> OracleReport:
     domain = ActionDomain.ksubsets(n, n // 2)
     parts = list(group._orbit_blocks(domain))
     if len(parts) != 2:
-        return _report(claim, False, {"orbit_count": len(parts)}, t0)
+        return _report(claim, False, {"orbit_count": len(parts)})
     # stabilizer orders counted over the enumerated elements, independent
     # of the chain's order
     stabilizers = group._sweep(domain)[0]
@@ -356,28 +351,27 @@ def lemma_two_orbit_check(group: PermutationGroup) -> OracleReport:
     for part in parts:
         if group.order % len(part) != 0:
             return _report(claim, False, {"orbit_size": len(part),
-                                          "order": group.order}, t0)
+                                          "order": group.order})
         r = group.order // len(part)
         stab_orders = set(stabilizers[part].tolist())
         if stab_orders != {r}:
-            return _report(claim, False, {"nonuniform": sorted(stab_orders)}, t0)
+            return _report(claim, False, {"nonuniform": sorted(stab_orders)})
         rs.append(r)
     ok = rs[0] == rs[1] and rs[0] <= 4
     return _report(claim, ok, {"orbit_sizes": [len(p) for p in parts],
-                               "r": rs[0] if rs[0] == rs[1] else rs}, t0)
+                               "r": rs[0] if rs[0] == rs[1] else rs})
 
 
 def lemma_regorbits_exhaustive_n4() -> OracleReport:
     """Sweep all 30 subgroups of S4: exactly the cyclic order-3 subgroups
     have two regular orbits on 2-subsets."""
-    t0 = time.perf_counter()
     claim = "among all subgroups of S4, only C3 has two regular orbits on " \
             "2-subsets"
     s4 = PermutationGroup([Permutation.from_cycles(4, [(0, 1)]),
                            Permutation.from_cycles(4, [(0, 1, 2, 3)])])
     subs = [sub for sub, _ in subgroups(s4.elements())]
     if len(subs) != 30:
-        return _report(claim, False, {"subgroup_count": len(subs)}, t0)
+        return _report(claim, False, {"subgroup_count": len(subs)})
     domain = ActionDomain.ksubsets(4, 2)
     qualifying = []
     for sub in subs:
@@ -394,7 +388,7 @@ def lemma_regorbits_exhaustive_n4() -> OracleReport:
     return _report(claim, ok, {"subgroup_count": len(subs),
                                "qualifying": len(qualifying),
                                "qualifying_orders":
-                               sorted(len(s) for s in qualifying)}, t0)
+                               sorted(len(s) for s in qualifying)})
 
 
 # --------------------------------------------------------------------------

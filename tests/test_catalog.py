@@ -1,11 +1,16 @@
+from functools import partial
+from itertools import combinations
 from math import comb
 
 import pytest
 
-from mergedjohnson.catalog import (degrees_d_k, homogeneous_catalog,
+from mergedjohnson import catalog, classify
+from mergedjohnson.catalog import (HomogRecord, degrees_d_k, homogeneous_catalog,
                                    khomog_candidates, mathieu,
                                    minimal_stabilizer_order, moebius_generators,
                                    projective_line_group)
+from mergedjohnson.fields import build_field, prime_power_decomposition
+from mergedjohnson.nearfields import affine_group
 from mergedjohnson.perms import ActionDomain
 
 
@@ -34,7 +39,36 @@ def test_projective_line_group_refuses_other_names(q, name):
         projective_line_group(q, name)
 
 
-CONSTRUCTIBLE = [r for r in homogeneous_catalog(2) if r.build is not None]
+def _affine_line_group(n, kind):
+    return affine_group(build_field(*prime_power_decomposition(n)), kind)
+
+
+def _affine_line_records():
+    """The affine groups of degree 5..64 that are 2-homogeneous, as records
+    in the catalog's form.  The catalog ships none (see catalog._RECORDS),
+    but the witness clauses build them, so their orders and homogeneity are
+    checked with the catalog's records."""
+    out = []
+    for n in range(5, 65):
+        dec = prime_power_decomposition(n)
+        if dec is None:
+            continue
+        _, e = dec
+        kinds = [("AGL", n * (n - 1))]
+        if n % 4 == 3:
+            kinds.append(("AHL", n * (n - 1) // 2))
+        if e > 1:
+            kinds.append(("AGammaL", n * (n - 1) * e))
+        for kind, order in kinds:
+            homogeneity = 3 if (n, kind) in ((8, "AGL"), (8, "AGammaL"),
+                                             (32, "AGammaL")) else 2
+            out.append(HomogRecord("%s1(%d)" % (kind, n), n, order, homogeneity,
+                                   partial(_affine_line_group, n, kind)))
+    return out
+
+
+CONSTRUCTIBLE = [r for r in homogeneous_catalog(2) if r.build is not None] \
+    + _affine_line_records()
 
 
 @pytest.mark.parametrize("record", CONSTRUCTIBLE,
@@ -86,10 +120,43 @@ def test_degrees_d_k():
 def test_candidates_completeness_flags():
     _, complete = khomog_candidates(12, 4)
     assert complete
+    # AGL1(9), of order 72 = 2 C(9,2), is not shipped: a minimum over the
+    # shipped records would read 14 off PSL2(8)
     _, complete = khomog_candidates(9, 2)
+    assert not complete
+    assert minimal_stabilizer_order(9, 2) == (None, None)
+    _, complete = khomog_candidates(10, 2)
     assert complete
     _, complete = khomog_candidates(16, 3)
     assert not complete
+
+
+# every (n, k) at which an affine group AGL1, AHL1 or AGammaL1 of degree n
+# is k-homogeneous, n <= 64: 24 prime powers at k = 2 and two powers of 2
+# at k = 3
+AFFINE_DEGREES = [(n, 2) for n in range(5, 65) if prime_power_decomposition(n)] \
+    + [(8, 3), (32, 3)]
+
+
+def test_no_deficiency_minimum_reads_an_affine_group(monkeypatch):
+    """Each of the 86 graphs J(n,k)_I at those degrees is 2-regular by
+    2-regular case 1 (k = 2) or Cayley by Cayley case 2 or 3 (k = 3), so
+    its deficiency is 1 or 2 and the catalog minimum is never taken: the
+    reason the catalog ships no affine group."""
+    def unreachable(n, k):
+        raise AssertionError("minimal_stabilizer_order(%d, %d) was called" % (n, k))
+
+    monkeypatch.setattr(catalog, "minimal_stabilizer_order", unreachable)
+    rows = [(n, k, frozenset(I)) for n, k in AFFINE_DEGREES
+            for size in range(1, k + 1)
+            for I in combinations(range(1, k + 1), size)]
+    assert len(rows) == 86
+    for n, k, I in rows:
+        if k == 2:
+            assert 1 in classify.classify_two_regular(n, k, I).cases, (n, I)
+        else:
+            assert {2, 3} & set(classify.classify_cayley(n, k, I).cases), (n, I)
+        assert classify.classify_instance(n, k, I)["deficiency"]["exact"] <= 2
 
 
 @pytest.mark.parametrize("n,k,r,witness", [

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from mergedjohnson import verify
+from mergedjohnson import complement, verify
 from mergedjohnson.cli import main
 from mergedjohnson.fields import prime_power_decomposition
 
@@ -193,6 +193,51 @@ def test_graph_export_past_int64_ranks_is_usage_error(n, k):
     assert "at least 2^63" in result.stderr
     assert sum(line.startswith("Error:") for line in result.stderr.splitlines()) == 1
     assert time.perf_counter() - t0 < 1.0
+
+
+def _error_lines(result):
+    return [line for line in result.stderr.splitlines() if line.startswith("Error:")]
+
+
+@pytest.mark.parametrize("target", [".", "missing/graph.json"])
+def test_graph_export_to_a_bad_path_is_usage_error(tmp_path, target):
+    """A directory, or a file in a missing directory: exit 2 with one error
+    line and no traceback, and nothing written."""
+    result = run("graph", "export", "-n", "4", "-k", "2", "-I", "1",
+                 "-o", str(tmp_path / target))
+    _usage_error(result)
+    assert len(_error_lines(result)) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_graph_export_writes_its_output_file(tmp_path):
+    output = tmp_path / "graph.txt"
+    args = ("graph", "export", "-n", "5", "-k", "2", "-I", "2", "--format", "edges")
+    assert run(*args, "-o", str(output)).exit_code == 0
+    assert output.read_text() == run(*args).output
+
+
+def test_a_refused_export_creates_no_file(tmp_path):
+    output = tmp_path / "graph.json"
+    _usage_error(run("graph", "export", "-n", "50", "-k", "3", "-I", "1",
+                     "-o", str(output)))
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("args, owner, name", [
+    (("verify", "--suite", "fast"), verify, "run_suite"),
+    (("group", "psl28-complement", "--delta", "1"), complement, "build_cocycle_data")],
+    ids=["verify", "psl28-complement"])
+def test_a_library_value_error_is_a_usage_error(monkeypatch, args, owner, name):
+    """Every subcommand turns a ValueError from the library into exit 2
+    with one error line."""
+    def refuse(*_):
+        raise ValueError("refused on purpose")
+
+    monkeypatch.setattr(owner, name, refuse)
+    result = run(*args)
+    _usage_error(result)
+    assert _error_lines(result) == ["Error: refused on purpose"]
 
 
 def test_classify_huge_deficiency_bound_by_formula():

@@ -4,7 +4,7 @@ import pytest
 
 from mergedjohnson.complement import (_equipartition_tables, _phi_images,
                                       build_cocycle_data, build_pointed_psl28,
-                                      complement_vertex_group,
+                                      complement_vertex_group, equipartition_setup,
                                       frobenius_class_action, induced_cocycle,
                                       orbit_signature, vertex_permutation)
 from mergedjohnson.johnson import build_graph
@@ -19,8 +19,8 @@ def pointed():
 
 
 @pytest.fixture(scope="module")
-def datas(pointed):
-    return {label: build_cocycle_data(label, pointed) for label in range(4)}
+def datas():
+    return {label: build_cocycle_data(label) for label in range(4)}
 
 
 def test_pointed_group(pointed):
@@ -43,21 +43,19 @@ def test_equipartition_tables():
         assert set(rows[phi_of_rank[rank]]) == half
 
 
-def test_cocycle_classes_share_one_pointed_group_and_setup(datas):
-    defaults = [build_cocycle_data(label) for label in range(4)]
-    for classes in (defaults, [datas[label] for label in range(4)]):
-        assert all(d.pointed is classes[0].pointed for d in classes)
-        assert all(d.transversal is classes[0].transversal for d in classes)
-    # the default pointed group gives the same setup as a freshly built one
-    assert [d.V for d in defaults] == [datas[label].V for label in range(4)]
-    assert [d.transversal for d in defaults] == \
-        [datas[label].transversal for label in range(4)]
+def test_cocycle_classes_share_one_pointed_group_and_setup(datas, pointed):
+    classes = [datas[label] for label in range(4)]
+    assert all(d.pointed is classes[0].pointed for d in classes)
+    assert all(d.transversal is classes[0].transversal for d in classes)
+    # the shared setup equals one computed from a freshly built group
+    V, transversal = equipartition_setup(pointed)
+    assert all(d.V == V and d.transversal == transversal for d in classes)
 
 
 def test_equal_cocycle_data_share_one_vertex_group(datas):
     groups = []
     for label in range(4):
-        fresh = build_cocycle_data(label, datas[label].pointed)
+        fresh = build_cocycle_data(label)
         assert fresh == datas[label] and fresh is not datas[label]
         groups.append(complement_vertex_group(datas[label]))
         assert complement_vertex_group(fresh) is groups[-1]

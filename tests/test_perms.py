@@ -48,6 +48,14 @@ def test_membership_and_elements():
     assert len(set(g.elements())) == 4
 
 
+def test_group_takes_its_degree_from_its_generators():
+    assert PermutationGroup([Permutation.identity(6)]).degree == 6
+    with pytest.raises(ValueError):
+        PermutationGroup([])
+    with pytest.raises(ValueError):
+        PermutationGroup([Permutation.identity(4), Permutation.identity(5)])
+
+
 def test_orbits_default_domain():
     g = PermutationGroup([Permutation.from_cycles(5, [(0, 1, 2)])])
     sizes = sorted(len(o) for o in g.orbits())
