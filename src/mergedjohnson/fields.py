@@ -46,15 +46,6 @@ def check_desk_bound(q: int, d: int) -> None:
 FACTOR_BOUND = 10 ** 12
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in range(2, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            return False
-    return True
-
-
 def prime_power_decomposition(n: int) -> tuple[int, int] | None:
     """(p, e) with n = p^e, or None if n is not a prime power.  ValueError
     above FACTOR_BOUND, before any trial division."""
@@ -71,6 +62,12 @@ def prime_power_decomposition(n: int) -> tuple[int, int] | None:
                 e += 1
             return (p, e) if m == 1 else None
     return n, 1
+
+
+def is_prime(n: int) -> bool:
+    """By the trial division of prime_power_decomposition, so ValueError
+    above FACTOR_BOUND."""
+    return prime_power_decomposition(n) == (n, 1)
 
 
 def _is_irreducible(modulus, p) -> bool:

@@ -16,6 +16,7 @@ from math import comb
 
 import numpy as np
 
+from .perms import frontier_bfs
 from .subsets import elements_of, ksubset_unrank, ksubsets
 
 
@@ -34,8 +35,12 @@ class MergeSet:
     def __post_init__(self):
         if not self.I:
             raise ValueError("merge set must be nonempty")
-        # membership in a range is O(1), where a set of 1..k costs O(k)
-        if not all(map(range(1, self.k + 1).__contains__, self.I)):
+        # the type comes first: 0 < i <= k is O(1) for an int, and a
+        # float, bool or numpy member would end up in the verdict
+        if not all(type(i) is int and 0 < i <= self.k for i in self.I):
+            if any(type(i) is not int for i in self.I):
+                raise ValueError("merge set %r has a member that is not an int"
+                                 % (set(self.I),))
             raise ValueError("merge set %s not contained in {1..%d}"
                              % (sorted(self.I), self.k))
 
@@ -75,8 +80,9 @@ class MergedJohnsonGraph:
     neighbours in generation order (see neighbors).  The matrix is built
     when edges, neighbors, edge_arrays or has_edges first reads it; edges
     is a view derived from it on first use.  A larger graph answers
-    neighbors by generation alone.  Vertex ranks are int64, so a graph of
-    2^63 vertices or more is refused.
+    neighbors by generation alone, and refuses when degree · k passes
+    _BLOCK_ENTRIES.  Vertex ranks are int64, so a graph of 2^63 vertices
+    or more is refused.
     """
 
     def __init__(self, n: int, k: int, I):
@@ -106,6 +112,9 @@ class MergedJohnsonGraph:
         K = self.vertex_mask(u)  # rejects ranks outside the graph
         if self.materialized:
             return self._matrix()[u].tolist()
+        if self.degree * self.k > _BLOCK_ENTRIES:
+            raise ValueError("degree %d is too large to list the neighbours of "
+                             "an unmaterialized graph" % self.degree)
         outside = [x for x in range(self.n) if not (K >> x) & 1]
         return self._neighbour_rows(np.array([elements_of(K)]),
                                     np.array([outside]))[0].tolist()
@@ -226,22 +235,13 @@ class GraphStats:
 
 
 def graph_stats(graph: MergedJohnsonGraph) -> GraphStats:
-    # Python lists: a DFS over numpy rows pays for every scalar it reads
-    rows = graph._matrix().tolist()
-    seen = [False] * graph.num_vertices
+    nbrs = graph._matrix()
+    seen = np.zeros(graph.num_vertices, dtype=bool)
     components = 0
     for start in range(graph.num_vertices):
-        if seen[start]:
-            continue
-        components += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            for v in rows[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
+        if not seen[start]:
+            components += 1
+            frontier_bfs(start, lambda f: nbrs[f].ravel(), seen)
     # the graph is regular: every edge is counted at both of its ends
     return GraphStats(degree=graph.degree,
                       edge_count=graph.num_vertices * graph.degree // 2,

@@ -35,7 +35,7 @@ from .subsets import read_only
 
 
 # --------------------------------------------------------------------------
-# Dickson pairs and near-fields
+# Dickson near-fields
 # --------------------------------------------------------------------------
 
 def is_dickson_pair(q: int, d: int) -> bool:
@@ -54,63 +54,35 @@ def is_dickson_pair(q: int, d: int) -> bool:
     return rest == 1 and (d % 4 != 0 or (q - 1) % 4 == 0)
 
 
-@dataclass(frozen=True)
-class DicksonPair:
-    q: int
-    d: int
-
-    def __post_init__(self):
-        if not is_dickson_pair(self.q, self.d):
-            raise ValueError("(q, d) = (%d, %d) violates the Dickson divisibility "
-                             "condition" % (self.q, self.d))
-        n = self.n
-        # Consequences of the condition, re-verified rather than assumed.
-        if (n - 1) % self.d != 0:
-            raise AssertionError("d does not divide n - 1")
-        residues = {self.m_of(i) % self.d for i in range(self.d)}
-        if len(residues) != self.d:
-            raise AssertionError("coset residues m(i) are not distinct mod d")
-
-    @property
-    def n(self) -> int:
-        return self.q ** self.d
-
-    def m_of(self, i: int) -> int:
-        """m(i) = (q^i - 1) / (q - 1), the coset exponent for level i."""
-        return (self.q ** i - 1) // (self.q - 1)
-
-
 class NearField:
-    """Finite near-field: GF(q^d) addition with Dickson-twisted product.
+    """The Dickson near-field of order q^d: GF(q^d) addition with the
+    twisted product.  ValueError unless (q, d) is a Dickson pair.
 
     Point i is the i-th element of the base field.  The near-field is two
     read-only int32 tables over these indices: add_table[a, b] is a + b,
     added digit by digit in base p, and mul_table[g, h] is g ∘ h, read off
     the base field's exp and log arrays as
-    exp[(log g · q^j(h) + log h) mod (n - 1)], with zero absorbing.
+    exp[(log g · q^j(h) + log h) mod (n - 1)], with zero absorbing.  The
+    tables are built once and proved by verify_axioms alone, which shares
+    no arithmetic with the construction.
     """
 
-    def __init__(self, pair: DicksonPair):
-        self.pair = pair
-        p, f = prime_power_decomposition(pair.q)
-        self.base = build_field(p, f * pair.d)
-        if self.base.order != pair.n:
-            raise AssertionError("field order mismatch")
-        self.order = n = pair.n
-        # h lies in coset level j when log h ≡ m(j) mod d; scales[log h % d]
-        # is then the twist exponent q^j, reduced mod n - 1
-        level = {pair.m_of(j) % pair.d: j for j in range(pair.d)}
-        self.scales = np.array([pow(pair.q, level[r], n - 1) for r in range(pair.d)])
+    def __init__(self, q: int, d: int):
+        if not is_dickson_pair(q, d):
+            raise ValueError("(q, d) = (%d, %d) violates the Dickson divisibility "
+                             "condition" % (q, d))
+        p, f = prime_power_decomposition(q)
+        self.q, self.d = q, d
+        self.base = build_field(p, f * d)
+        self.order = n = self.base.order
+        # h lies in coset level j when log h ≡ m(j) = (q^j - 1)/(q - 1) mod d;
+        # scales[log h % d] is then the twist exponent q^j, reduced mod n - 1
+        level = {(q ** j - 1) // (q - 1) % d: j for j in range(d)}
+        if len(level) != d:  # else a residue has no level to read below
+            raise AssertionError("coset residues m(j) are not distinct mod d")
+        self.scales = np.array([pow(q, level[r], n - 1) for r in range(d)])
         self.add_table, self.mul_table = self._tables()
-        self._verify_build()
-
-    @property
-    def q(self) -> int:
-        return self.pair.q
-
-    @property
-    def d(self) -> int:
-        return self.pair.d
+        self.verify_axioms()
 
     def _tables(self):
         # every n x n temporary is int32 like the tables: under DESK_BOUND
@@ -125,20 +97,6 @@ class NearField:
         mul = np.zeros((n, n), dtype=np.int32)
         mul[1:, 1:] = base.exp.astype(np.int32)[(logs[:, None] * scales + logs) % (n - 1)]
         return read_only(add), read_only(mul)
-
-    # -- build-time verification ------------------------------------------
-
-    def _verify_build(self):
-        # closure of the twisted multiplication under composition:
-        # (g ∘ h) must land in the coset demanded by m(i + j).
-        d, q, n = self.d, self.q, self.order
-        for i in range(d):
-            for j in range(d):
-                lhs = self.pair.m_of(i + j) % d
-                rhs = (pow(q, j, d * (n - 1)) * self.pair.m_of(i) + self.pair.m_of(j)) % d
-                if lhs != rhs:
-                    raise AssertionError("m(i+j) closure identity fails")
-        self.verify_axioms()
 
     def verify_axioms(self):
         """Prove the near-field axioms on the tables, in this order: identity
@@ -235,7 +193,7 @@ def _reached(start: int, images: np.ndarray) -> np.ndarray:
 
 def build_dickson(q: int, d: int) -> NearField:
     check_desk_bound(q, d)
-    return NearField(DicksonPair(q, d))
+    return NearField(q, d)
 
 
 # --------------------------------------------------------------------------

@@ -60,7 +60,7 @@ class Permutation:
         if not isinstance(images, np.ndarray):
             images = list(images)
         images = np.array(images, dtype=np.intp)
-        if not np.array_equal(np.sort(images), np.arange(len(images))):
+        if not (images.ndim == 1 and is_bijection(images)):
             raise ValueError("images are not a bijection on 0..n-1")
         self.images = read_only(images)
 
@@ -166,6 +166,14 @@ class Permutation:
             return "Permutation(id, degree=%d)" % self.degree
         body = "".join("(" + " ".join(str(x + 1) for x in c) + ")" for c in cycles)
         return "Permutation(%s, degree=%d)" % (body, self.degree)
+
+
+def is_bijection(images: np.ndarray) -> bool:
+    """Whether the 1-D array images permutes 0..len(images)-1, in linear
+    time: every point is the image of one of the len(images) entries."""
+    hit = np.zeros(len(images), dtype=bool)
+    hit[images[(images >= 0) & (images < len(images))]] = True
+    return bool(hit.all())
 
 
 def invert_array(p: np.ndarray) -> np.ndarray:

@@ -25,7 +25,8 @@ from .fields import is_prime
 from .johnson import MergedJohnsonGraph, build_graph
 from .nearfields import (EXCEPTIONAL_SPECS, affine_group, build_dickson,
                          exceptional_group)
-from .perms import ActionDomain, Permutation, PermutationGroup, frontier_bfs
+from .perms import (ActionDomain, Permutation, PermutationGroup, frontier_bfs,
+                    is_bijection)
 
 
 @dataclass(frozen=True)
@@ -71,21 +72,13 @@ def _broken_edge(perms, graph: MergedJohnsonGraph):
             raise ValueError("degree %d does not match %d vertices" % (p.degree, size))
     if not graph.materialized:
         raise ValueError("graph is not materialized")
-    if not all(_is_bijection(p.images) for p in perms):
+    if not all(is_bijection(p.images) for p in perms):
         raise ValueError("images are not a bijection on 0..%d" % (size - 1))
     if size - 1 - graph.degree < graph.degree:
         rest = graph.complement
         if rest is None or _first_broken(perms, rest) is None:
             return None
     return _first_broken(perms, graph)
-
-
-def _is_bijection(images: np.ndarray) -> bool:
-    """Whether images permutes 0..len(images)-1, in linear time: every
-    point is the image of one of the len(images) entries."""
-    hit = np.zeros(len(images), dtype=bool)
-    hit[images[(images >= 0) & (images < len(images))]] = True
-    return bool(hit.all())
 
 
 def _first_broken(perms, graph: MergedJohnsonGraph):

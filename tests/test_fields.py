@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,21 @@ def test_prime_power_decomposition_refuses_past_the_factoring_bound():
 def test_is_prime():
     assert [p for p in range(2, 30) if is_prime(p)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_matches_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, n))
+
+    assert [n for n in range(-3, 5000) if is_prime(n)] == \
+        [n for n in range(-3, 5000) if by_trial_division(n)]
+
+
+def test_is_prime_refuses_past_the_factoring_bound():
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="factoring bound"):
+        is_prime(FACTOR_BOUND + 39)
+    assert time.perf_counter() - t0 < 0.01
 
 
 def test_gf8_arithmetic():

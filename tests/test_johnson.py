@@ -171,6 +171,17 @@ def test_invalid_merge_sets_rejected():
         build_graph(5, 2, {3})
 
 
+@pytest.mark.parametrize("I", [
+    {1.0}, {True}, {np.int64(1)}, {"1"}, {1, 1.5},
+], ids=["float", "bool", "int64", "str", "int-and-float"])
+def test_a_merge_set_member_that_is_not_an_int_is_refused_at_once(I):
+    # a float member made the range test scan all of 1..k
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="not an int"):
+        merge_set(10 ** 7, I)
+    assert time.perf_counter() - t0 < 0.01
+
+
 def _merge_sets(k):
     return [frozenset(c) for size in range(1, k + 1)
             for c in combinations(range(1, k + 1), size)]
@@ -213,6 +224,16 @@ def test_unmaterialized_neighbors_follow_the_intersection_rule():
     for read in (lambda g: g.edges, graph_stats):
         with pytest.raises(ValueError, match="not materialized"):
             read(lazy)
+
+
+@pytest.mark.parametrize("n,k,I", [(2000, 3, {3}), (100000, 2, {2})])
+def test_unmaterialized_neighbors_refuse_a_huge_degree(n, k, I):
+    # C(1997, 3) and C(99998, 2) neighbours, about 1.3e9 and 5e9
+    g = build_graph(n, k, I)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="degree %d" % g.degree):
+        g.neighbors(0)
+    assert time.perf_counter() - t0 < 1
 
 
 @pytest.mark.parametrize("read", [

@@ -76,6 +76,19 @@ def test_one_desk_bound_for_fields_and_near_fields(monkeypatch):
             FiniteField(p, e)
 
 
+@pytest.mark.parametrize("q,d,failure", [
+    (4, 2, "associativity"), (8, 2, "associativity"),
+    (3, 4, "coset residues"), (5, 3, "coset residues"), (2, 3, "coset residues"),
+])
+def test_a_pair_that_is_not_dickson_fails_the_build(monkeypatch, q, d, failure):
+    """With the divisibility test bypassed, the axiom proof refuses the
+    tables where d does not divide q^d - 1, and the residue guard refuses
+    levels that share m(j) mod d, before they are read."""
+    monkeypatch.setattr(nearfields, "is_dickson_pair", lambda q, d: True)
+    with pytest.raises(AssertionError, match=failure):
+        nearfields.NearField(q, d)
+
+
 def test_dickson_9_is_a_proper_near_field():
     nf = build_dickson(3, 2)
     assert nf.order == 9
@@ -306,7 +319,7 @@ def test_tables_match_the_scalar_definition(q, d, step):
     base, n, digits = nf.base, nf.order, nf.base.digits
     powers = field_reference.powers(base, field_reference.omega(base))
     log = {x: k for k, x in enumerate(powers)}
-    level = {nf.pair.m_of(j) % d: j for j in range(d)}
+    level = {(q ** j - 1) // (q - 1) % d: j for j in range(d)}
     twists = [1] + [q ** level[log[h] % d] for h in range(1, n)]
     for g in range(0, n, step):
         assert np.array_equal(digits[nf.add_table[g]], (digits[g] + digits) % base.p)

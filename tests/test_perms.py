@@ -56,6 +56,15 @@ def test_group_takes_its_degree_from_its_generators():
         PermutationGroup([Permutation.identity(4), Permutation.identity(5)])
 
 
+@pytest.mark.parametrize("images", [
+    [0, 0, 1], [0, 1, 3], [-1, 0, 1], [[0, 1], [1, 0]], np.array([[0, 1], [1, 0]]),
+])
+def test_a_non_bijection_is_refused(images):
+    # the 2-D arrays hit every point of 0..len - 1 row by row
+    with pytest.raises(ValueError, match="not a bijection"):
+        Permutation(images)
+
+
 def test_orbits_default_domain():
     g = PermutationGroup([Permutation.from_cycles(5, [(0, 1, 2)])])
     sizes = sorted(len(o) for o in g.orbits())
