@@ -32,6 +32,11 @@ from .subsets import complement_ranks, read_only
 
 
 def _check_bounds(n, k, I):
+    # the type comes first, as for the merge set's members: a float, bool
+    # or numpy n or k would fail later in int-only arithmetic
+    if type(n) is not int or type(k) is not int:
+        raise ValueError("n and k must be ints, not %s and %s"
+                         % (type(n).__name__, type(k).__name__))
     if not 2 <= k <= n // 2:
         raise ValueError("need 2 <= k <= n/2")
     if n > FACTOR_BOUND:  # case 1 tests n for a prime power by trial division

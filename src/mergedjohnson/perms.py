@@ -19,10 +19,13 @@ lookup walks fewer than stride edges from a cached point.  The closure is
 Dimino's coset enumeration (Butler, Fundamental Algorithms for Permutation
 Groups, LNCS 559, 1991): powers of the first generator by doubling, then
 whole cosets x[H] of the subgroup H generated so far, one gather each, with
-membership hashed by splitmix64 weights of the points.  It shares
-nothing with the chain, so the stabilizer sweep that counts fixed points
-over it is an independent check of the chain's order, or of an order a
-construction recorded.
+membership hashed by splitmix64 weights of the points; elements() and the
+subgroup search list groups with it.  The stabilizer sweep lists no group:
+it walks the cosets x∘⟨g1⟩ of g1, the first generator of largest order,
+one canonical row each, by a breadth-first search over the generators,
+and counts each coset's fixed points in one pass over the domain from the
+cycles of g1.  It shares nothing with the chain, so it is an independent
+check of the chain's order, or of an order a construction recorded.
 
 A group acts on points, k-subsets (by co-lex rank) or any indexed set
 through one index table, row i holding generator i's images of the indices:
@@ -40,11 +43,10 @@ import numpy as np
 
 from .subsets import ksubsets, read_only
 
-# entries of the (elements, domain points[, k]) block compared at a time in
-# the stabilizer sweep
-_BLOCK_ENTRIES = 1 << 22
-# image entries (order x degree) of the largest closure the stabilizer sweep
-# holds, 128 MB as uint32: J(32,3)'s AGammaL1(32) has 4960 x 4960
+# order x degree of the largest group the stabilizer sweep counts: J(32,3)'s
+# AGammaL1(32) has 4960 x 4960.  The sweep holds one int32 row per coset of
+# <g1>, at most 1 / |g1| of this, and forms products and domain images at
+# most an eighth of it at a time
 _SWEEP_ENTRIES = 1 << 25
 # entries of a uint32 index array gathered at a time: numpy copies such an
 # array to intp before it gathers, and this bounds the copy
@@ -59,7 +61,12 @@ class Permutation:
     def __init__(self, images):
         if not isinstance(images, np.ndarray):
             images = list(images)
-        images = np.array(images, dtype=np.intp)
+        images = np.asarray(images)
+        # an empty list reads as float64; any other non-integer image would
+        # be truncated by the cast
+        if images.size and images.dtype.kind not in "iu":
+            raise ValueError("images are not integers")
+        images = images.astype(np.intp)
         if not (images.ndim == 1 and is_bijection(images)):
             raise ValueError("images are not a bijection on 0..n-1")
         self.images = read_only(images)
@@ -242,11 +249,14 @@ def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray | None = None)
     return out
 
 
-def _powers(g: np.ndarray, order: int) -> np.ndarray:
-    """The rows g^0 .. g^(order-1) of the images of g's powers, by
-    doubling: with g^0 .. g^(m-1) known, g^m .. g^(2m-1) is one gather."""
-    rows = np.empty((order, len(g)), dtype=g.dtype)
-    rows[0] = np.arange(len(g))
+def _powers(g: np.ndarray, order: int, points: np.ndarray | None = None) -> np.ndarray:
+    """The rows g^0 .. g^(order-1) of the images of points (by default
+    every point) under g's powers, by doubling: with g^0 .. g^(m-1) known,
+    g^m .. g^(2m-1) is one gather."""
+    if points is None:
+        points = np.arange(len(g))
+    rows = np.empty((order, len(points)), dtype=g.dtype)
+    rows[0] = points
     power, known = g, 1  # power is g^known
     while known < order:
         take = min(known, order - known)
@@ -256,6 +266,21 @@ def _powers(g: np.ndarray, order: int) -> np.ndarray:
         if known < order:
             power = power[power]
     return rows
+
+
+def _cycle_labels(g: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """(label, length): for each point of each permutation in g (one per
+    row along the last axis), whose cycles are at most bound long, a label
+    shared by its cycle alone and the cycle's length.  By doubling over
+    the flat indices: after r rounds a point's label is the least flat
+    index of its first 2^r images, the whole cycle once 2^r reaches bound,
+    in log2(bound) rounds."""
+    flat = (g + np.arange(0, g.size, g.shape[-1]).reshape(g.shape[:-1] + (1,))).ravel()
+    label, span = np.arange(g.size), 1
+    while span < bound:
+        label = np.minimum(label, label[flat])
+        flat, span = flat[flat], 2 * span
+    return label.reshape(g.shape), np.bincount(label, minlength=g.size)[label].reshape(g.shape)
 
 
 @functools.cache
@@ -314,6 +339,55 @@ class _Cosets:
         if len(self.blocks) > 1:
             self.subgroup = np.concatenate(self.blocks)
             self.blocks = [self.subgroup]
+
+
+class _CosetRows:
+    """Canonical rows of the cosets x∘⟨c⟩ = {x∘cʲ}, for c of order m, with
+    x∘cʲ the map p ↦ x(cʲ(p)), whose images are x[cʲ].  A coset's row is
+    the x∘cʲ whose images of the key points come first in lexicographic
+    order.  The key points lie on c-cycles, one each, whose lengths have
+    lcm m, so j ↦ cʲ of the key points, and so j ↦ their images under x∘cʲ,
+    is injective: the row depends on the coset alone.  The images of cʲ
+    are cached by j, each built from the squares c^(2^b)."""
+
+    def __init__(self, c: np.ndarray, order: int, length: np.ndarray):
+        """length[p] is the length of p's c-cycle."""
+        keys, lcm = [], 1
+        for cycle in sorted(set(length.tolist()), reverse=True):
+            if not keys or math.lcm(lcm, cycle) != lcm:
+                keys.append(int(np.argmax(length == cycle)))
+                lcm = math.lcm(lcm, cycle)
+        # key_images[j, i] = cʲ(keys[i])
+        self.key_images = _powers(c, order, np.array(keys))
+        self.squares = [c]
+        self.powers: dict[int, np.ndarray] = {}
+
+    def power(self, j: int) -> np.ndarray:
+        row = self.powers.get(j)
+        if row is None:
+            row = np.arange(len(self.squares[0]))
+            for b in range(j.bit_length()):
+                if b == len(self.squares):
+                    self.squares.append(self.squares[-1][self.squares[-1]])
+                if j >> b & 1:
+                    row = self.squares[b][row]
+            self.powers[j] = row
+        return row
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        """The canonical row of each row's coset."""
+        key_images = self.key_images
+        # least[r, j]: x∘cʲ, for x row r, ties the least images so far
+        images = rows.take(key_images[:, 0], axis=1)
+        least = images == images.min(axis=1, keepdims=True)
+        for i in range(1, key_images.shape[1]):
+            images = np.where(least, rows.take(key_images[:, i], axis=1), rows.shape[1])
+            least &= images == images.min(axis=1, keepdims=True)
+        js = least.argmax(axis=1)
+        # row i of the result is rows[i][c^js[i]], one flat gather
+        index = np.array([*map(self.power, js.tolist())])
+        index += np.arange(0, rows.size, rows.shape[1])[:, None]
+        return rows.take(index)
 
 
 class _Level:
@@ -535,15 +609,14 @@ class PermutationGroup:
 
     # -- enumeration -----------------------------------------------------
 
-    def _closure_blocks(self, limit: int | None = None):
+    def _closure_blocks(self, limit: int | None = None) -> list[np.ndarray]:
         """The elements as (count, degree) uint32 arrays of point images, by
         Dimino's coset enumeration: ⟨g1⟩ by doubling, for g1 the first
         generator of largest order, then for each other generator g not yet
         reached, in the order given, the right cosets H·x of the group H
         generated so far, until their union is closed under every generator
-        used.  The last group's cosets are yielded one block each.  With a
-        limit, ValueError as soon as the closure has more than limit
-        elements."""
+        used, one block per coset of the last group.  With a limit,
+        ValueError as soon as the closure has more than limit elements."""
         orders = [g.order() for g in self.generators]
         seed = orders.index(max(orders))
         rest = [i for i in range(len(orders)) if i != seed]
@@ -553,8 +626,7 @@ class PermutationGroup:
             raise ValueError("closure exceeded limit %d" % limit)
         first = _powers(gens[0], cyclic)
         if len(gens) == 1:
-            yield first
-            return
+            return [first]
         cosets = _Cosets(first)
         for i, fingerprint in enumerate(cosets.fingerprints(gens[1:]), 1):
             g = gens[i]
@@ -572,18 +644,14 @@ class PermutationGroup:
                     if not cosets.contains(y, fingerprint):
                         cosets.add(y, limit)
                         reps.append(y)
-        # hand each block over and keep no reference to it
-        blocks = cosets.blocks
-        del cosets, first
-        while blocks:
-            yield blocks.pop(0)
+        return cosets.blocks
 
     def elements(self, limit: int | None = None) -> list[Permutation]:
         """All group elements by coset closure, sorted by their images;
         intended for order <= ~10^5."""
         if self._elements is not None and limit is None:
             return self._elements
-        rows = np.concatenate(list(self._closure_blocks(limit)), dtype=np.intp)
+        rows = np.concatenate(self._closure_blocks(limit), dtype=np.intp)
         # one sort key per row: its images as big-endian uint32 bytes, which
         # compare bytewise in the lexicographic order of the images
         keys = rows.astype(">u4").view(np.dtype((np.void, 4 * self.degree))).ravel()
@@ -678,23 +746,67 @@ class PermutationGroup:
     def _sweep(self, domain: ActionDomain, limit: int | None = None):
         """(counts, reached): for each domain index, the number of group
         elements fixing it, and whether some element carries index 0 to it.
-        The elements come from the coset closure as int arrays, a coset at a
-        time; fixed points are counted per column, and column 0 holds the
-        images of index 0, which are its orbit.  With a limit, ValueError as
-        soon as the closure has more than limit elements."""
-        size = domain.size
-        counts = np.zeros(size, dtype=np.int64)
-        reached = np.zeros(size, dtype=bool)
-        codec = ksubsets(self.degree, domain.k) if domain.kind == "ksubsets" else None
-        rows = max(1, _BLOCK_ENTRIES // (size * max(1, domain.k)))
-        for block in self._closure_blocks(limit):
-            for lo in range(0, len(block), rows):
-                images = block[lo:lo + rows]
-                if codec is not None:
-                    images = codec.image_ranks(images)
-                counts += (images == np.arange(size, dtype=images.dtype)).sum(axis=0)
-                reached[images[:, 0]] = True
-        return counts, reached
+
+        No element is listed: G is the union of the cosets x∘⟨c⟩ of c, the
+        first generator of largest order m, each named by its _CosetRows
+        canonical row.  A breadth-first search from ⟨c⟩ forms s∘x for every
+        generator s and every row x of a level, and tells new cosets by
+        their rows' bytes.  x∘cʲ fixes p iff x⁻¹(p) lies on p's c-cycle,
+        and then for m / len(cycle) values of j, so a coset is counted in
+        one pass over the domain, and its images of index 0 are x of index
+        0's c-cycle.  With a limit, ValueError as soon as the cosets hold
+        more than limit elements."""
+        degree = self.degree
+        lengths = _cycle_labels(self.generator_images, degree)[1]
+        orders = [math.lcm(*np.flatnonzero(np.bincount(length)).tolist()) for length in lengths]
+        seed = orders.index(max(orders))
+        m = orders[seed]
+        if limit is not None and m > limit:
+            raise ValueError("closure exceeded limit %d" % limit)
+        c = self.generator_images[seed]
+        canonical = _CosetRows(c, m, lengths[seed])
+        gens = self.generator_images.astype(np.int32)
+        frontier = canonical(np.arange(degree, dtype=np.int32)[None])
+        seen = {frontier.tobytes()}
+        width = frontier.itemsize * degree
+        # a level is taken so many rows at a time that their products hold
+        # at most _SWEEP_ENTRIES / 8 images
+        step = max(1, _SWEEP_ENTRIES // (8 * len(gens) * degree))
+        while len(frontier):
+            grown = []
+            for lo in range(0, len(frontier), step):
+                # s∘x sends p to s[x[p]], for each generator s in turn
+                products = canonical(gens.take(frontier[lo:lo + step], axis=1).reshape(-1, degree))
+                data = products.tobytes()
+                new = []
+                for i in range(len(products)):
+                    row = data[i * width:(i + 1) * width]
+                    if row not in seen:
+                        if limit is not None and (len(seen) + 1) * m > limit:
+                            raise ValueError("closure exceeded limit %d" % limit)
+                        seen.add(row)
+                        new.append(i)
+                grown.append(products[new])
+            frontier = np.concatenate(grown)
+
+        # hits[p] counts the cosets x∘⟨c⟩ with x⁻¹(p) on p's cycle of c
+        # acting on the domain
+        codec = ksubsets(degree, domain.k) if domain.kind == "ksubsets" else None
+        label, length = _cycle_labels(c if codec is None else codec.image_ranks(c), m)
+        cycle_of_0 = np.flatnonzero(label == label[0])
+        hits = np.zeros(domain.size, dtype=np.int64)
+        reached = np.zeros(domain.size, dtype=bool)
+        # so many cosets at a time that their domain images, and a k-subset
+        # codec's k columns of them, hold at most _SWEEP_ENTRIES / 8 entries
+        cosets = np.frombuffer(b"".join(seen), dtype=np.int32).reshape(-1, degree)
+        step = max(1, _SWEEP_ENTRIES // (8 * domain.size * max(1, domain.k)))
+        for lo in range(0, len(cosets), step):
+            images = cosets[lo:lo + step]
+            if codec is not None:
+                images = codec.image_ranks(images)
+            hits += np.bincount(images[label[images] == label], minlength=domain.size)
+            reached[images[:, cycle_of_0]] = True
+        return hits * (m // length), reached
 
     def regularity_degree(self, domain: ActionDomain | None = None,
                           exhaustive_limit: int = 20000) -> int | None:
@@ -702,13 +814,14 @@ class PermutationGroup:
 
         r = |G| / |domain| by orbit-stabilizer, with |G| the recorded order
         or the chain's.  A group of order at most exhaustive_limit whose
-        images fit in _SWEEP_ENTRIES is enumerated, once: every
-        element's images give the stabilizer order at every domain point,
-        which must all equal r, and the images of index 0 give its orbit, so
-        no orbit search runs.  The enumeration shares no code with the chain
-        or with any construction that records an order, so a wrong order of
-        a transitive group fails here.  Any other group takes its orbit from
-        a breadth-first search and is not enumerated.
+        order x degree is at most _SWEEP_ENTRIES is swept, once, by
+        _sweep: the cosets of ⟨g1⟩ give the stabilizer order at every
+        domain point, which must all equal r, and the images of index 0,
+        which are its orbit, so no orbit search runs.  The sweep lists no
+        element and shares no code with the chain or with any construction
+        that records an order, so a wrong order of a transitive group fails
+        here.  Any other group takes its orbit from a breadth-first search
+        and is not swept.
         """
         domain = self._domain(domain)
         order = self.order

@@ -325,3 +325,11 @@ def test_bounds_rejected():
         classify_instance(5, 3, {1})   # needs n >= 2k
     with pytest.raises(ValueError):
         classify_instance(6, 1, {1})   # needs k >= 2
+
+
+@pytest.mark.parametrize("n, k", [(10, 2.0), (10.0, 2), (np.int64(10), 2), (10, np.int64(2)),
+                                  (True, 2), (10, True)])
+def test_an_n_or_k_that_is_not_an_int_is_refused(n, k):
+    for query in (classify_instance, classify_cayley, witness_group):
+        with pytest.raises(ValueError, match="must be ints"):
+            query(n, k, {1})

@@ -13,7 +13,7 @@ from rank_reference import all_masks, mask_of
 
 from mergedjohnson import perms
 from mergedjohnson.perms import ActionDomain, Permutation, PermutationGroup
-from mergedjohnson.subsets import elements_of, ksubset_rank
+from mergedjohnson.subsets import elements_of, ksubset_rank, ksubsets
 
 
 def s_n(n):
@@ -62,6 +62,14 @@ def test_group_takes_its_degree_from_its_generators():
 def test_a_non_bijection_is_refused(images):
     # the 2-D arrays hit every point of 0..len - 1 row by row
     with pytest.raises(ValueError, match="not a bijection"):
+        Permutation(images)
+
+
+@pytest.mark.parametrize("images", [[0.5, 1.7], np.array([1.9, 0.2]), [1.0, 0.0], [True, False]])
+def test_images_that_are_not_integers_are_refused(images):
+    # a cast to intp would truncate [0.5, 1.7] to the identity and
+    # [1.9, 0.2] to the transposition
+    with pytest.raises(ValueError, match="not integers"):
         Permutation(images)
 
 
@@ -258,13 +266,14 @@ def test_a_recorded_order_below_the_sweep_limit_bounds_the_closure():
 
 
 def test_a_closure_too_large_to_hold_is_not_swept(monkeypatch):
-    # 12 870 elements at degree 12 870 would hold 660 MB of images at once
+    # 12 870 elements at degree 12 870: past _SWEEP_ENTRIES, so the orbit
+    # search decides transitivity and no sweep runs
     group = _witness(16, 8, range(1, 9), "cayley", 4)
 
-    def refuse(self, limit=None):
-        raise AssertionError("enumerated %d elements" % self.order)
+    def refuse(self, domain, limit=None):
+        raise AssertionError("swept %d elements" % self.order)
 
-    monkeypatch.setattr(PermutationGroup, "_closure_blocks", refuse)
+    monkeypatch.setattr(PermutationGroup, "_sweep", refuse)
     assert group.order * group.degree > perms._SWEEP_ENTRIES
     assert group.regularity_degree() == 1
 
@@ -453,6 +462,96 @@ def test_closure_is_exact_when_every_fingerprint_collides(monkeypatch, name):
                         lambda degree: np.zeros(degree, dtype=np.uint32))
     # with the limit, a coset added twice raises instead of looping on
     assert _element_rows(CLOSURE_GROUPS[name](), limit=len(want)) == want
+
+
+def _listed_counts(group, domain):
+    """(counts, reached) read from elements(): the fixed points of every
+    listed element at every domain index, and the images of index 0."""
+    images = np.array([g.images for g in group.elements()])
+    if domain.kind == "ksubsets":
+        images = ksubsets(group.degree, domain.k).image_ranks(images)
+    reached = np.zeros(domain.size, dtype=bool)
+    reached[images[:, 0]] = True
+    return (images == np.arange(domain.size)).sum(axis=0).tolist(), reached.tolist()
+
+
+def _assert_sweep_matches_the_listed_elements(group, domain):
+    counts, reached = group._sweep(domain)
+    assert (counts.tolist(), reached.tolist()) == _listed_counts(group, domain)
+
+
+def _certify_witnesses():
+    """(n, k, I, kind, case) of the 98 YES verdicts with n <= 12, the
+    witnesses the certify benchmark sweeps."""
+    from mergedjohnson.classify import census_instances, classify_cayley, classify_two_regular
+    out = []
+    for n, k, I in census_instances(12):
+        cayley, two_reg = classify_cayley(n, k, I), classify_two_regular(n, k, I)
+        if cayley.outcome:
+            out.append((n, k, I, "cayley", cayley.case))
+        if two_reg.outcome:
+            out.append((n, k, I, "two-regular", two_reg.cases[0]))
+    return out
+
+
+def test_the_sweep_counts_every_certify_witness_as_its_listed_elements(monkeypatch):
+    witnesses = _certify_witnesses()
+    assert len(witnesses) == 98
+    for n, k, I, kind, case in witnesses:
+        group = _witness(n, k, I, kind, case)
+        domain = ActionDomain.points(group.degree)
+        want = _listed_counts(group, domain)
+        with monkeypatch.context() as patched:
+            patched.setattr(PermutationGroup, "_closure_blocks", None)
+            counts, reached = group._sweep(domain)
+        assert (counts.tolist(), reached.tolist()) == want, (n, k, I, kind, case)
+
+
+# groups whose first generator of largest order has no cycle of that order,
+# so that the canonical coset row is chosen by the images of two points
+NO_FULL_CYCLE = {
+    "<(0 1)(2 3 4)>": lambda: PermutationGroup([_cycle(5, (0, 1), (2, 3, 4))]),
+    "<(0 1)(2 3 4), (4 5)>": lambda: PermutationGroup([_cycle(6, (0, 1), (2, 3, 4)),
+                                                       _cycle(6, (4, 5))]),
+    "<(0 1)(2 3 4)(5 6 7 8 9)>": lambda: CLOSURE_GROUPS["C30 on 10 points"](),
+    "<(0 1 2)(3 4), (1 5)>": lambda: PermutationGroup([_cycle(7, (0, 1, 2), (3, 4)),
+                                                       _cycle(7, (1, 5))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_FULL_CYCLE))
+def test_the_sweep_counts_groups_with_no_full_cycle_as_their_listed_elements(name):
+    group = NO_FULL_CYCLE[name]()
+    for domain in [ActionDomain.points(group.degree)] + [
+            ActionDomain.ksubsets(group.degree, k) for k in range(1, group.degree + 1)]:
+        _assert_sweep_matches_the_listed_elements(group, domain)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSURE_GROUPS))
+def test_the_sweep_counts_the_closure_groups_as_their_listed_elements(name):
+    group = CLOSURE_GROUPS[name]()
+    _assert_sweep_matches_the_listed_elements(group, ActionDomain.points(group.degree))
+    if group.degree <= 12:
+        _assert_sweep_matches_the_listed_elements(group, ActionDomain.ksubsets(group.degree, 2))
+
+
+@pytest.mark.parametrize("name", ["S4", "J(12,6) dihedral", "C7", "C30 on 10 points"])
+def test_the_sweep_limit_counts_the_cosets_times_the_cycle(name):
+    group = CLOSURE_GROUPS[name]()
+    domain = ActionDomain.points(group.degree)
+    with pytest.raises(ValueError, match="exceeded limit"):
+        group._sweep(domain, limit=group.order - 1)
+    counts, _ = group._sweep(domain, limit=group.order)
+    assert counts.tolist() == _listed_counts(group, domain)[0]
+
+
+def test_regularity_degree_lists_no_closure(monkeypatch):
+    monkeypatch.setattr(PermutationGroup, "_closure_blocks", None)
+    assert _dihedral(12).regularity_degree() == 2
+    assert s_n(5).regularity_degree() == 24
+    assert s_n(6).regularity_degree(ActionDomain.ksubsets(6, 3)) == 36
+    assert _witness(12, 6, (6,), "two-regular", 4).regularity_degree() == 2
+    assert NO_FULL_CYCLE["<(0 1)(2 3 4)>"]().regularity_degree() is None
 
 
 def test_fingerprint_weights_are_pinned_and_nonzero():
