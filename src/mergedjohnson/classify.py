@@ -27,7 +27,7 @@ from .complement import build_cocycle_data, complement_vertex_group
 from .fields import FACTOR_BOUND, build_field, prime_power_decomposition
 from .johnson import merge_set
 from .nearfields import affine_group
-from .perms import Permutation, PermutationGroup, invert_array
+from .perms import Permutation, PermutationGroup, _cycle_labels, invert_array
 from .subsets import complement_ranks, read_only
 
 
@@ -182,24 +182,17 @@ def _projective_line6_group() -> PermutationGroup:
     return group
 
 
-def _is_one_cycle(c: np.ndarray) -> bool:
-    """Whether c moves every point along one cycle, by one walk from 0."""
-    images = c.tolist()
-    x, length = images[0], 1
-    while x != 0 and length < len(images):
-        x, length = images[x], length + 1
-    return x == 0 and length == len(images)
-
-
 def _with_proved_order(group: PermutationGroup) -> PermutationGroup:
     """Record the order of <c> or of <c, f> when c is one m-cycle: m for
     <c>, and 2m when f is an involution with f·c·f = c^-1 and m >= 3.  Then
     every element is c^i or c^i·f, and f is not a power of c, since those
-    commute with c and c != c^-1.  Each check is O(m); when one fails, no
-    order is recorded and the stabilizer chain gives it."""
+    commute with c and c != c^-1.  Each check is at most log2(m) passes of
+    O(m) array work; when one fails, no order is recorded and the
+    stabilizer chain gives it."""
     c, *rest = group.generator_images
     m = len(c)
-    if len(rest) > 1 or not _is_one_cycle(c):
+    # c is one m-cycle when the cycle of 0 has length m
+    if len(rest) > 1 or _cycle_labels(c, m)[1][0] != m:
         return group
     if not rest:
         group._order = m

@@ -254,20 +254,35 @@ def affine_group(f, kind: str = "AGL") -> PermutationGroup:
 
 def _half_multiplier_gens(right_mult, logs):
     """Generators for the index-2 'square multipliers' subgroup of the
-    multiplicative part: all maps t -> t ∘ a with a a nonzero square.
+    multiplicative part: all maps R_a: t -> t ∘ a with a a nonzero square.
     right_mult(k) is the map for a = omega^k, and logs lists the discrete
-    logs of the nonzero elements in element order."""
+    logs of the nonzero elements in element order.  R_a sends the element
+    1, which is point 1, to a, and the R_a are semiregular on the nonzero
+    points, so a group of them holds R_a iff the orbit of 1 holds a."""
     target = {right_mult(k) for k in logs if k % 2 == 0}
-    gens = [right_mult(2)]
-    current = set(PermutationGroup(gens).elements())
-    # greedy completion; the square maps form a group, so this terminates
-    while len(current) < len(target):
-        missing = next(p for p in target if p not in current)
-        gens.append(missing)
-        current = set(PermutationGroup(gens).elements())
-    if current != target:
+    by_image = {g(1): g for g in target}
+    gens, orbit = _orbit_generators(1, len(logs) + 1, list(by_image),
+                                    by_image.__getitem__, [right_mult(2)])
+    if set(np.flatnonzero(orbit).tolist()) != set(by_image):
         raise AssertionError("square-multiplier subgroup came out wrong")
     return gens
+
+
+def _orbit_generators(start: int, degree: int, points, element, gens=()):
+    """(gens, orbit): greedy generators of a group that is semiregular on
+    the orbit of start, and that orbit as a bool mask over the degree's
+    points.  From gens, while the orbit of start misses one of the points,
+    element(v) joins them for the first such point v: a group element
+    carrying start to v, which a semiregular group holds iff the orbit
+    holds v."""
+    gens, points = list(gens), np.asarray(points)
+    while True:
+        images = np.array([g.images for g in gens], dtype=np.intp).reshape(-1, degree)
+        orbit = _reached(start, images.T)
+        missing = points[~orbit[points]]
+        if not missing.size:
+            return gens, orbit
+        gens.append(element(int(missing[0])))
 
 
 # --------------------------------------------------------------------------
@@ -449,15 +464,8 @@ def exceptional_group(spec: ExceptionalSpec) -> PermutationGroup:
     # order of e1·g = (m0, m1), take each one outside the subgroup chosen so
     # far.  G0 is semiregular, so a subgroup holds g iff e1's orbit under it
     # holds e1·g, and e1's orbit under the identity is e1 alone.
-    chosen = []
-    orbit = np.zeros(p * p, dtype=bool)
-    orbit[p] = True
-    for v in range(1, p * p):
-        if not orbit[v]:
-            chosen.append(_linear_map(p, v, second[v]))
-            orbit = _reached(p, np.stack([g.images for g in chosen], axis=1))
-            if orbit[1:].all():
-                break
+    chosen, orbit = _orbit_generators(p, p * p, np.arange(1, p * p),
+                                      lambda v: _linear_map(p, v, second[v]))
     if not orbit[1:].all():
         raise AssertionError("the chosen generators do not generate G0")
     group = PermutationGroup(gens + chosen)

@@ -15,17 +15,14 @@ element taking its base to an orbit point, built down the Schreier tree with
 inverse generators, so a sift is one gather a level (Seress, Permutation
 Group Algorithms, 2003, §4.4).  Past the cache budget a level caches one
 class of tree depths mod a stride, at most |orbit| / stride arrays, and a
-lookup walks fewer than stride edges from a cached point.  The closure is
-Dimino's coset enumeration (Butler, Fundamental Algorithms for Permutation
-Groups, LNCS 559, 1991): powers of the first generator by doubling, then
-whole cosets x[H] of the subgroup H generated so far, one gather each, with
-membership hashed by splitmix64 weights of the points; elements() and the
-subgroup search list groups with it.  The stabilizer sweep lists no group:
-it walks the cosets x∘⟨g1⟩ of g1, the first generator of largest order,
-one canonical row each, by a breadth-first search over the generators,
-and counts each coset's fixed points in one pass over the domain from the
-cycles of g1.  It shares nothing with the chain, so it is an independent
-check of the chain's order, or of an order a construction recorded.
+lookup walks fewer than stride edges from a cached point.  elements() and
+the stabilizer sweep both walk the cosets x∘⟨g1⟩ of g1, the first
+generator of largest order, one canonical row each, by a breadth-first
+search over the generators: elements() expands each row into its coset,
+and the sweep lists no group but counts each coset's fixed points in one
+pass over the domain from the cycles of g1.  The walk shares nothing with
+the chain, so the sweep is an independent check of the chain's order, or
+of an order a construction recorded.
 
 A group acts on points, k-subsets (by co-lex rank) or any indexed set
 through one index table, row i holding generator i's images of the indices:
@@ -34,7 +31,6 @@ frontier_bfs walks it for orbits, transversal_bfs for one with a transversal.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -48,9 +44,6 @@ from .subsets import ksubsets, read_only
 # <g1>, at most 1 / |g1| of this, and forms products and domain images at
 # most an eighth of it at a time
 _SWEEP_ENTRIES = 1 << 25
-# entries of a uint32 index array gathered at a time: numpy copies such an
-# array to intp before it gathers, and this bounds the copy
-_GATHER_ENTRIES = 1 << 16
 
 
 class Permutation:
@@ -127,20 +120,8 @@ class Permutation:
         return Permutation._of(invert_array(self.images))
 
     def order(self) -> int:
-        """The lcm of the cycle lengths, by one walk over the images: it
-        runs once per closure, and building cycles() costs more."""
-        images = self.images.tolist()
-        seen = [False] * len(images)
-        result = 1
-        for start in range(len(images)):
-            length, x = 0, start
-            while not seen[x]:
-                seen[x] = True
-                x = images[x]
-                length += 1
-            if length > 1:
-                result = math.lcm(result, length)
-        return result
+        """The lcm of the cycle lengths, read off _cycle_labels."""
+        return _order(_cycle_labels(self.images, self.degree)[1]) if self.degree else 1
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, smallest point first."""
@@ -234,21 +215,6 @@ def transversal_bfs(start: int, table: np.ndarray, generators) -> tuple[list, di
     return orbit, transversal
 
 
-def _gather(table: np.ndarray, index: np.ndarray, out: np.ndarray | None = None):
-    """table[index], into out if given, _GATHER_ENTRIES entries at a time."""
-    # every index is valid; mode="clip" only spares take() a buffer.  A small
-    # index is one take(): the slice loop adds about 1.5 us a call, and the
-    # small closures of the subgroup searches make thousands of calls
-    if index.size <= _GATHER_ENTRIES:
-        return table.take(index, out=out, mode="clip")
-    if out is None:
-        out = np.empty(index.shape, dtype=table.dtype)
-    step = max(1, _GATHER_ENTRIES // index.shape[-1])
-    for lo in range(0, len(index), step):
-        table.take(index[lo:lo + step], out=out[lo:lo + step], mode="clip")
-    return out
-
-
 def _powers(g: np.ndarray, order: int, points: np.ndarray | None = None) -> np.ndarray:
     """The rows g^0 .. g^(order-1) of the images of points (by default
     every point) under g's powers, by doubling: with g^0 .. g^(m-1) known,
@@ -260,8 +226,9 @@ def _powers(g: np.ndarray, order: int, points: np.ndarray | None = None) -> np.n
     power, known = g, 1  # power is g^known
     while known < order:
         take = min(known, order - known)
-        # g^i * g^known sends p to power[g^i[p]]
-        _gather(power, rows[:take], out=rows[known:known + take])
+        # g^i * g^known sends p to power[g^i[p]]; every index is valid, and
+        # mode="clip" spares take() a buffer
+        power.take(rows[:take], out=rows[known:known + take], mode="clip")
         known += take
         if known < order:
             power = power[power]
@@ -283,62 +250,10 @@ def _cycle_labels(g: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
     return label.reshape(g.shape), np.bincount(label, minlength=g.size)[label].reshape(g.shape)
 
 
-@functools.cache
-def _fingerprint_weights(degree: int) -> np.ndarray:
-    """Nonzero uint32 weights: splitmix64 outputs 1..degree from seed 0,
-    mod 2^32 (Steele, Lea & Flood, OOPSLA 2014)."""
-    z = np.arange(1, degree + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    weights = (z ^ (z >> np.uint64(31))).astype(np.uint32)
-    weights[weights == 0] = 1
-    return read_only(weights)
-
-
-class _Cosets:
-    """A union of right cosets H·x of a group H, given as uint32 rows of
-    point images: the block x[H] for each representative x in the order
-    added, and a dict from each element's fingerprint (its images dotted
-    with _fingerprint_weights, mod 2^32) to its position, so that a
-    membership test is one hashed lookup and one row compare."""
-
-    def __init__(self, subgroup: np.ndarray):
-        self.weights = _fingerprint_weights(subgroup.shape[1])
-        self.subgroup = subgroup
-        self.blocks = [subgroup]
-        self.index = dict(zip(self.fingerprints(subgroup), range(len(subgroup))))
-
-    def __len__(self) -> int:
-        return len(self.subgroup) * len(self.blocks)
-
-    def fingerprints(self, rows: np.ndarray) -> list[int]:
-        return (rows @ self.weights).tolist()
-
-    def add(self, x: np.ndarray, limit: int | None) -> None:
-        """Add the coset H·x, whose rows are x[H]; with a limit, ValueError
-        first if the union would have more than limit elements."""
-        start = len(self)
-        if limit is not None and start + len(self.subgroup) > limit:
-            raise ValueError("closure exceeded limit %d" % limit)
-        block = _gather(x, self.subgroup)
-        self.index.update(zip(self.fingerprints(block), range(start, start + len(block))))
-        self.blocks.append(block)
-
-    def contains(self, y: np.ndarray, fingerprint: int) -> bool:
-        position = self.index.get(fingerprint)
-        if position is None:
-            return False
-        block, row = divmod(position, len(self.subgroup))
-        if self.blocks[block][row].tobytes() == y.tobytes():
-            return True
-        # another element has the same fingerprint: compare with them all
-        return any((rows == y).all(axis=1).any() for rows in self.blocks)
-
-    def close(self) -> None:
-        """Make the union the new H; every position stays."""
-        if len(self.blocks) > 1:
-            self.subgroup = np.concatenate(self.blocks)
-            self.blocks = [self.subgroup]
+def _order(length: np.ndarray) -> int:
+    """The order of a permutation whose points lie on cycles of the given
+    lengths: the lcm of the lengths."""
+    return math.lcm(*np.flatnonzero(np.bincount(length)).tolist())
 
 
 class _CosetRows:
@@ -609,49 +524,58 @@ class PermutationGroup:
 
     # -- enumeration -----------------------------------------------------
 
-    def _closure_blocks(self, limit: int | None = None) -> list[np.ndarray]:
-        """The elements as (count, degree) uint32 arrays of point images, by
-        Dimino's coset enumeration: ⟨g1⟩ by doubling, for g1 the first
-        generator of largest order, then for each other generator g not yet
-        reached, in the order given, the right cosets H·x of the group H
-        generated so far, until their union is closed under every generator
-        used, one block per coset of the last group.  With a limit,
-        ValueError as soon as the closure has more than limit elements."""
-        orders = [g.order() for g in self.generators]
+    def _coset_rows(self, limit: int | None = None):
+        """(c, m, rows): c the images of the first generator of largest
+        order m, and one int32 row per coset x∘⟨c⟩ = {x∘cʲ} of the group,
+        its _CosetRows canonical row, in the order found.  A breadth-first
+        search from ⟨c⟩ forms s∘x for every generator s and every row x of
+        a level, and tells new cosets by their rows' bytes.  With a limit,
+        ValueError as soon as the cosets hold more than limit elements."""
+        degree = self.degree
+        lengths = _cycle_labels(self.generator_images, degree)[1]
+        orders = [_order(length) for length in lengths]
         seed = orders.index(max(orders))
-        rest = [i for i in range(len(orders)) if i != seed]
-        gens = self.generator_images[[seed] + rest].astype(np.uint32)
-        cyclic = orders[seed]
-        if limit is not None and cyclic > limit:
+        m = orders[seed]
+        if limit is not None and m > limit:
             raise ValueError("closure exceeded limit %d" % limit)
-        first = _powers(gens[0], cyclic)
-        if len(gens) == 1:
-            return [first]
-        cosets = _Cosets(first)
-        for i, fingerprint in enumerate(cosets.fingerprints(gens[1:]), 1):
-            g = gens[i]
-            if cosets.contains(g, fingerprint):
-                continue
-            cosets.close()
-            used = gens[:i + 1]
-            # H·1 is H and H·g is new; then each new representative x times
-            # each generator s lies in a coset already listed or starts one
-            cosets.add(g, limit)
-            reps = [g]
-            for x in reps:
-                products = used.take(x, axis=1)  # x*s sends p to s[x[p]]
-                for y, fingerprint in zip(products, cosets.fingerprints(products)):
-                    if not cosets.contains(y, fingerprint):
-                        cosets.add(y, limit)
-                        reps.append(y)
-        return cosets.blocks
+        c = self.generator_images[seed]
+        canonical = _CosetRows(c, m, lengths[seed])
+        gens = self.generator_images.astype(np.int32)
+        frontier = canonical(np.arange(degree, dtype=np.int32)[None])
+        seen = {frontier.tobytes()}
+        levels = [frontier]
+        width = frontier.itemsize * degree
+        # a level is taken so many rows at a time that their products hold
+        # at most _SWEEP_ENTRIES / 8 images
+        step = max(1, _SWEEP_ENTRIES // (8 * len(gens) * degree))
+        while len(frontier):
+            grown = []
+            for lo in range(0, len(frontier), step):
+                # s∘x sends p to s[x[p]], for each generator s in turn
+                products = canonical(gens.take(frontier[lo:lo + step], axis=1).reshape(-1, degree))
+                data = products.tobytes()
+                new = []
+                for i in range(len(products)):
+                    row = data[i * width:(i + 1) * width]
+                    if row not in seen:
+                        if limit is not None and (len(seen) + 1) * m > limit:
+                            raise ValueError("closure exceeded limit %d" % limit)
+                        seen.add(row)
+                        new.append(i)
+                grown.append(products[new])
+            frontier = np.concatenate(grown)
+            levels.append(frontier)
+        return c, m, np.concatenate(levels)
 
     def elements(self, limit: int | None = None) -> list[Permutation]:
-        """All group elements by coset closure, sorted by their images;
-        intended for order <= ~10^5."""
+        """All group elements, the cosets of _coset_rows expanded and sorted
+        by their images; intended for order <= ~10^5.  With a limit,
+        ValueError if the group has more than limit elements."""
         if self._elements is not None and limit is None:
             return self._elements
-        rows = np.concatenate(self._closure_blocks(limit), dtype=np.intp)
+        c, m, rows = self._coset_rows(limit)
+        # row x gives the elements x∘cʲ, whose images are x[cʲ]
+        rows = rows.take(_powers(c, m), axis=1).reshape(-1, self.degree).astype(np.intp)
         # one sort key per row: its images as big-endian uint32 bytes, which
         # compare bytewise in the lexicographic order of the images
         keys = rows.astype(">u4").view(np.dtype((np.void, 4 * self.degree))).ravel()
@@ -747,47 +671,13 @@ class PermutationGroup:
         """(counts, reached): for each domain index, the number of group
         elements fixing it, and whether some element carries index 0 to it.
 
-        No element is listed: G is the union of the cosets x∘⟨c⟩ of c, the
-        first generator of largest order m, each named by its _CosetRows
-        canonical row.  A breadth-first search from ⟨c⟩ forms s∘x for every
-        generator s and every row x of a level, and tells new cosets by
-        their rows' bytes.  x∘cʲ fixes p iff x⁻¹(p) lies on p's c-cycle,
-        and then for m / len(cycle) values of j, so a coset is counted in
-        one pass over the domain, and its images of index 0 are x of index
-        0's c-cycle.  With a limit, ValueError as soon as the cosets hold
-        more than limit elements."""
+        No element is listed: x∘cʲ, for x a _coset_rows row, fixes p iff
+        x⁻¹(p) lies on p's c-cycle, and then for m / len(cycle) values of
+        j, so a coset is counted in one pass over the domain, and its
+        images of index 0 are x of index 0's c-cycle.  The limit is
+        _coset_rows'."""
         degree = self.degree
-        lengths = _cycle_labels(self.generator_images, degree)[1]
-        orders = [math.lcm(*np.flatnonzero(np.bincount(length)).tolist()) for length in lengths]
-        seed = orders.index(max(orders))
-        m = orders[seed]
-        if limit is not None and m > limit:
-            raise ValueError("closure exceeded limit %d" % limit)
-        c = self.generator_images[seed]
-        canonical = _CosetRows(c, m, lengths[seed])
-        gens = self.generator_images.astype(np.int32)
-        frontier = canonical(np.arange(degree, dtype=np.int32)[None])
-        seen = {frontier.tobytes()}
-        width = frontier.itemsize * degree
-        # a level is taken so many rows at a time that their products hold
-        # at most _SWEEP_ENTRIES / 8 images
-        step = max(1, _SWEEP_ENTRIES // (8 * len(gens) * degree))
-        while len(frontier):
-            grown = []
-            for lo in range(0, len(frontier), step):
-                # s∘x sends p to s[x[p]], for each generator s in turn
-                products = canonical(gens.take(frontier[lo:lo + step], axis=1).reshape(-1, degree))
-                data = products.tobytes()
-                new = []
-                for i in range(len(products)):
-                    row = data[i * width:(i + 1) * width]
-                    if row not in seen:
-                        if limit is not None and (len(seen) + 1) * m > limit:
-                            raise ValueError("closure exceeded limit %d" % limit)
-                        seen.add(row)
-                        new.append(i)
-                grown.append(products[new])
-            frontier = np.concatenate(grown)
+        c, m, cosets = self._coset_rows(limit)
 
         # hits[p] counts the cosets x∘⟨c⟩ with x⁻¹(p) on p's cycle of c
         # acting on the domain
@@ -798,7 +688,6 @@ class PermutationGroup:
         reached = np.zeros(domain.size, dtype=bool)
         # so many cosets at a time that their domain images, and a k-subset
         # codec's k columns of them, hold at most _SWEEP_ENTRIES / 8 entries
-        cosets = np.frombuffer(b"".join(seen), dtype=np.int32).reshape(-1, degree)
         step = max(1, _SWEEP_ENTRIES // (8 * domain.size * max(1, domain.k)))
         for lo in range(0, len(cosets), step):
             images = cosets[lo:lo + step]

@@ -297,7 +297,10 @@ def regular_subgroup_nonexistence(ambient: PermutationGroup,
     whose orders divide m.  The search closes subgroups from those
     candidates and keeps the ones whose order divides m and whose other
     elements fix no vertex, which every subgroup of a regular subgroup
-    does; it stops at the first one of order m."""
+    does; it stops at the first one of order m.  ValueError unless the
+    ambient acts on the vertices and its generators are automorphisms."""
+    if _broken_edge(ambient.generators, graph) is not None:
+        raise ValueError("the ambient's generators are not automorphisms of the graph")
     m = graph.num_vertices
     claim = "no regular subgroup of order %d in ambient of order %d on " \
             "J(%d,%d)_%s" % (m, ambient.order, graph.n, graph.k, sorted(graph.I))
@@ -337,8 +340,8 @@ def lemma_two_orbit_check(group: PermutationGroup) -> OracleReport:
     parts = list(group._orbit_blocks(domain))
     if len(parts) != 2:
         return _report(claim, False, {"orbit_count": len(parts)})
-    # stabilizer orders counted over the enumerated elements, independent
-    # of the chain's order
+    # stabilizer orders counted by the sweep over the cosets of <g1>,
+    # independent of the chain's order
     stabilizers = group._sweep(domain)[0]
     rs = []
     for part in parts:

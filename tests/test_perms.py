@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from closure_reference import closure
 from rank_reference import all_masks, mask_of
 
 from mergedjohnson import perms
@@ -162,25 +163,6 @@ def _index(label, domain):
     return label if domain.kind == "points" else ksubset_rank(label)
 
 
-def _closure_by_loop(generators):
-    """Every element of the group the generators generate, as image tuples:
-    products of the generators grown from the identity in plain Python."""
-    gens = [g.images.tolist() for g in generators]
-    identity = tuple(range(len(gens[0])))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        grown = []
-        for x in frontier:
-            for g in gens:
-                y = tuple(map(g.__getitem__, x))  # x*g sends p to g[x[p]]
-                if y not in seen:
-                    seen.add(y)
-                    grown.append(y)
-        frontier = grown
-    return seen
-
-
 @functools.cache
 def _witness(n, k, I, kind, case):
     from mergedjohnson.classify import witness_group
@@ -189,13 +171,14 @@ def _witness(n, k, I, kind, case):
 
 @functools.cache
 def _closure_of(name):
-    """_closure_by_loop of CLOSURE_GROUPS[name], computed once."""
-    return _closure_by_loop(CLOSURE_GROUPS[name]().generators)
+    """The reference closure of CLOSURE_GROUPS[name] as image tuples,
+    computed once."""
+    return {tuple(row) for row in closure(CLOSURE_GROUPS[name]().generators).tolist()}
 
 
 def _fixed_points_by_loop(group, domain, elements=None):
     if elements is None:
-        elements = _closure_by_loop(group.generators)
+        elements = closure(group.generators).tolist()
     return [sum(1 for t in elements if _image(x, domain, t) == x)
             for x in _labels(domain, group.degree)]
 
@@ -426,12 +409,12 @@ def test_elements_match_a_closure_grown_in_plain_python(name):
 
 @pytest.mark.parametrize("swap", [False, True])
 def test_closure_starts_from_the_generator_of_largest_order(swap):
-    """S4 closes from <(0 1 2 3)> in 6 blocks, whichever generator comes
-    first: from <(0 1)> it would take 12."""
+    """S4 is 6 cosets of <(0 1 2 3)>, whichever generator comes first:
+    of <(0 1)> it would be 12."""
     gens = s_n(4).generators
     group = PermutationGroup(gens[::-1] if swap else gens)
-    blocks = list(group._closure_blocks())
-    assert [len(block) for block in blocks] == [4] * 6
+    c, m, rows = group._coset_rows()
+    assert (c.tolist(), m, len(rows)) == ([1, 2, 3, 0], 4, 6)
     assert len(group.elements()) == 24
 
 
@@ -439,8 +422,8 @@ def test_elements_limit_when_the_first_generator_overflows(monkeypatch):
     c = _cycle(12, tuple(range(12)))
     group = PermutationGroup([c, c * c * c * c * c])  # C12, twice
     with monkeypatch.context() as patched:
-        # the first generator's order exceeds the limit: no coset is built
-        patched.setattr(perms, "_Cosets", None)
+        # the first generator's order exceeds the limit: no coset is named
+        patched.setattr(perms, "_CosetRows", None)
         with pytest.raises(ValueError):
             group.elements(limit=11)
     assert len(group.elements(limit=12)) == 12
@@ -455,19 +438,11 @@ def test_elements_limit_when_a_coset_overflows(name):
     assert len(group.elements(limit=group.order)) == group.order
 
 
-@pytest.mark.parametrize("name", ["S5", "fixes point 0", "AGL1(8) on 3-subsets"])
-def test_closure_is_exact_when_every_fingerprint_collides(monkeypatch, name):
-    want = _element_rows(CLOSURE_GROUPS[name]())
-    monkeypatch.setattr(perms, "_fingerprint_weights",
-                        lambda degree: np.zeros(degree, dtype=np.uint32))
-    # with the limit, a coset added twice raises instead of looping on
-    assert _element_rows(CLOSURE_GROUPS[name](), limit=len(want)) == want
-
-
 def _listed_counts(group, domain):
-    """(counts, reached) read from elements(): the fixed points of every
-    listed element at every domain index, and the images of index 0."""
-    images = np.array([g.images for g in group.elements()])
+    """(counts, reached) read from the reference closure: the fixed points
+    of every listed element at every domain index, and the images of
+    index 0."""
+    images = closure(group.generators)
     if domain.kind == "ksubsets":
         images = ksubsets(group.degree, domain.k).image_ranks(images)
     reached = np.zeros(domain.size, dtype=bool)
@@ -494,17 +469,15 @@ def _certify_witnesses():
     return out
 
 
-def test_the_sweep_counts_every_certify_witness_as_its_listed_elements(monkeypatch):
+def test_the_sweep_counts_every_certify_witness_as_its_listed_elements():
     witnesses = _certify_witnesses()
     assert len(witnesses) == 98
     for n, k, I, kind, case in witnesses:
         group = _witness(n, k, I, kind, case)
         domain = ActionDomain.points(group.degree)
-        want = _listed_counts(group, domain)
-        with monkeypatch.context() as patched:
-            patched.setattr(PermutationGroup, "_closure_blocks", None)
-            counts, reached = group._sweep(domain)
-        assert (counts.tolist(), reached.tolist()) == want, (n, k, I, kind, case)
+        counts, reached = group._sweep(domain)
+        assert (counts.tolist(), reached.tolist()) == _listed_counts(group, domain), \
+            (n, k, I, kind, case)
 
 
 # groups whose first generator of largest order has no cycle of that order,
@@ -546,19 +519,12 @@ def test_the_sweep_limit_counts_the_cosets_times_the_cycle(name):
 
 
 def test_regularity_degree_lists_no_closure(monkeypatch):
-    monkeypatch.setattr(PermutationGroup, "_closure_blocks", None)
+    monkeypatch.setattr(PermutationGroup, "elements", None)
     assert _dihedral(12).regularity_degree() == 2
     assert s_n(5).regularity_degree() == 24
     assert s_n(6).regularity_degree(ActionDomain.ksubsets(6, 3)) == 36
     assert _witness(12, 6, (6,), "two-regular", 4).regularity_degree() == 2
     assert NO_FULL_CYCLE["<(0 1)(2 3 4)>"]().regularity_degree() is None
-
-
-def test_fingerprint_weights_are_pinned_and_nonzero():
-    assert perms._fingerprint_weights(8).tolist() == [
-        2065550767, 2713282036, 2148091215, 1917616620,
-        1369994395, 1954456298, 524628705, 3373706044]
-    assert (perms._fingerprint_weights(1 << 18) != 0).all()
 
 
 def test_closures_leave_numpy_random_unloaded():

@@ -128,6 +128,19 @@ def test_regular_subgroup_search_in_pgl27_on_pairs():
     assert report.evidence == {"note": "order 28 does not divide the ambient order"}
 
 
+def test_regular_subgroup_search_refuses_an_ambient_of_another_degree():
+    s5 = PermutationGroup([Permutation.from_cycles(5, [(0, 1)]),
+                           Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
+    with pytest.raises(ValueError, match="degree 5 does not match 10 vertices"):
+        regular_subgroup_nonexistence(s5, build_graph(5, 2, {2}))
+
+
+def test_regular_subgroup_search_refuses_an_ambient_outside_aut():
+    c10 = PermutationGroup([Permutation.from_cycles(10, [tuple(range(10))])])
+    with pytest.raises(ValueError, match="not automorphisms"):
+        regular_subgroup_nonexistence(c10, build_graph(5, 2, {2}))
+
+
 def test_subgroups_of_s4_layer_by_layer():
     s4 = PermutationGroup([Permutation.from_cycles(4, [(0, 1)]),
                            Permutation.from_cycles(4, [(0, 1, 2, 3)])])
