@@ -9,6 +9,7 @@ from .johnson import MergedJohnsonGraph, MergeSet, build_graph, graph_stats
 from .nearfields import (NearField, affine_group, build_dickson,
                          exceptional_group, exceptional_spec, is_dickson_pair)
 from .perms import ActionDomain, Permutation, PermutationGroup
+from .subsets import RefusedInput
 from .verify import (OracleReport, bruteforce_automorphism_group,
                      is_automorphism, lemma_regorbits_exhaustive_n4,
                      lemma_two_orbit_check, regular_action_check,
@@ -17,7 +18,7 @@ from .verify import (OracleReport, bruteforce_automorphism_group,
 __all__ = [
     "ActionDomain", "AutDescriptor", "DeficiencyResult", "MergeSet",
     "MergedJohnsonGraph", "NearField", "OracleReport", "Permutation",
-    "PermutationGroup", "Verdict",
+    "PermutationGroup", "RefusedInput", "Verdict",
     "affine_group", "aut_descriptor", "build_dickson", "build_graph",
     "bruteforce_automorphism_group", "cayley_deficiency", "classify_cayley",
     "classify_instance", "classify_two_regular",

@@ -27,20 +27,20 @@ from .complement import build_cocycle_data, complement_vertex_group
 from .fields import FACTOR_BOUND, build_field, prime_power_decomposition
 from .johnson import merge_set
 from .nearfields import affine_group
-from .perms import Permutation, PermutationGroup, _cycle_labels, invert_array
-from .subsets import complement_ranks, read_only
+from .perms import Permutation, PermutationGroup, _cycle_lengths, invert_array
+from .subsets import RefusedInput, complement_ranks, read_only
 
 
 def _check_bounds(n, k, I):
     # the type comes first, as for the merge set's members: a float, bool
     # or numpy n or k would fail later in int-only arithmetic
     if type(n) is not int or type(k) is not int:
-        raise ValueError("n and k must be ints, not %s and %s"
-                         % (type(n).__name__, type(k).__name__))
+        raise RefusedInput("n and k must be ints, not %s and %s"
+                           % (type(n).__name__, type(k).__name__))
     if not 2 <= k <= n // 2:
-        raise ValueError("need 2 <= k <= n/2")
+        raise RefusedInput("need 2 <= k <= n/2")
     if n > FACTOR_BOUND:  # case 1 tests n for a prime power by trial division
-        raise ValueError("need n <= 10^12")
+        raise RefusedInput("need n <= 10^12")
     return merge_set(k, I)
 
 
@@ -82,7 +82,7 @@ def _power_factorial(two_exp: int, m: int, formula: str, *values,
         try:
             log10 = (two_exp * log(2) + lgamma(m + 1) + lgamma(m2 + 1)) / log(10)
         except OverflowError:
-            raise ValueError("the order is too large to size") from None
+            raise RefusedInput("the order is too large to size") from None
         if log10 >= ORDER_DIGITS + 1:  # one digit of slack for rounding in lgamma
             return {"formula": formula % values, "log10": round(log10, 3)}
     order = factorial(m) << two_exp if two_exp >= 0 else factorial(m) >> -two_exp
@@ -124,7 +124,7 @@ def _vertex_count(n: int, k: int) -> int:
     order built from it fits a float, and the exact C(n, k) would take
     minutes to build (40 s at n = 2*10^6)."""
     if (lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)) / log(10) > 320:
-        raise ValueError("the order is too large to size")
+        raise RefusedInput("the order is too large to size")
     return comb(n, k)
 
 
@@ -192,7 +192,7 @@ def _with_proved_order(group: PermutationGroup) -> PermutationGroup:
     c, *rest = group.generator_images
     m = len(c)
     # c is one m-cycle when the cycle of 0 has length m
-    if len(rest) > 1 or _cycle_labels(c, m)[1][0] != m:
+    if len(rest) > 1 or _cycle_lengths(c, m)[0] != m:
         return group
     if not rest:
         group._order = m

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 All structured output is JSON lines.  Exit codes: 0 success, 1 refuted
-verification claim, 2 usage error (a bad option, or a ValueError the
-library raises in any subcommand), 3 internal error (an AssertionError in
-any subcommand, reported in one line on stderr).
+verification claim, 2 usage error (a bad option, or an input the library
+refuses with RefusedInput in any subcommand), 3 internal error (an
+AssertionError or any other ValueError in any subcommand, reported in one
+line on stderr).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from . import verify as vfy
 from .johnson import build_graph
 from .nearfields import affine_group, build_dickson, exceptional_group, exceptional_spec
 from .perms import PermutationGroup
+from .subsets import RefusedInput
 
 
 def _parse_merge(value: str) -> frozenset:
@@ -42,12 +44,12 @@ def _group_record(group: PermutationGroup, **extra) -> dict:
 
 
 class _Command(click.Command):
-    """A subcommand, with a ValueError of the library turned into a usage error."""
+    """A subcommand, with an input the library refuses turned into a usage error."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except ValueError as exc:
+        except RefusedInput as exc:
             raise click.UsageError(str(exc), ctx)
 
 
@@ -60,8 +62,8 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except AssertionError as exc:
-            message = " ".join(str(exc).split()) or "assertion failed"
+        except (AssertionError, ValueError) as exc:
+            message = " ".join(str(exc).split()) or type(exc).__name__
             click.echo("internal error: %s" % message, err=True)
             ctx.exit(3)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .catalog import moebius_generators, projective_line_group
 from .perms import Permutation, PermutationGroup, transversal_bfs
-from .subsets import complement_ranks, ksubsets, read_only
+from .subsets import RefusedInput, complement_ranks, ksubsets, read_only
 
 
 # --------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def _setup() -> tuple:
 
 def build_cocycle_data(delta_label: int) -> CocycleData:
     if delta_label not in (0, 1, 2, 3):
-        raise ValueError("delta_label must be 0..3")
+        raise RefusedInput("delta_label must be 0..3")
     return CocycleData(*_setup(), delta_label)
 
 

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .subsets import read_only
+from .subsets import RefusedInput, read_only
 
 
 # The largest field or near-field order built.  A near-field's addition and
@@ -38,7 +38,7 @@ def check_desk_bound(q: int, d: int) -> None:
     """ValueError when q^d exceeds DESK_BOUND, before q is factored.
     q^d >= 2^d, so capping the exponent decides even a huge d at once."""
     if q >= 2 and q ** min(d, DESK_BOUND.bit_length()) > DESK_BOUND:
-        raise ValueError("order %d^%d exceeds the desk bound %d" % (q, d, DESK_BOUND))
+        raise RefusedInput("order %d^%d exceeds the desk bound %d" % (q, d, DESK_BOUND))
 
 
 # The largest integer factored.  Trial division runs up to sqrt(n): at the
@@ -50,7 +50,7 @@ def prime_power_decomposition(n: int) -> tuple[int, int] | None:
     """(p, e) with n = p^e, or None if n is not a prime power.  ValueError
     above FACTOR_BOUND, before any trial division."""
     if n > FACTOR_BOUND:
-        raise ValueError("%d exceeds the factoring bound %d" % (n, FACTOR_BOUND))
+        raise RefusedInput("%d exceeds the factoring bound %d" % (n, FACTOR_BOUND))
     if n < 2:
         return None
     for p in range(2, int(math.isqrt(n)) + 1):
@@ -99,9 +99,9 @@ class FiniteField:
     def __init__(self, p: int, e: int):
         check_desk_bound(p, e)
         if not is_prime(p):
-            raise ValueError("p = %d is not prime" % p)
+            raise RefusedInput("p = %d is not prime" % p)
         if e < 1:
-            raise ValueError("e must be positive")
+            raise RefusedInput("e must be positive")
         self.p = p
         self.e = e
         self.order = p ** e

@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .perms import frontier_bfs
-from .subsets import elements_of, ksubset_unrank, ksubsets
+from .subsets import RefusedInput, elements_of, ksubset_unrank, ksubsets
 
 
 # --------------------------------------------------------------------------
@@ -34,15 +34,15 @@ class MergeSet:
 
     def __post_init__(self):
         if not self.I:
-            raise ValueError("merge set must be nonempty")
+            raise RefusedInput("merge set must be nonempty")
         # the type comes first: 0 < i <= k is O(1) for an int, and a
         # float, bool or numpy member would end up in the verdict
         if not all(type(i) is int and 0 < i <= self.k for i in self.I):
             if any(type(i) is not int for i in self.I):
-                raise ValueError("merge set %r has a member that is not an int"
-                                 % (set(self.I),))
-            raise ValueError("merge set %s not contained in {1..%d}"
-                             % (sorted(self.I), self.k))
+                raise RefusedInput("merge set %r has a member that is not an int"
+                                   % (set(self.I),))
+            raise RefusedInput("merge set %s not contained in {1..%d}"
+                               % (sorted(self.I), self.k))
 
     @property
     def i_prime(self) -> frozenset:
@@ -87,7 +87,7 @@ class MergedJohnsonGraph:
 
     def __init__(self, n: int, k: int, I):
         if not 2 <= k <= n // 2:
-            raise ValueError("need 2 <= k <= n/2, got (n, k) = (%d, %d)" % (n, k))
+            raise RefusedInput("need 2 <= k <= n/2, got (n, k) = (%d, %d)" % (n, k))
         self.n = n
         self.k = k
         self.num_vertices = ksubsets(n, k).size  # refuses C(n,k) >= 2^63
@@ -100,8 +100,12 @@ class MergedJohnsonGraph:
         self._edges = None
 
     def vertex_mask(self, rank: int) -> int:
+        # a bool would pass the range test and index the neighbour matrix
+        # as a mask, a float would fail in numpy's indexing
+        if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)):
+            raise RefusedInput("vertex rank %r is not an integer" % (rank,))
         if not 0 <= rank < self.num_vertices:
-            raise ValueError("vertex rank %r outside 0..%d" % (rank, self.num_vertices - 1))
+            raise RefusedInput("vertex rank %r outside 0..%d" % (rank, self.num_vertices - 1))
         return ksubset_unrank(self.k, rank)
 
     def neighbors(self, u: int):
@@ -113,8 +117,8 @@ class MergedJohnsonGraph:
         if self.materialized:
             return self._matrix()[u].tolist()
         if self.degree * self.k > _BLOCK_ENTRIES:
-            raise ValueError("degree %d is too large to list the neighbours of "
-                             "an unmaterialized graph" % self.degree)
+            raise RefusedInput("degree %d is too large to list the neighbours of "
+                               "an unmaterialized graph" % self.degree)
         outside = [x for x in range(self.n) if not (K >> x) & 1]
         return self._neighbour_rows(np.array([elements_of(K)]),
                                     np.array([outside]))[0].tolist()

@@ -31,7 +31,7 @@ import numpy as np
 from .fields import (FiniteField, build_field, check_desk_bound,
                      prime_power_decomposition)
 from .perms import Permutation, PermutationGroup, frontier_bfs
-from .subsets import read_only
+from .subsets import RefusedInput, read_only
 
 
 # --------------------------------------------------------------------------
@@ -45,9 +45,9 @@ def is_dickson_pair(q: int, d: int) -> bool:
     exactly the primes of d that divide q - 1, so every prime of d does
     when nothing is left."""
     if prime_power_decomposition(q) is None:
-        raise ValueError("q = %d is not a prime power" % q)
+        raise RefusedInput("q = %d is not a prime power" % q)
     if d < 1:
-        raise ValueError("d must be positive")
+        raise RefusedInput("d must be positive")
     rest = d
     while (g := math.gcd(rest, q - 1)) > 1:
         rest //= g
@@ -69,8 +69,8 @@ class NearField:
 
     def __init__(self, q: int, d: int):
         if not is_dickson_pair(q, d):
-            raise ValueError("(q, d) = (%d, %d) violates the Dickson divisibility "
-                             "condition" % (q, d))
+            raise RefusedInput("(q, d) = (%d, %d) violates the Dickson divisibility "
+                               "condition" % (q, d))
         p, f = prime_power_decomposition(q)
         self.q, self.d = q, d
         self.base = build_field(p, f * d)
@@ -232,19 +232,19 @@ def affine_group(f, kind: str = "AGL") -> PermutationGroup:
         expected = n * (n - 1)
     elif kind == "AHL":
         if n % 4 != 3:
-            raise ValueError("AHL needs order ≡ 3 mod 4, got %d" % n)
+            raise RefusedInput("AHL needs order ≡ 3 mod 4, got %d" % n)
         gens.extend(_half_multiplier_gens(right_mult, base.log[1:].tolist()))
         group = PermutationGroup(gens)
         expected = n * (n - 1) // 2
     elif kind == "AGammaL":
         if d > 1:
-            raise ValueError("AGammaL is defined here over genuine fields only")
+            raise RefusedInput("AGammaL is defined here over genuine fields only")
         gens.append(right_mult(1))
         gens.append(Permutation(base.power_map(p, 0)))
         group = PermutationGroup(gens)
         expected = n * (n - 1) * base.e
     else:
-        raise ValueError("unknown affine kind %r" % kind)
+        raise RefusedInput("unknown affine kind %r" % kind)
 
     if group.order != expected:
         raise AssertionError("affine group of kind %s came out with order %d, "
@@ -311,7 +311,7 @@ def exceptional_spec(p: int, variant: int = 1) -> ExceptionalSpec:
     for spec in EXCEPTIONAL_SPECS:
         if spec.p == p and spec.variant == variant:
             return spec
-    raise ValueError("no exceptional near-field with p=%d variant=%d" % (p, variant))
+    raise RefusedInput("no exceptional near-field with p=%d variant=%d" % (p, variant))
 
 
 def _affine_map(p, m, t=(0, 0)) -> Permutation:

@@ -19,10 +19,10 @@ lookup walks fewer than stride edges from a cached point.  elements() and
 the stabilizer sweep both walk the cosets x∘⟨g1⟩ of g1, the first
 generator of largest order, one canonical row each, by a breadth-first
 search over the generators: elements() expands each row into its coset,
-and the sweep lists no group but counts each coset's fixed points in one
-pass over the domain from the cycles of g1.  The walk shares nothing with
-the chain, so the sweep is an independent check of the chain's order, or
-of an order a construction recorded.
+and the sweep lists no group but counts |g1| elements a row and maps the
+domain's index 0 by each row.  The walk shares nothing with the chain, so
+the sweep is an independent check of the chain's order, or of an order a
+construction recorded.
 
 A group acts on points, k-subsets (by co-lex rank) or any indexed set
 through one index table, row i holding generator i's images of the indices:
@@ -41,8 +41,8 @@ from .subsets import ksubsets, read_only
 
 # order x degree of the largest group the stabilizer sweep counts: J(32,3)'s
 # AGammaL1(32) has 4960 x 4960.  The sweep holds one int32 row per coset of
-# <g1>, at most 1 / |g1| of this, and forms products and domain images at
-# most an eighth of it at a time
+# <g1>, at most 1 / |g1| of this, and forms products at most an eighth of
+# it at a time
 _SWEEP_ENTRIES = 1 << 25
 
 
@@ -120,8 +120,8 @@ class Permutation:
         return Permutation._of(invert_array(self.images))
 
     def order(self) -> int:
-        """The lcm of the cycle lengths, read off _cycle_labels."""
-        return _order(_cycle_labels(self.images, self.degree)[1]) if self.degree else 1
+        """The lcm of the cycle lengths, read off _cycle_lengths."""
+        return _order(_cycle_lengths(self.images, self.degree)) if self.degree else 1
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, smallest point first."""
@@ -235,19 +235,19 @@ def _powers(g: np.ndarray, order: int, points: np.ndarray | None = None) -> np.n
     return rows
 
 
-def _cycle_labels(g: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """(label, length): for each point of each permutation in g (one per
-    row along the last axis), whose cycles are at most bound long, a label
-    shared by its cycle alone and the cycle's length.  By doubling over
-    the flat indices: after r rounds a point's label is the least flat
-    index of its first 2^r images, the whole cycle once 2^r reaches bound,
-    in log2(bound) rounds."""
+def _cycle_lengths(g: np.ndarray, bound: int) -> np.ndarray:
+    """For each point of each permutation in g (one per row along the last
+    axis), whose cycles are at most bound long, the length of its cycle:
+    the number of points sharing its label.  The labels are found by
+    doubling over the flat indices: after r rounds a point's label is the
+    least flat index of its first 2^r images, the whole cycle once 2^r
+    reaches bound, in log2(bound) rounds."""
     flat = (g + np.arange(0, g.size, g.shape[-1]).reshape(g.shape[:-1] + (1,))).ravel()
     label, span = np.arange(g.size), 1
     while span < bound:
         label = np.minimum(label, label[flat])
         flat, span = flat[flat], 2 * span
-    return label.reshape(g.shape), np.bincount(label, minlength=g.size)[label].reshape(g.shape)
+    return np.bincount(label, minlength=g.size)[label].reshape(g.shape)
 
 
 def _order(length: np.ndarray) -> int:
@@ -494,6 +494,8 @@ class PermutationGroup:
         if not generators:
             raise ValueError("need at least one generator")
         degree = generators[0].degree
+        if degree == 0:
+            raise ValueError("need a degree of at least 1")
         if any(g.degree != degree for g in generators):
             raise ValueError("degree mismatch among generators")
         self.degree = degree
@@ -532,7 +534,7 @@ class PermutationGroup:
         a level, and tells new cosets by their rows' bytes.  With a limit,
         ValueError as soon as the cosets hold more than limit elements."""
         degree = self.degree
-        lengths = _cycle_labels(self.generator_images, degree)[1]
+        lengths = _cycle_lengths(self.generator_images, degree)
         orders = [_order(length) for length in lengths]
         seed = orders.index(max(orders))
         m = orders[seed]
@@ -668,34 +670,19 @@ class PermutationGroup:
     # -- regularity ------------------------------------------------------
 
     def _sweep(self, domain: ActionDomain, limit: int | None = None):
-        """(counts, reached): for each domain index, the number of group
-        elements fixing it, and whether some element carries index 0 to it.
-
-        No element is listed: x∘cʲ, for x a _coset_rows row, fixes p iff
-        x⁻¹(p) lies on p's c-cycle, and then for m / len(cycle) values of
-        j, so a coset is counted in one pass over the domain, and its
-        images of index 0 are x of index 0's c-cycle.  The limit is
-        _coset_rows'."""
-        degree = self.degree
+        """(size, reached): the number of group elements, m for each
+        _coset_rows row, and for each domain index whether some element
+        carries index 0 to it.  No element is listed: the points of index 0
+        go to x of their images under c⁰ … c^(m−1), for each row x.  The
+        limit is _coset_rows'."""
         c, m, cosets = self._coset_rows(limit)
-
-        # hits[p] counts the cosets x∘⟨c⟩ with x⁻¹(p) on p's cycle of c
-        # acting on the domain
-        codec = ksubsets(degree, domain.k) if domain.kind == "ksubsets" else None
-        label, length = _cycle_labels(c if codec is None else codec.image_ranks(c), m)
-        cycle_of_0 = np.flatnonzero(label == label[0])
-        hits = np.zeros(domain.size, dtype=np.int64)
+        # index 0 is point 0, or the k-subset {0..k-1}
+        images = cosets[:, _powers(c, m, np.arange(max(1, domain.k)))]
+        if domain.kind == "ksubsets":
+            images = ksubsets(self.degree, domain.k).rank(images)
         reached = np.zeros(domain.size, dtype=bool)
-        # so many cosets at a time that their domain images, and a k-subset
-        # codec's k columns of them, hold at most _SWEEP_ENTRIES / 8 entries
-        step = max(1, _SWEEP_ENTRIES // (8 * domain.size * max(1, domain.k)))
-        for lo in range(0, len(cosets), step):
-            images = cosets[lo:lo + step]
-            if codec is not None:
-                images = codec.image_ranks(images)
-            hits += np.bincount(images[label[images] == label], minlength=domain.size)
-            reached[images[:, cycle_of_0]] = True
-        return hits * (m // length), reached
+        reached[images.ravel()] = True
+        return len(cosets) * m, reached
 
     def regularity_degree(self, domain: ActionDomain | None = None,
                           exhaustive_limit: int = 20000) -> int | None:
@@ -704,24 +691,26 @@ class PermutationGroup:
         r = |G| / |domain| by orbit-stabilizer, with |G| the recorded order
         or the chain's.  A group of order at most exhaustive_limit whose
         order x degree is at most _SWEEP_ENTRIES is swept, once, by
-        _sweep: the cosets of ⟨g1⟩ give the stabilizer order at every
-        domain point, which must all equal r, and the images of index 0,
-        which are its orbit, so no orbit search runs.  The sweep lists no
-        element and shares no code with the chain or with any construction
-        that records an order, so a wrong order of a transitive group fails
-        here.  Any other group takes its orbit from a breadth-first search
-        and is not swept.
+        _sweep: the cosets of ⟨g1⟩ give the number of elements, which must
+        equal |G|, and the images of index 0, which are its orbit, so no
+        orbit search runs.  The sweep lists no element and shares no code
+        with the chain or with any construction that records an order, so
+        a wrong order of a swept group fails here, transitive or not.  Any
+        other group takes its orbit from a breadth-first search and is not
+        swept.
         """
         domain = self._domain(domain)
         order = self.order
         limit = min(exhaustive_limit, _SWEEP_ENTRIES // self.degree)
-        sweep = order <= limit
-        if sweep:
+        if order <= limit:
             try:
-                counts, reached = self._sweep(domain, limit)
+                size, reached = self._sweep(domain, limit)
             except ValueError:
                 raise AssertionError("order %d, but the group has more than %d "
                                      "elements" % (order, limit)) from None
+            if size != order:
+                raise AssertionError("order %d, but the group has %d elements"
+                                     % (order, size))
             if not reached.all():
                 return None
         elif self._orbit_size(domain) != domain.size:
@@ -729,10 +718,7 @@ class PermutationGroup:
         if order % domain.size != 0:
             raise AssertionError("orbit-stabilizer violation: %d points, order %d"
                                  % (domain.size, order))
-        r = order // domain.size
-        if sweep and (counts != r).any():
-            raise AssertionError("non-uniform stabilizer orders found")
-        return r
+        return order // domain.size
 
     def __repr__(self):
         return "PermutationGroup(degree=%d, gens=%d)" % (self.degree, len(self.generators))

@@ -22,6 +22,12 @@ import math
 import numpy as np
 
 
+class RefusedInput(ValueError):
+    """An input outside what the library accepts: a bound, a type or a
+    parameter that names nothing.  The CLI reports it as a usage error;
+    any other ValueError is a fault of the program."""
+
+
 def elements_of(mask: int) -> list[int]:
     out = []
     x = 0
@@ -77,8 +83,8 @@ class KSubsets:
         # without building C(n,k)
         self.size = math.comb(n, k) if min(k, n - k) < 63 else 1 << 63
         if self.size >= 1 << 63:
-            raise ValueError("C(%d,%d) is at least 2^63: the %d-subsets' ranks "
-                             "do not fit int64" % (n, k, k))
+            raise RefusedInput("C(%d,%d) is at least 2^63: the %d-subsets' ranks "
+                               "do not fit int64" % (n, k, k))
         self.n = n
         self.k = k
         # the narrowest type that holds a point: the sorting network runs

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 from mergedjohnson import complement, verify
 from mergedjohnson.cli import main
 from mergedjohnson.fields import prime_power_decomposition
+from mergedjohnson.subsets import RefusedInput
 
 CENSUS_14 = Path(__file__).parent / "data" / "census_14.jsonl"
 
@@ -82,6 +83,19 @@ def test_census_rows_match_per_instance_classify():
     rows = [json.loads(line) for line in result.output.splitlines()][:-1]
     for row in rows:
         assert row == classify_instance(row["n"], row["k"], set(row["I"]))
+
+
+def test_census_table_matches_the_json_rows():
+    lines = [json.loads(line) for line in run("census", "--n-max", "10").output.splitlines()]
+    rows, summary = lines[:-1], lines[-1]["summary"]
+    table = run("census", "--n-max", "10", "--format", "table").output.splitlines()
+    assert table[0].split() == ["n", "k", "I", "cayley", "2-reg", "aut"]
+    assert [line.split() for line in table[1:-1]] == [
+        [str(r["n"]), str(r["k"]), ",".join(map(str, sorted(r["I"]))),
+         r["cayley"]["outcome"], r["two_regular"]["outcome"], str(r["aut"]["case"])]
+        for r in rows]
+    assert table[-1] == "instances=%d cayley=%d two_regular=%d" % (
+        summary["instances"], summary["cayley_yes"], summary["two_regular_yes"])
 
 
 def test_graph_export_edges():
@@ -224,20 +238,60 @@ def test_a_refused_export_creates_no_file(tmp_path):
     assert not output.exists()
 
 
+@pytest.mark.parametrize("error", [RefusedInput, ValueError], ids=["refused", "plain"])
 @pytest.mark.parametrize("args, owner, name", [
     (("verify", "--suite", "fast"), verify, "run_suite"),
     (("group", "psl28-complement", "--delta", "1"), complement, "build_cocycle_data")],
     ids=["verify", "psl28-complement"])
-def test_a_library_value_error_is_a_usage_error(monkeypatch, args, owner, name):
-    """Every subcommand turns a ValueError from the library into exit 2
-    with one error line."""
-    def refuse(*_):
-        raise ValueError("refused on purpose")
+def test_only_refused_input_is_a_usage_error(monkeypatch, args, owner, name, error):
+    """Every subcommand turns a RefusedInput from the library into exit 2
+    with one error line, and any other ValueError, a fault of the program,
+    into exit 3 with one internal error line."""
+    def fail(*_):
+        raise error("raised on purpose")
 
-    monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.setattr(owner, name, fail)
     result = run(*args)
-    _usage_error(result)
-    assert _error_lines(result) == ["Error: refused on purpose"]
+    if error is RefusedInput:
+        _usage_error(result)
+        assert _error_lines(result) == ["Error: raised on purpose"]
+    else:
+        assert (result.exit_code, type(result.exception)) == (3, SystemExit)
+        assert result.stderr == "internal error: raised on purpose\n"
+        assert "Traceback" not in result.output
+
+
+def _refusals():
+    from mergedjohnson import build_graph, classify_instance
+    from mergedjohnson import nearfields as nf
+    from mergedjohnson.fields import FiniteField, check_desk_bound
+    return {
+        "n not an int": lambda: classify_instance(10, 2.0, {1}),
+        "k out of range": lambda: classify_instance(10, 6, {1}),
+        "n past the factoring bound": lambda: classify_instance(10 ** 12 + 39, 2, {1}),
+        "merge set": lambda: classify_instance(10, 2, {3}),
+        "order too large to size": lambda: classify_instance(2 * 10 ** 6, 10 ** 6, {10 ** 6}),
+        "ranks past int64": lambda: build_graph(67, 33, {1}),
+        "graph k out of range": lambda: build_graph(5, 3, {1}),
+        "desk bound": lambda: check_desk_bound(4096, 1),
+        "factoring bound": lambda: prime_power_decomposition(10 ** 13),
+        "p not prime": lambda: FiniteField(6, 1),
+        "e not positive": lambda: FiniteField(5, 0),
+        "q not a prime power": lambda: nf.is_dickson_pair(6, 1),
+        "d not positive": lambda: nf.is_dickson_pair(5, 0),
+        "not a Dickson pair": lambda: nf.NearField(4, 2),
+        "AHL order": lambda: nf.affine_group(nf.build_dickson(5, 1), "AHL"),
+        "AGammaL near-field": lambda: nf.affine_group(nf.build_dickson(3, 2), "AGammaL"),
+        "affine kind": lambda: nf.affine_group(nf.build_dickson(5, 1), "ASL"),
+        "exceptional p": lambda: nf.exceptional_spec(13),
+        "cocycle class": lambda: complement.build_cocycle_data(4),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_refusals()))
+def test_the_bound_checks_raise_refused_input(name):
+    with pytest.raises(RefusedInput):
+        _refusals()[name]()
 
 
 def test_classify_huge_deficiency_bound_by_formula():

@@ -256,13 +256,17 @@ def test_has_edges_against_the_adjacency_lists():
 
 
 def test_vertex_ranks_outside_the_graph_are_rejected():
+    # on a materialized graph True read the whole neighbour matrix and 3.0
+    # ended in numpy's IndexError
     for g in (build_graph(5, 2, {2}), _lazy_graph()):
-        for bad in (-1, g.num_vertices):
+        for bad in (-1, g.num_vertices, True, 3.0, np.float64(3.0), "3"):
             with pytest.raises(ValueError):
                 g.neighbors(bad)
         last = g.num_vertices - 1
         assert sorted(g.neighbors(last)) == _neighbours_by_rule(g, last, all_masks(g.n, g.k))
         assert g.vertex_mask(last) == mask_of(range(g.n - g.k, g.n))
+        assert g.neighbors(np.int64(last)) == g.neighbors(last)
+        assert g.vertex_mask(np.uint8(3)) == g.vertex_mask(3)
 
 
 def test_graph_stats_counts_the_kneser_matching_components():

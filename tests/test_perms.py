@@ -14,7 +14,7 @@ from rank_reference import all_masks, mask_of
 
 from mergedjohnson import perms
 from mergedjohnson.perms import ActionDomain, Permutation, PermutationGroup
-from mergedjohnson.subsets import elements_of, ksubset_rank, ksubsets
+from mergedjohnson.subsets import elements_of, ksubset_rank
 
 
 def s_n(n):
@@ -55,6 +55,9 @@ def test_group_takes_its_degree_from_its_generators():
         PermutationGroup([])
     with pytest.raises(ValueError):
         PermutationGroup([Permutation.identity(4), Permutation.identity(5)])
+    # degree 0 built, and regularity_degree() and elements() then divided by 0
+    with pytest.raises(ValueError, match="degree of at least 1"):
+        PermutationGroup([Permutation([])])
 
 
 @pytest.mark.parametrize("images", [
@@ -176,29 +179,37 @@ def _closure_of(name):
     return {tuple(row) for row in closure(CLOSURE_GROUPS[name]().generators).tolist()}
 
 
-def _fixed_points_by_loop(group, domain, elements=None):
-    if elements is None:
-        elements = closure(group.generators).tolist()
-    return [sum(1 for t in elements if _image(x, domain, t) == x)
-            for x in _labels(domain, group.degree)]
+def _listed(group, domain):
+    """(size, reached) read from the reference closure: the number of
+    elements it lists, and for each domain index whether a listed element
+    carries index 0 (point 0, or the k-subset {0..k-1}) to it, ranked one
+    label at a time."""
+    images = closure(group.generators)
+    if domain.kind == "points":
+        orbit = set(images[:, 0].tolist())
+    else:
+        orbit = {ksubset_rank(mask_of(row)) for row in images[:, :domain.k].tolist()}
+    return len(images), [x in orbit for x in range(domain.size)]
+
+
+def _assert_sweep_matches_the_listed_elements(group, domain, limit=None):
+    size, reached = group._sweep(domain, limit)
+    assert (size, reached.tolist()) == _listed(group, domain)
 
 
 @pytest.mark.parametrize("n", [4, 5])
 @pytest.mark.parametrize("kind", ["points", "ksubsets"])
 def test_sweep_counts_match_a_loop_over_elements(n, kind):
     domain = ActionDomain.points(n) if kind == "points" else ActionDomain.ksubsets(n, 2)
-    group = s_n(n)
-    counts = group._sweep(domain)[0]
-    assert counts.tolist() == _fixed_points_by_loop(group, domain)
+    _assert_sweep_matches_the_listed_elements(s_n(n), domain)
 
 
 def test_sweep_counts_match_a_loop_for_a_j12_6_witness():
     dihedral = CLOSURE_GROUPS["J(12,6) dihedral"]()
     domain = ActionDomain.points(dihedral.degree)
-    counts = dihedral._sweep(domain)[0]
-    elements = _closure_of("J(12,6) dihedral")
-    assert counts.tolist() == _fixed_points_by_loop(dihedral, domain, elements)
-    assert set(counts.tolist()) == {2}
+    size, reached = dihedral._sweep(domain)
+    assert size == len(_closure_of("J(12,6) dihedral")) == 1848
+    assert reached.all()
     assert dihedral.regularity_degree() == 2
 
 
@@ -237,8 +248,15 @@ def test_the_sweep_reaches_the_orbit_of_index_0(domain):
 def test_a_wrong_recorded_order_fails_the_sweep(wrong):
     group = _dihedral(12)
     group._order = wrong
-    with pytest.raises(AssertionError, match="non-uniform stabilizer orders found"):
+    with pytest.raises(AssertionError, match="order %d, but the group has 24 elements" % wrong):
         group.regularity_degree()
+
+
+def test_a_wrong_recorded_order_of_an_intransitive_group_fails_the_sweep():
+    intransitive = PermutationGroup([Permutation.from_cycles(7, [(0, 1, 2), (3, 4)])])
+    intransitive._order = 12
+    with pytest.raises(AssertionError, match="order 12, but the group has 6 elements"):
+        intransitive.regularity_degree()
 
 
 def test_a_recorded_order_below_the_sweep_limit_bounds_the_closure():
@@ -438,23 +456,6 @@ def test_elements_limit_when_a_coset_overflows(name):
     assert len(group.elements(limit=group.order)) == group.order
 
 
-def _listed_counts(group, domain):
-    """(counts, reached) read from the reference closure: the fixed points
-    of every listed element at every domain index, and the images of
-    index 0."""
-    images = closure(group.generators)
-    if domain.kind == "ksubsets":
-        images = ksubsets(group.degree, domain.k).image_ranks(images)
-    reached = np.zeros(domain.size, dtype=bool)
-    reached[images[:, 0]] = True
-    return (images == np.arange(domain.size)).sum(axis=0).tolist(), reached.tolist()
-
-
-def _assert_sweep_matches_the_listed_elements(group, domain):
-    counts, reached = group._sweep(domain)
-    assert (counts.tolist(), reached.tolist()) == _listed_counts(group, domain)
-
-
 def _certify_witnesses():
     """(n, k, I, kind, case) of the 98 YES verdicts with n <= 12, the
     witnesses the certify benchmark sweeps."""
@@ -475,9 +476,8 @@ def test_the_sweep_counts_every_certify_witness_as_its_listed_elements():
     for n, k, I, kind, case in witnesses:
         group = _witness(n, k, I, kind, case)
         domain = ActionDomain.points(group.degree)
-        counts, reached = group._sweep(domain)
-        assert (counts.tolist(), reached.tolist()) == _listed_counts(group, domain), \
-            (n, k, I, kind, case)
+        size, reached = group._sweep(domain)
+        assert (size, reached.tolist()) == _listed(group, domain), (n, k, I, kind, case)
 
 
 # groups whose first generator of largest order has no cycle of that order,
@@ -514,8 +514,7 @@ def test_the_sweep_limit_counts_the_cosets_times_the_cycle(name):
     domain = ActionDomain.points(group.degree)
     with pytest.raises(ValueError, match="exceeded limit"):
         group._sweep(domain, limit=group.order - 1)
-    counts, _ = group._sweep(domain, limit=group.order)
-    assert counts.tolist() == _listed_counts(group, domain)[0]
+    _assert_sweep_matches_the_listed_elements(group, domain, limit=group.order)
 
 
 def test_regularity_degree_lists_no_closure(monkeypatch):
