@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .perms import frontier_bfs
-from .subsets import RefusedInput, elements_of, ksubset_unrank, ksubsets
+from .subsets import RefusedInput, elements_of, ksubset_unrank, ksubsets, require_int
 
 
 # --------------------------------------------------------------------------
@@ -100,11 +100,7 @@ class MergedJohnsonGraph:
         self._edges = None
 
     def vertex_mask(self, rank: int) -> int:
-        # a bool would pass the range test and index the neighbour matrix
-        # as a mask, a float would fail in numpy's indexing
-        if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)):
-            raise RefusedInput("vertex rank %r is not an integer" % (rank,))
-        if not 0 <= rank < self.num_vertices:
+        if not 0 <= require_int(rank, "vertex rank") < self.num_vertices:
             raise RefusedInput("vertex rank %r outside 0..%d" % (rank, self.num_vertices - 1))
         return ksubset_unrank(self.k, rank)
 
@@ -181,8 +177,20 @@ class MergedJohnsonGraph:
         return u[forward], v[forward]
 
     def has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Whether each (a[i], b[i]) is an edge, by binary search in the
-        row-sorted neighbour keys u*V + v."""
+        """Whether each (a[i], b[i]) is an edge.  Refused unless every rank
+        is an integer in 0..V-1: the search below would alias an
+        out-of-range b to another pair and truncate a float."""
+        a, b = np.asarray(a), np.asarray(b)
+        for ranks in (a, b):
+            if ranks.size and (ranks.dtype.kind not in "iu" or ranks.min() < 0
+                               or ranks.max() >= self.num_vertices):
+                raise RefusedInput("vertex ranks must be integers in 0..%d"
+                                   % (self.num_vertices - 1))
+        return self._has_edges(a, b)
+
+    def _has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """has_edges without the rank checks, for images of vertex
+        bijections: binary search in the row-sorted neighbour keys u*V + v."""
         self._matrix()
         keys = self._keys
         query = np.asarray(a, dtype=np.int64) * self.num_vertices + b

@@ -8,14 +8,19 @@ restricting a to nonzero squares (n ≡ 3 mod 4) gives the index-2 subgroup
 that acts regularly on 2-subsets.
 
 The seven exceptional near-fields of order p^2 are realized through their
-multiplicative groups G0: binary polyhedral subgroups of GL_2(p),
+multiplicative groups G0: binary polyhedral subgroups of SL_2(p),
 optionally times a scalar cyclic factor, accepted only when regular on the
-nonzero vectors.  Every matrix is the permutation v -> vM of the p^2
-vectors, and so is every affine map.  An element of GL_2(p) is fixed by
-its images of the basis e1, e2, so the orbit of that pair of points has
-one entry per element: the deterministic search sizes its candidate
-groups by that orbit, capped, and G0's regularity and generators are read
-off it.
+nonzero vectors.  G0 is searched and checked as 2x2 matrices mod p,
+4-tuples acting on row vectors by v -> vM: a candidate group is closed by
+a capped breadth-first search over matrix products, and G0 is regular
+when its p^2 - 1 elements have distinct first rows e1·M.  Before each
+closure an exact trace pre-test skips a candidate that, multiplied by an
+element of the core, gives a trace no element of the target's orders has:
+that product would lie in the closure, which would fail anyway.
+Permutations of the p^2 vectors are built only for the final generators,
+the two translations and G0's chosen generators.
+verify.sharply_two_transitive_check re-derives the matrices from those
+permutations and shares no code with this search.
 """
 
 from __future__ import annotations
@@ -322,47 +327,59 @@ def _affine_map(p, m, t=(0, 0)) -> Permutation:
                        + (x * m[1] + y * m[3] + t[1]) % p)
 
 
-def _linear_map(p, v, w) -> Permutation:
-    """The element of GL_2(p) that sends e1 = (1, 0) to point v and
-    e2 = (0, 1) to point w."""
-    return _affine_map(p, (v // p, v % p, w // p, w % p))
+# 2x2 matrices mod p are 4-tuples (m0, m1, m2, m3) for [[m0, m1], [m2, m3]],
+# acting on row vectors: e1·m = (m0, m1) and e2·m = (m2, m3) are its rows
+_IDENTITY = (1, 0, 0, 1)
 
 
-def _basis_orbit(gens, p, cap):
-    """The images (e1·g, e2·g) of the basis e1 = (1, 0), e2 = (0, 1), which
-    are points p and 1, under the elements g of <gens> ≤ GL_2(p), in
-    breadth-first order; None when there are more than cap.  Only the
-    identity fixes a basis, so the orbit has one pair per element."""
-    maps = [g.images.tolist() for g in gens]
-    orbit = [(p, 1)]
-    seen = set(orbit)
-    for v, w in orbit:
-        for g in maps:
-            pair = g[v], g[w]
-            if pair not in seen:
-                if len(orbit) == cap:
+def _mat_mul(p, a, b):
+    """The product a·b mod p."""
+    return ((a[0] * b[0] + a[1] * b[2]) % p, (a[0] * b[1] + a[1] * b[3]) % p,
+            (a[2] * b[0] + a[3] * b[2]) % p, (a[2] * b[1] + a[3] * b[3]) % p)
+
+
+def _closure(gens, p, cap):
+    """The elements of <gens> ≤ GL_2(p) in breadth-first order from the
+    identity, by m ↦ m·g for each generator g in turn; None when there are
+    more than cap.  The product is _mat_mul's, written out: this loop is
+    the search's hot spot."""
+    elements = [_IDENTITY]
+    seen = set(elements)
+    for a, b, c, d in elements:
+        for g0, g1, g2, g3 in gens:
+            m = ((a * g0 + b * g2) % p, (a * g1 + b * g3) % p,
+                 (c * g0 + d * g2) % p, (c * g1 + d * g3) % p)
+            if m not in seen:
+                if len(elements) == cap:
                     return None
-                seen.add(pair)
-                orbit.append(pair)
-    return orbit
+                seen.add(m)
+                elements.append(m)
+    return elements
+
+
+def _matrix_order(p, m):
+    """The multiplicative order of m in GL_2(p), by repeated products."""
+    order, power = 1, m
+    while power != _IDENTITY:
+        power = _mat_mul(p, power, m)
+        order += 1
+    return order
 
 
 def _elements_with_trace(p, trace):
-    """All matrices in SL_2(p) with the given trace, deterministic order."""
-    out = []
+    """All matrices in SL_2(p) with the given trace, in a deterministic
+    order, generated as the search asks for them."""
     for a in range(p):
         d = (trace - a) % p
         bc = (a * d - 1) % p
         if bc == 0:
             for b in range(p):
-                out.append((a, b, 0, d))
+                yield (a, b, 0, d)
             for c in range(1, p):
-                out.append((a, 0, c, d))
+                yield (a, 0, c, d)
         else:
             for b in range(1, p):
-                c = (bc * pow(b, p - 2, p)) % p
-                out.append((a, b, c, d))
-    return out
+                yield (a, b, bc * pow(b, p - 2, p) % p, d)
 
 
 def _traces_of_order(p, m):
@@ -380,43 +397,62 @@ def _traces_of_order(p, m):
     return sorted(set(traces[traces[:, 1] == 0, 0].tolist()))
 
 
-def _find_binary_tetrahedral(p):
-    """2T ≅ SL_2(3) inside SL_2(p): an order-4 seed and the first order-3
-    element that generate with it 24 elements of orders 1, 2, 3, 4 and 6.
-    Returns the two generators."""
-    x = _affine_map(p, (0, p - 1, 1, 0))  # order 4
-    for tr in _traces_of_order(p, 3):
-        for t in _elements_with_trace(p, tr):
-            gens = [x, _affine_map(p, t)]
-            orbit = _basis_orbit(gens, p, 24)
-            if orbit is not None and len(orbit) == 24:
-                if {_linear_map(p, v, w).order() for v, w in orbit} == {1, 2, 3, 4, 6}:
-                    return gens
-    raise AssertionError("binary tetrahedral search failed for p=%d" % p)
+def _allowed_traces(p, orders):
+    """Every trace an element of SL_2(p) whose order lies in orders can
+    have: ±2, the traces of ±I and of the elements of order divisible by
+    p, and those of _traces_of_order(p, m) for each m > 2 in orders.  A
+    non-central semisimple element has eigenvalues ζ, ζ^-1 with ζ of its
+    order, so its trace is listed there."""
+    allowed = {2 % p, -2 % p}
+    for m in orders:
+        if m > 2:
+            allowed.update(_traces_of_order(p, m))
+    return allowed
 
 
-def _extend_group(p, core_gens, element_order, target):
-    """The core's generators and the first element of the given order that
-    generates target elements with them."""
-    for tr in _traces_of_order(p, element_order):
-        for s in _elements_with_trace(p, tr):
-            gens = [*core_gens, _affine_map(p, s)]
-            orbit = _basis_orbit(gens, p, target)
-            if orbit is not None and len(orbit) == target:
-                return gens
-    raise AssertionError("subgroup extension search failed for p=%d order %d"
-                         % (p, target))
+def _passes_trace_test(p, core, s, allowed):
+    """Whether every product c·s with c in core has a trace in allowed;
+    tr(c·s) = c0 s0 + c1 s2 + c2 s1 + c3 s3."""
+    s0, s1, s2, s3 = s
+    return all((c0 * s0 + c1 * s2 + c2 * s1 + c3 * s3) % p in allowed
+               for c0, c1, c2, c3 in core)
+
+
+# tag: (the core's tag, None for <x>; the order of the element added to
+# the core; the group's order; the orders of its elements)
+_POLYHEDRAL = {
+    "2T": (None, 3, 24, frozenset({1, 2, 3, 4, 6})),
+    "2O": ("2T", 8, 48, frozenset({1, 2, 3, 4, 6, 8})),
+    "2I": ("2T", 5, 120, frozenset({1, 2, 3, 4, 5, 6, 10})),
+}
 
 
 @lru_cache(maxsize=None)
-def _find_polyhedral(p: int, tag: str) -> tuple[Permutation, ...]:
-    if tag == "2T":
-        return tuple(_find_binary_tetrahedral(p))
-    if tag == "2O":
-        return tuple(_extend_group(p, _find_polyhedral(p, "2T"), 8, 48))
-    if tag == "2I":
-        return tuple(_extend_group(p, _find_polyhedral(p, "2T"), 5, 120))
-    raise ValueError(tag)
+def _find_polyhedral(p: int, tag: str) -> tuple[tuple[int, int, int, int], ...]:
+    """Generators of the binary polyhedral group tag ≤ SL_2(p): the core's,
+    which are x = [[0, -1], [1, 0]] of order 4 for 2T and 2T's for 2O and
+    2I, and the first s of the added order, by trace in _traces_of_order
+    order and then in _elements_with_trace order, whose closure with them
+    has the group's order and exactly its element orders.
+
+    Before its closure, s is skipped when some c·s with c in the core
+    group has a trace outside _allowed_traces.  That product lies in the
+    closure and its order is not among the group's, so the closure would
+    fail anyway: the pre-test is exact, and the first success is the one
+    the search without it finds."""
+    core_tag, element_order, size, orders = _POLYHEDRAL[tag]
+    core_gens = _find_polyhedral(p, core_tag) if core_tag else ((0, p - 1, 1, 0),)
+    core = _closure(core_gens, p, size)
+    allowed = _allowed_traces(p, orders)
+    for tr in _traces_of_order(p, element_order):
+        for s in _elements_with_trace(p, tr):
+            if _passes_trace_test(p, core, s, allowed):
+                gens = (*core_gens, s)
+                group = _closure(gens, p, size)
+                if (group is not None and len(group) == size
+                        and {_matrix_order(p, m) for m in group} == orders):
+                    return gens
+    raise AssertionError("%s search failed for p=%d" % (tag, p))
 
 
 def _scalar_of_order(p, z):
@@ -435,19 +471,21 @@ def find_multiplicative_group(spec: ExceptionalSpec) -> dict[int, int]:
     tag = spec.g0_structure
     gens = list(_find_polyhedral(p, tag.split("x")[0]))
     if "x" in tag:
-        gens.append(_affine_map(p, _scalar_of_order(p, int(tag.split("C")[1]))))
+        gens.append(_scalar_of_order(p, int(tag.split("C")[1])))
     return _checked_g0(gens, p)
 
 
 def _checked_g0(gens, p) -> dict[int, int]:
-    """The map e1·g -> e2·g over the elements g of G0 = <gens> ≤ GL_2(p),
-    which fixes each element.  AssertionError unless G0 is regular on the
-    p^2 - 1 nonzero vectors, that is p^2 - 1 elements each with its own
-    image of e1, and non-abelian, that is two generators do not commute."""
-    second = dict(_basis_orbit(gens, p, p * p - 1) or ())
+    """The map e1·g -> e2·g, rows as points m0·p + m1 -> m2·p + m3, over
+    the elements g of G0 = <gens> ≤ GL_2(p), which fixes each element.
+    AssertionError unless G0 is regular on the p^2 - 1 nonzero vectors,
+    that is p^2 - 1 elements each with its own image of e1, and
+    non-abelian, that is two generators do not commute."""
+    second = {m0 * p + m1: m2 * p + m3
+              for m0, m1, m2, m3 in _closure(gens, p, p * p - 1) or ()}
     if len(second) != p * p - 1:
         raise AssertionError("G0 is not regular on nonzero vectors")
-    if all(np.array_equal(a.images[b.images], b.images[a.images])
+    if all(_mat_mul(p, a, b) == _mat_mul(p, b, a)
            for a, b in itertools.combinations(gens, 2)):
         raise AssertionError("exceptional G0 came out abelian")
     return second
@@ -463,9 +501,10 @@ def exceptional_group(spec: ExceptionalSpec) -> PermutationGroup:
     # G0's generators: walking its elements in matrix order, which is the
     # order of e1·g = (m0, m1), take each one outside the subgroup chosen so
     # far.  G0 is semiregular, so a subgroup holds g iff e1's orbit under it
-    # holds e1·g, and e1's orbit under the identity is e1 alone.
+    # holds e1·g, and e1's orbit under the identity is e1 alone.  The g
+    # with e1·g = v has the rows of the points v and second[v].
     chosen, orbit = _orbit_generators(p, p * p, np.arange(1, p * p),
-                                      lambda v: _linear_map(p, v, second[v]))
+                                      lambda v: _affine_map(p, divmod(v, p) + divmod(second[v], p)))
     if not orbit[1:].all():
         raise AssertionError("the chosen generators do not generate G0")
     group = PermutationGroup(gens + chosen)

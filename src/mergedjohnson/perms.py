@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .subsets import ksubsets, read_only
+from .subsets import RefusedInput, ksubsets, read_only, require_int
 
 # order x degree of the largest group the stabilizer sweep counts: J(32,3)'s
 # AGammaL1(32) has 4960 x 4960.  The sweep holds one int32 row per coset of
@@ -597,9 +597,9 @@ class PermutationGroup:
         carrying x to y and transversal[x] the identity.
         """
         domain = self._domain(domain)
-        if not 0 <= x < domain.size:
-            raise ValueError("index %r outside the action domain" % (x,))
-        return transversal_bfs(x, self._domain_generators(domain), self.generators)
+        if not 0 <= require_int(x, "index") < domain.size:
+            raise RefusedInput("index %r outside the action domain" % (x,))
+        return transversal_bfs(int(x), self._domain_generators(domain), self.generators)
 
     def _domain(self, domain: ActionDomain | None) -> ActionDomain:
         """domain, by default the points; ValueError unless it is the
@@ -657,8 +657,8 @@ class PermutationGroup:
         is faithful, so the new group records this group's order, read at
         degree n, and builds no chain of its own for it.
         """
-        if not 1 <= k <= self.degree:
-            raise ValueError("k out of range")
+        if not 1 <= require_int(k, "k") <= self.degree:
+            raise RefusedInput("k out of range")
         codec = ksubsets(self.degree, k)
         images = read_only(codec.image_ranks(self.generator_images).astype(np.intp, copy=False))
         group = PermutationGroup(Permutation._of_rows(images))

@@ -28,6 +28,15 @@ class RefusedInput(ValueError):
     any other ValueError is a fault of the program."""
 
 
+def require_int(value, what: str):
+    """value, refused unless it is an int or a numpy integer and not a
+    bool: a bool would pass a range test and index an array as a mask, and
+    a float would be truncated or fail inside numpy."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise RefusedInput("%s %r is not an integer" % (what, value))
+    return value
+
+
 def elements_of(mask: int) -> list[int]:
     out = []
     x = 0

@@ -85,7 +85,7 @@ def _first_broken(perms, graph: MergedJohnsonGraph):
     """The first edge of graph that one of perms maps to a non-edge."""
     u, v = graph.edge_arrays()
     for p in perms:
-        kept = graph.has_edges(p.images[u], p.images[v])
+        kept = graph._has_edges(p.images[u], p.images[v])
         if not kept.all():
             first = int(np.argmin(kept))
             return (int(u[first]), int(v[first]))

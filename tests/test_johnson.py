@@ -8,7 +8,7 @@ from rank_reference import all_masks, mask_of
 
 from mergedjohnson.johnson import (MergedJohnsonGraph, build_graph, graph_stats,
                                    merge_set)
-from mergedjohnson.subsets import elements_of, ksubset_rank
+from mergedjohnson.subsets import RefusedInput, elements_of, ksubset_rank
 
 
 def adjacent(k, I, K, Kp):
@@ -253,6 +253,17 @@ def test_has_edges_against_the_adjacency_lists():
     found = g.has_edges(a, b).reshape(g.num_vertices, g.num_vertices)
     assert [np.flatnonzero(row).tolist() for row in found] == \
         [sorted(g.neighbors(u)) for u in range(g.num_vertices)]
+
+
+@pytest.mark.parametrize("a,b", [([0], [15]), ([0.5], [1]), ([-1], [0]), ([True], [1])],
+                         ids=["past_the_last", "float", "negative", "bool"])
+def test_has_edges_refuses_ranks_outside_the_graph(a, b):
+    """On J(6,2)_{1} (15 vertices) the first two were [True], the answers
+    for the pairs (1, 0) and (0, 1)."""
+    g = build_graph(6, 2, {1})
+    with pytest.raises(RefusedInput, match="integers in 0..14"):
+        g.has_edges(a, b)
+    assert g.has_edges([0, 14], [1, 14]).tolist() == [True, False]  # {0,1} ~ {0,2}
 
 
 def test_vertex_ranks_outside_the_graph_are_rejected():

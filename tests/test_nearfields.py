@@ -1,3 +1,4 @@
+import ast
 import copy
 import inspect
 import time
@@ -11,7 +12,6 @@ from mergedjohnson.fields import FiniteField, build_field, prime_power_decomposi
 from mergedjohnson.nearfields import (EXCEPTIONAL_SPECS, affine_group,
                                       build_dickson, exceptional_group,
                                       exceptional_spec, is_dickson_pair)
-from mergedjohnson.perms import Permutation
 from mergedjohnson.verify import sharply_two_transitive_check
 
 
@@ -141,13 +141,90 @@ def test_exceptional_small(p, variant):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_abelian_g0_is_rejected(p):
-    """Multiplication by a primitive element of GF(p^2) is F_p-linear on
-    the coefficient vectors and cyclic of order p^2 - 1: regular on the
-    nonzero vectors, but abelian."""
-    singer = Permutation(build_field(p, 2).power_map(1, 1))
-    assert len(nearfields._basis_orbit([singer], p, p * p - 1)) == p * p - 1
+    """Multiplication by a primitive element ω of GF(p^2) is F_p-linear and
+    cyclic of order p^2 - 1: regular on the nonzero vectors, but abelian.
+    In the basis (1, ω) its matrix is the companion matrix of ω's minimal
+    polynomial x^2 - tr(ω) x + N(ω), with N(ω) = ω^(p+1) and tr(ω) =
+    ω + ω^p.  The modulus's own companion matrix will not do: its root has
+    order 8 for p = 5 and 4 for p = 7."""
+    field = build_field(p, 2)
+    norm = int(field.exp[p + 1])
+    trace = int((field.digits[field.exp[1]] + field.digits[field.exp[p]])[0] % p)
+    singer = (0, 1, -norm % p, trace)
+    assert len(nearfields._closure([singer], p, p * p - 1)) == p * p - 1
     with pytest.raises(AssertionError, match="abelian"):
         nearfields._checked_g0([singer], p)
+
+
+# every polyhedral search the specs with p <= 29 run: 2T under each, 2O for
+# 2O and 2OxC11, 2I for 2I and 2IxC7
+_SEARCHES = [(5, "2T"), (7, "2T"), (11, "2T"), (23, "2T"), (29, "2T"),
+             (7, "2O"), (23, "2O"), (11, "2I"), (29, "2I")]
+
+
+@pytest.fixture
+def fresh_polyhedral_cache():
+    nearfields._find_polyhedral.cache_clear()
+    yield
+    nearfields._find_polyhedral.cache_clear()
+
+
+@pytest.mark.parametrize("p,tag", _SEARCHES)
+def test_the_trace_pre_test_skips_no_candidate_that_succeeds(p, tag):
+    """Every candidate of the search whose closure with the core reaches
+    the group's order passes the pre-test, and some candidate does."""
+    core_tag, element_order, size, orders = nearfields._POLYHEDRAL[tag]
+    core_gens = nearfields._find_polyhedral(p, core_tag) if core_tag else ((0, p - 1, 1, 0),)
+    core = nearfields._closure(core_gens, p, size)
+    allowed = nearfields._allowed_traces(p, orders)
+    reached = [s for tr in nearfields._traces_of_order(p, element_order)
+               for s in nearfields._elements_with_trace(p, tr)
+               if len(nearfields._closure((*core_gens, s), p, size) or ()) == size]
+    assert reached
+    assert all(nearfields._passes_trace_test(p, core, s, allowed) for s in reached)
+
+
+@pytest.mark.parametrize("p,tag", _SEARCHES)
+def test_the_search_without_the_pre_test_finds_the_same_generators(
+        monkeypatch, fresh_polyhedral_cache, p, tag):
+    found = nearfields._find_polyhedral(p, tag)
+    nearfields._find_polyhedral.cache_clear()
+    monkeypatch.setattr(nearfields, "_allowed_traces", lambda p, orders: set(range(p)))
+    assert nearfields._find_polyhedral(p, tag) == found
+
+
+def test_the_g0_search_stays_in_matrices(monkeypatch, fresh_polyhedral_cache):
+    """For the six specs with p <= 29 the search, cores and G0's check
+    included, closes fewer than 100 groups and builds no permutation of
+    the p^2 vectors."""
+    closures = []
+
+    def counted(gens, p, cap):
+        closures.append(p)
+        return closure(gens, p, cap)
+
+    def refuse(*args):
+        raise AssertionError("built a permutation in the G0 search")
+
+    closure = nearfields._closure
+    monkeypatch.setattr(nearfields, "_closure", counted)
+    monkeypatch.setattr(nearfields, "Permutation", refuse)
+    for spec in EXCEPTIONAL_SPECS:
+        if spec.p <= 29:
+            assert len(nearfields.find_multiplicative_group(spec)) == spec.p ** 2 - 1
+    assert len(closures) < 100
+
+
+def test_nearfields_imports_nothing_from_verify():
+    """verify.sharply_two_transitive_check is the oracle of the
+    exceptional groups, so the construction shares no code with it."""
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(nearfields))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+    assert not any("verify" in name.split(".") for name in imported)
 
 
 def test_half_group_has_index_two():

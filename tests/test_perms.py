@@ -14,7 +14,7 @@ from rank_reference import all_masks, mask_of
 
 from mergedjohnson import perms
 from mergedjohnson.perms import ActionDomain, Permutation, PermutationGroup
-from mergedjohnson.subsets import elements_of, ksubset_rank
+from mergedjohnson.subsets import RefusedInput, elements_of, ksubset_rank
 
 
 def s_n(n):
@@ -128,6 +128,24 @@ def test_orbit_rejects_labels_outside_the_domain():
     for bad in (-1, 10):
         with pytest.raises(ValueError):
             g.orbit(bad, pairs)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: g.induced_subset_action(2.0),
+    lambda g: g.induced_subset_action(True),
+    lambda g: g.orbit(True),
+    lambda g: g.orbit(2.0),
+], ids=["induced_float", "induced_bool", "orbit_bool", "orbit_float"])
+def test_a_non_integer_k_or_index_is_refused(call):
+    """2.0 and True ended in TypeError or put True into the orbit."""
+    with pytest.raises(RefusedInput, match="is not an integer"):
+        call(s_n(4))
+
+
+def test_an_index_of_numpy_type_gives_python_ints():
+    orbit, transversal = s_n(4).orbit(np.int64(2))
+    assert orbit == s_n(4).orbit(2)[0]
+    assert all(type(x) is int for x in orbit + list(transversal))
 
 
 @pytest.mark.parametrize("domain", [ActionDomain.points(6), ActionDomain.ksubsets(6, 2)])
