@@ -28,20 +28,21 @@ from .fields import FACTOR_BOUND, build_field, prime_power_decomposition
 from .johnson import merge_set
 from .nearfields import affine_group
 from .perms import Permutation, PermutationGroup, _cycle_lengths, invert_array
-from .subsets import RefusedInput, complement_ranks, read_only
+from .subsets import RefusedInput, complement_ranks, read_only, require_int
 
 
 def _check_bounds(n, k, I):
-    # the type comes first, as for the merge set's members: a float, bool
-    # or numpy n or k would fail later in int-only arithmetic
+    """(n, k, the merge set), with n and k as Python ints.  The type comes
+    first, as for the merge set's members: a float or bool n or k would
+    fail later in int-only arithmetic, and a numpy one would end up in the
+    verdict."""
     if type(n) is not int or type(k) is not int:
-        raise RefusedInput("n and k must be ints, not %s and %s"
-                           % (type(n).__name__, type(k).__name__))
+        n, k = int(require_int(n, "n")), int(require_int(k, "k"))
     if not 2 <= k <= n // 2:
         raise RefusedInput("need 2 <= k <= n/2")
     if n > FACTOR_BOUND:  # case 1 tests n for a prime power by trial division
         raise RefusedInput("need n <= 10^12")
-    return merge_set(k, I)
+    return n, k, merge_set(k, I)
 
 
 def _is_matched(n: int, k: int, I) -> bool:
@@ -129,7 +130,8 @@ def _vertex_count(n: int, k: int) -> int:
 
 
 def aut_descriptor(n: int, k: int, I) -> AutDescriptor:
-    return _aut_descriptor(n, k, _aut_case(n, k, _check_bounds(n, k, I)))
+    n, k, ms = _check_bounds(n, k, I)
+    return _aut_descriptor(n, k, _aut_case(n, k, ms))
 
 
 def _aut_descriptor(n: int, k: int, case: int) -> AutDescriptor:
@@ -155,7 +157,7 @@ def _aut_descriptor(n: int, k: int, case: int) -> AutDescriptor:
 def only_an_sn(n: int, k: int, I) -> bool:
     """Whether A_n and S_n are the only vertex-transitive automorphism
     groups of J(n,k)_I."""
-    ms = _check_bounds(n, k, I)
+    n, k, ms = _check_bounds(n, k, I)
     if ms.is_complete:
         return False
     if 4 <= k < (n - 1) / 2:
@@ -310,12 +312,12 @@ def _clauses(kind: str, n: int, k: int, ms) -> list:
 
 
 def classify_cayley(n: int, k: int, I) -> Verdict:
-    ms = _check_bounds(n, k, I)
+    n, k, ms = _check_bounds(n, k, I)
     return _verdict("cayley", n, k, ms, _aut_case(n, k, ms))
 
 
 def classify_two_regular(n: int, k: int, I) -> Verdict:
-    ms = _check_bounds(n, k, I)
+    n, k, ms = _check_bounds(n, k, I)
     return _verdict("two-regular", n, k, ms, _aut_case(n, k, ms))
 
 
@@ -334,7 +336,7 @@ def witness_group(n: int, k: int, I, kind: str = "cayley",
     """A concrete witness on the C(n,k) vertices: regular (kind='cayley')
     or 2-regular (kind='two-regular'), built by the row of the given case,
     by default the first that applies."""
-    ms = _check_bounds(n, k, I)
+    n, k, ms = _check_bounds(n, k, I)
     if kind not in CLAUSES:
         raise ValueError("kind must be 'cayley' or 'two-regular'")
     rows = _clauses(kind, n, k, ms)
@@ -364,7 +366,7 @@ class DeficiencyResult:
 
 
 def cayley_deficiency(n: int, k: int, I) -> DeficiencyResult:
-    ms = _check_bounds(n, k, I)
+    n, k, ms = _check_bounds(n, k, I)
     case = _aut_case(n, k, ms)
     return _deficiency(n, k, case, _verdict("cayley", n, k, ms, case),
                        _verdict("two-regular", n, k, ms, case))
@@ -394,7 +396,7 @@ def _deficiency(n, k, case: int, cayley: Verdict, two_reg: Verdict) -> Deficienc
 # --------------------------------------------------------------------------
 
 def classify_instance(n: int, k: int, I) -> dict:
-    ms = _check_bounds(n, k, I)
+    n, k, ms = _check_bounds(n, k, I)
     case = _aut_case(n, k, ms)
     desc = _aut_descriptor(n, k, case)
     cayley = _verdict("cayley", n, k, ms, case)

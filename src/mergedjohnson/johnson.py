@@ -35,14 +35,14 @@ class MergeSet:
     def __post_init__(self):
         if not self.I:
             raise RefusedInput("merge set must be nonempty")
-        # the type comes first: 0 < i <= k is O(1) for an int, and a
-        # float, bool or numpy member would end up in the verdict
         if not all(type(i) is int and 0 < i <= self.k for i in self.I):
-            if any(type(i) is not int for i in self.I):
-                raise RefusedInput("merge set %r has a member that is not an int"
-                                   % (set(self.I),))
-            raise RefusedInput("merge set %s not contained in {1..%d}"
-                               % (sorted(self.I), self.k))
+            # the type comes first: a float or bool member would pass the
+            # range test, and the verdict holds the members as Python ints
+            members = frozenset(int(require_int(i, "merge set member")) for i in self.I)
+            object.__setattr__(self, "I", members)
+            if not all(0 < i <= self.k for i in members):
+                raise RefusedInput("merge set %s not contained in {1..%d}"
+                                   % (sorted(members), self.k))
 
     @property
     def i_prime(self) -> frozenset:
@@ -77,15 +77,18 @@ class MergedJohnsonGraph:
     A graph with at most MATERIALIZE_LIMIT vertices is materialized: it
     stores its neighbours as a (V, degree) int32 matrix, which the graph
     being regular makes CSR with a constant row length.  Row u lists u's
-    neighbours in generation order (see neighbors).  The matrix is built
-    when edges, neighbors, edge_arrays or has_edges first reads it; edges
-    is a view derived from it on first use.  A larger graph answers
+    neighbours in generation order (see neighbors); the same rows sorted
+    are kept for _keeps_edges.  Both are built when edges, neighbors,
+    edge_arrays or has_edges first reads the matrix; edges is a view
+    derived from it on first use, and has_edges builds its _keys on first
+    use too.  A larger graph answers
     neighbors by generation alone, and refuses when degree · k passes
     _BLOCK_ENTRIES.  Vertex ranks are int64, so a graph of 2^63 vertices
     or more is refused.
     """
 
     def __init__(self, n: int, k: int, I):
+        n, k = int(require_int(n, "n")), int(require_int(k, "k"))
         if not 2 <= k <= n // 2:
             raise RefusedInput("need 2 <= k <= n/2, got (n, k) = (%d, %d)" % (n, k))
         self.n = n
@@ -96,7 +99,7 @@ class MergedJohnsonGraph:
         self.degree = sum(comb(k, i) * comb(n - k, i) for i in self.I)
         self.materialized = self.num_vertices <= MATERIALIZE_LIMIT
         self._neighbours = None
-        self._keys = None
+        self._sorted = None
         self._edges = None
 
     def vertex_mask(self, rank: int) -> int:
@@ -151,8 +154,7 @@ class MergedJohnsonGraph:
         if (ordered == rows).any() or (ordered[:, 1:] == ordered[:, :-1]).any():
             raise AssertionError("vertex degree disagrees with the closed form")
         self._neighbours = nbrs
-        # u*V + v over the sorted rows: every ordered edge, ascending
-        self._keys = (rows * self.num_vertices + ordered).ravel()
+        self._sorted = ordered
 
     def _matrix(self) -> np.ndarray:
         if not self.materialized:
@@ -191,11 +193,31 @@ class MergedJohnsonGraph:
     def _has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """has_edges without the rank checks, for images of vertex
         bijections: binary search in the row-sorted neighbour keys u*V + v."""
-        self._matrix()
         keys = self._keys
         query = np.asarray(a, dtype=np.int64) * self.num_vertices + b
         found = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
         return keys[found] == query
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """u*V + v over the sorted rows: every ordered edge, ascending."""
+        self._matrix()
+        rows = np.arange(self.num_vertices, dtype=np.int64)[:, None]
+        return (rows * self.num_vertices + self._sorted).ravel()
+
+    def _keeps_edges(self, images: np.ndarray) -> bool:
+        """Whether the vertex bijection images maps every edge to an edge:
+        for every x the sorted images of x's neighbours are the sorted
+        neighbours of images[x].  Rows are mapped a block of at most
+        _BLOCK_ENTRIES entries at a time."""
+        nbrs, ordered = self._matrix(), self._sorted
+        images = images.astype(np.int32, copy=False)  # V <= MATERIALIZE_LIMIT
+        step = max(1, _BLOCK_ENTRIES // self.degree)
+        for lo in range(0, self.num_vertices, step):
+            mapped = np.sort(images.take(nbrs[lo:lo + step]), axis=1)
+            if not np.array_equal(mapped, ordered[images[lo:lo + step]]):
+                return False
+        return True
 
     @property
     def edges(self) -> list:

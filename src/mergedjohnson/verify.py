@@ -61,10 +61,11 @@ def _broken_edge(perms, graph: MergedJohnsonGraph):
     perms, in order, maps to a non-edge, or None when every perm is an
     automorphism.
 
+    Each perm is tested by its sorted neighbour rows (graph._keeps_edges).
     A bijection of the vertices keeps the edges exactly when it keeps the
     non-edges, so when the complement J(n,k)_{[k]∖I} has fewer edges the
-    perms are checked on it, and graph is scanned only to name the first
-    broken edge.
+    perms are tested on it.  Only the first perm that fails is mapped
+    edge by edge over graph, to name its first broken edge.
     """
     size = graph.num_vertices
     for p in perms:
@@ -74,11 +75,15 @@ def _broken_edge(perms, graph: MergedJohnsonGraph):
         raise ValueError("graph is not materialized")
     if not all(is_bijection(p.images) for p in perms):
         raise ValueError("images are not a bijection on 0..%d" % (size - 1))
+    tested = graph
     if size - 1 - graph.degree < graph.degree:
-        rest = graph.complement
-        if rest is None or _first_broken(perms, rest) is None:
+        tested = graph.complement
+        if tested is None:
             return None
-    return _first_broken(perms, graph)
+    for p in perms:
+        if not tested._keeps_edges(p.images):
+            return _first_broken([p], graph)
+    return None
 
 
 def _first_broken(perms, graph: MergedJohnsonGraph):

@@ -1,10 +1,12 @@
+import io
 from collections import Counter
 from math import comb, factorial, log10
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mergedjohnson import catalog, classify
+from mergedjohnson import catalog, classify, cli
 from mergedjohnson.classify import (CLAUSES, _with_proved_order,
                                     aut_descriptor, cayley_deficiency,
                                     census_instances, classify_cayley,
@@ -12,6 +14,7 @@ from mergedjohnson.classify import (CLAUSES, _with_proved_order,
                                     only_an_sn, witness_group)
 from mergedjohnson.johnson import build_graph
 from mergedjohnson.perms import Permutation, PermutationGroup, StabilizerChain
+from mergedjohnson.subsets import RefusedInput
 from mergedjohnson.verify import regular_action_check
 
 
@@ -68,7 +71,7 @@ def test_only_an_sn_implies_a_degree_outside_d_k_in_aut_cases_1_and_3():
     outside D_k: there only_an_sn implies it."""
     rows = implied = 0
     for n, k, I in census_instances(24):
-        if classify._aut_case(n, k, classify._check_bounds(n, k, I)) not in (1, 3):
+        if classify._aut_case(*classify._check_bounds(n, k, I)) not in (1, 3):
             continue
         rows += 1
         if only_an_sn(n, k, I):
@@ -327,9 +330,35 @@ def test_bounds_rejected():
         classify_instance(6, 1, {1})   # needs k >= 2
 
 
-@pytest.mark.parametrize("n, k", [(10, 2.0), (10.0, 2), (np.int64(10), 2), (10, np.int64(2)),
-                                  (True, 2), (10, True)])
+@pytest.mark.parametrize("n, k", [(10, 2.0), (10.0, 2), (True, 2), (10, True)])
 def test_an_n_or_k_that_is_not_an_int_is_refused(n, k):
     for query in (classify_instance, classify_cayley, witness_group):
-        with pytest.raises(ValueError, match="must be ints"):
+        with pytest.raises(ValueError, match="is not an integer"):
             query(n, k, {1})
+
+
+def _census_line(record):
+    out = io.StringIO()
+    cli._emit(record, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("n, k, I", [
+    (np.int64(10), 2, {1}), (10, np.int64(2), {1}), (10, 2, {np.int64(1)}),
+    (np.uint8(12), np.int32(6), {np.int16(6)}),
+], ids=["n", "k", "member", "all"])
+def test_numpy_integers_give_the_census_line_of_python_ints(n, k, I):
+    record = classify_instance(n, k, I)
+    assert {type(record[key]) for key in ("n", "k")} == {int}
+    assert {type(i) for i in record["I"]} == {int}
+    line = _census_line(classify_instance(int(n), int(k), {int(i) for i in I}))
+    assert _census_line(record) == line
+    recorded = (Path(__file__).parent / "data" / "census_14.jsonl").read_text()
+    assert line in recorded.splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2"], ids=["bool", "float", "str"])
+def test_a_bool_float_or_str_is_refused_as_n_k_or_member(bad):
+    for query in ((bad, 2, {1}), (10, bad, {1}), (10, 2, {bad}), (10, 2, {3, bad})):
+        with pytest.raises(RefusedInput, match="is not an integer"):
+            classify_instance(*query)

@@ -16,7 +16,8 @@ SOURCES = sorted((ROOT / "src" / "mergedjohnson").glob("*.py"))
 DOCUMENTED = {
     "cayley_deficiency": "README: the Cayley deficiency d(J) of one graph",
     "graph_stats": "README: degree, edge count and connected components",
-    "has_edges": "README: a graph's edge lookup, checked; verify calls _has_edges",
+    "has_edges": "README: a graph's edge lookup, checked; verify calls _has_edges "
+                 "only to name a broken edge",
     "is_commutative": "README: NearField.is_commutative reads the tables",
     "neighbors": "README: a graph's neighbour query, materialized or not",
     "only_an_sn": "README: whether A_n and S_n are the only transitive Aut groups",

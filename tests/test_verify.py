@@ -5,8 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mergedjohnson import verify
-from mergedjohnson.classify import census_instances
+from mergedjohnson import johnson, verify
+from mergedjohnson.classify import census_instances, witness_group
 from mergedjohnson.johnson import build_graph
 from mergedjohnson.nearfields import (_affine_map, affine_group, build_dickson,
                                       exceptional_group, exceptional_spec)
@@ -435,6 +435,53 @@ def test_broken_edge_matches_a_scan_of_every_edge(n):
             want = _first_broken_by_rule(perms, graph)
             assert _broken_edge(perms, graph) == want, (n, k, sorted(I))
         assert _broken_edge([induced], graph) is None
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_broken_edge_agrees_with_the_scan_across_row_blocks(n, monkeypatch):
+    # four mapped entries a block: every graph here (V >= 6) takes at
+    # least two blocks in _keeps_edges, and the materialised build too
+    monkeypatch.setattr(johnson, "_BLOCK_ENTRIES", 4)
+    rng = np.random.default_rng(100 + n)
+    through_complement = 0
+    for m, k, I in census_instances(n):
+        if m < n:
+            continue
+        graph = build_graph(n, k, I)
+        size = graph.num_vertices
+        rest = graph.complement
+        if rest is not None and size - 1 - graph.degree < graph.degree:
+            through_complement += 1
+        induced = _induced(rng, n, k)
+        shuffled = Permutation(rng.permutation(size))
+        # every transposition of a small graph: most break only rows past
+        # the first block
+        swaps = [Permutation.from_cycles(size, [(a, b)])
+                 for b in range(size) for a in range(b)] if size <= 21 else []
+        for perms in ([induced], [shuffled], [induced, shuffled],
+                      [_induced(rng, n, k), shuffled, induced], *([p] for p in swaps)):
+            want = _first_broken_by_rule(perms, graph)
+            assert _broken_edge(perms, graph) == want, (n, k, sorted(I))
+            kept = [_first_broken_by_rule([p], graph) is None for p in perms]
+            assert [graph._keeps_edges(p.images) for p in perms] == kept
+            if rest is not None:
+                assert [rest._keeps_edges(p.images) for p in perms] == kept
+    assert through_complement  # some graph of each n is tested on its complement
+
+
+def test_a_confirmed_check_builds_no_edge_keys():
+    for n, k, I, r in [(7, 2, {1}, 1), (8, 3, {1, 2}, 1), (12, 6, {6}, 2)]:
+        graph = build_graph(n, k, I)
+        kind = "cayley" if r == 1 else "two-regular"
+        assert regular_action_check(witness_group(n, k, I, kind), graph, r).confirmed
+        assert graph._neighbours is not None or graph.complement._neighbours is not None
+        for checked in (graph, graph.complement):
+            assert "_keys" not in checked.__dict__
+    # has_edges builds them on its first call
+    graph = build_graph(8, 3, {1, 3})
+    graph.has_edges([0], [1])
+    assert graph._keys.dtype == np.int64
+    assert "_keys" in graph.__dict__
 
 
 def test_complete_graph_is_checked_without_its_matrix():
