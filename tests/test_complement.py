@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from mergedjohnson import subsets
 from mergedjohnson.complement import (_equipartition_tables, _phi_images,
                                       build_cocycle_data, build_pointed_psl28,
                                       complement_vertex_group, equipartition_setup,
@@ -136,6 +137,14 @@ def test_frobenius_cycles_nonzero_classes(datas):
     assert nonzero == {1, 2, 3}
     # fixed-point-free on the nonzero classes: a 3-cycle
     assert all(action[label] != label for label in (1, 2, 3))
+
+
+def test_frobenius_class_action_with_rank_blocks_of_three(monkeypatch, datas):
+    """The action ranks one 5-subset, whose rank must stay 0-d when the
+    rank kernel runs in blocks."""
+    want = [frobenius_class_action(datas[label]) for label in range(4)]
+    monkeypatch.setattr(subsets, "_BLOCK_ENTRIES", 3)
+    assert [frobenius_class_action(datas[label]) for label in range(4)] == want
 
 
 def test_global_flip_commutes_with_action(datas):

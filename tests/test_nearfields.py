@@ -292,12 +292,13 @@ def _sweep_finds_a_failure(nf):
                for a in range(n))
 
 
-def _proof_finds_a_failure(nf):
+def _proof_message(nf):
+    """verify_axioms' AssertionError message, or None when it proves nf."""
     try:
         nf.verify_axioms()
-    except AssertionError:
-        return True
-    return False
+    except AssertionError as error:
+        return str(error)
+    return None
 
 
 def _corrupt(table, kind, rng):
@@ -344,24 +345,38 @@ def _twist_a_coset(nf, k, m):
     return broken
 
 
-@pytest.mark.parametrize("q,d", [(3, 2), (5, 2), (7, 2), (4, 3), (9, 2), (11, 2)])
-def test_axiom_proof_agrees_with_the_triple_sweep(q, d):
-    """Seeded single corruptions of either table at orders 9 to 121, and
-    twisted cosets of <R_ω> in mul_table: the proof from generators fails
-    exactly when the O(n³) sweep does."""
-    nf = build_dickson(q, d)
-    rng = np.random.default_rng(q ** d)
+def _broken_tables(nf):
+    """(table name, values) for the twisted cosets of <R_ω> in mul_table,
+    then 40 seeded corruptions of each kind in either table."""
+    rng = np.random.default_rng(nf.order)
     broken_tables = [("mul_table", _twist_a_coset(nf, k, m))
                      for k in range(1, nf.base.e) for m in range(1, nf.base.p)]
     for table in ("mul_table", "add_table"):
         for kind in ("swap", "overwrite", "permute", "relabel"):
             broken_tables += [(table, _corrupt(getattr(nf, table), kind, rng))
                               for _ in range(40)]
+    return broken_tables
+
+
+def _with_table(nf, table, values):
+    broken = copy.copy(nf)
+    setattr(broken, table, values)
+    return broken
+
+
+_ORDERS_9_TO_121 = [(3, 2), (5, 2), (7, 2), (4, 3), (9, 2), (11, 2)]
+
+
+@pytest.mark.parametrize("q,d", _ORDERS_9_TO_121)
+def test_axiom_proof_agrees_with_the_triple_sweep(q, d):
+    """Seeded single corruptions of either table at orders 9 to 121, and
+    twisted cosets of <R_ω> in mul_table: the proof from generators fails
+    exactly when the O(n³) sweep does."""
+    nf = build_dickson(q, d)
     verdicts = []
-    for table, values in broken_tables:
-        broken = copy.copy(nf)
-        setattr(broken, table, values)
-        verdicts.append((_sweep_finds_a_failure(broken), _proof_finds_a_failure(broken)))
+    for table, values in _broken_tables(nf):
+        broken = _with_table(nf, table, values)
+        verdicts.append((_sweep_finds_a_failure(broken), _proof_message(broken) is not None))
     assert all(sweep == proof for sweep, proof in verdicts)
     assert sum(sweep for sweep, _ in verdicts) > len(verdicts) // 2
 
@@ -403,3 +418,50 @@ def test_tables_match_the_scalar_definition(q, d, step):
         lifted = [0 if g == 0 else powers[log[g] * twist % (n - 1)] for twist in twists]
         want = field_reference.multiply(base, digits[lifted], digits)
         assert np.array_equal(digits[nf.mul_table[g]], want)
+
+
+# -- the proof in row blocks -------------------------------------------------
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("q,d", _dickson_pairs(121))
+def test_row_blocks_of_one_and_two_rows_prove_every_near_field(monkeypatch, rows, q, d):
+    monkeypatch.setattr(nearfields, "_AXIOM_BLOCK_ENTRIES", rows * q ** d)
+    assert _proof_message(build_dickson(q, d)) is None
+
+
+@pytest.mark.parametrize("q,d", _ORDERS_9_TO_121)
+def test_row_blocks_keep_every_failure_message(monkeypatch, q, d):
+    """Every corrupted table that the tests above use, proved in one block
+    of the whole table and in blocks of one and of two rows (columns, for
+    the bijection sort): each fails with the same message, so no law is
+    skipped or misnamed at a block edge."""
+    nf = build_dickson(q, d)
+    n = nf.order
+    broken = [_with_table(nf, table, values) for table, values in _broken_tables(nf)]
+    for x, y in [((2, 1), (3, 1)), ((2, 2), (2, 3)), ((2, 2), (3, 2))]:
+        swapped = nf.mul_table.copy()
+        swapped[x], swapped[y] = swapped[y], swapped[x]
+        broken.append(_with_table(nf, "mul_table", swapped))
+    swapped = nf.add_table.copy()
+    swapped[2, 2], swapped[2, 3] = swapped[2, 3], swapped[2, 2]
+    broken.append(_with_table(nf, "add_table", swapped))
+    for cell in [(0, 2), (2, 0)]:
+        absorbing = nf.mul_table.copy()
+        absorbing[cell] = 2
+        broken.append(_with_table(nf, "mul_table", absorbing))
+    broken.append(_with_table(nf, "add_table", nf.mul_table[nf.base.exp[1]][nf.add_table]))
+    messages = {}
+    for rows in (n, 1, 2):
+        monkeypatch.setattr(nearfields, "_AXIOM_BLOCK_ENTRIES", rows * n)
+        messages[rows] = [_proof_message(b) for b in broken]
+    assert messages[1] == messages[n] and messages[2] == messages[n]
+    assert sum(m is not None for m in messages[n]) > len(broken) // 2
+
+
+@pytest.mark.parametrize("q,d,failure", [(4, 2, "associativity"), (8, 2, "associativity")])
+@pytest.mark.parametrize("rows", [1, 2])
+def test_row_blocks_refuse_a_pair_that_is_not_dickson(monkeypatch, q, d, failure, rows):
+    monkeypatch.setattr(nearfields, "is_dickson_pair", lambda q, d: True)
+    monkeypatch.setattr(nearfields, "_AXIOM_BLOCK_ENTRIES", rows * q ** d)
+    with pytest.raises(AssertionError, match=failure):
+        nearfields.NearField(q, d)

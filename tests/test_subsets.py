@@ -4,8 +4,9 @@ from math import comb
 
 import numpy as np
 import pytest
-from rank_reference import all_masks, check_ranks, mask_of
+from rank_reference import all_masks, check_ranks, colex_table, mask_of
 
+from mergedjohnson import subsets
 from mergedjohnson.subsets import (KSubsets, complement_ranks, elements_of,
                                    ksubset_rank, ksubset_unrank, ksubsets)
 
@@ -68,6 +69,40 @@ def test_rank_kernel_matches_scalar_rank(n):
 def test_rank_kernel_takes_rows_in_any_order(n):
     for k in range(1, n + 1):
         check_ranks(n, k)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_elements_are_the_itertools_table(n):
+    """The table unranked by searchsorted equals the itertools table of
+    rank_reference byte for byte, dtype and shape included."""
+    for k in range(1, n + 1):
+        elements, table = KSubsets(n, k).elements, colex_table(n, k)
+        assert elements.dtype == table.dtype and elements.shape == table.shape, (n, k)
+        assert elements.flags.c_contiguous and elements.tobytes() == table.tobytes(), (n, k)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 7, 12])
+def test_blocked_ranks_equal_the_unblocked_reference(monkeypatch, block):
+    """With blocks of a few ranks, pieces of one image row (C(n,k) above
+    the block), whole rows per block and row-ranking blocks all meet block
+    edges; check_ranks compares with the one-pass sorted formula and asks
+    a 0-d rank of one row."""
+    monkeypatch.setattr(subsets, "_BLOCK_ENTRIES", block)
+    for n, k in [(4, 2), (5, 2), (6, 3), (7, 1), (7, 7), (8, 3)]:
+        check_ranks(n, k)
+
+
+@pytest.mark.parametrize("block", [3, subsets._BLOCK_ENTRIES])
+def test_ranks_own_their_memory(monkeypatch, block):
+    """read_only freezes the array it is given, and a view of a writeable
+    array could be made writeable again: every rank array owns its data,
+    blocked or not."""
+    monkeypatch.setattr(subsets, "_BLOCK_ENTRIES", block)
+    codec = KSubsets(6, 3)
+    images = np.tile(np.arange(6), (2, 3, 1))
+    for ranks in (codec.rank(codec.elements), codec.rank(codec.elements[None]),
+                  codec.image_ranks(images[0, 0]), codec.image_ranks(images)):
+        assert ranks.base is None and ranks.flags.writeable
 
 
 def test_rank_kernel_on_pairs_of_343_points():
