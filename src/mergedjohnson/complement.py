@@ -73,11 +73,12 @@ def _equipartition_tables() -> tuple:
     return read_only(halves), read_only(phi_of_rank)
 
 
-def _phi_images(images) -> np.ndarray:
+def _phi_images(images, phis=slice(None)) -> np.ndarray:
     """The index of phi * s for every equipartition phi, along the last
-    axis, under each point map s in images (shape (..., 10))."""
+    axis, under each point map s in images (shape (..., 10)); for an int
+    phis, of that one equipartition alone, with no axis for it."""
     halves, phi_of_rank = _equipartition_tables()
-    return phi_of_rank[ksubsets(10, 5).rank(images[..., halves])]
+    return phi_of_rank[ksubsets(10, 5).rank(images[..., halves[phis]])]
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def equipartition_setup(pointed: PointedPSL28):
         raise AssertionError("equipartition action is not transitive")
     identity = Permutation.identity(10)
     elements = group.elements()
-    fixes = _phi_images(np.stack([s.images for s in elements]))[:, 0]
+    fixes = _phi_images(np.stack([s.images for s in elements]), 0)
     stab = [s for s, phi in zip(elements, fixes) if phi == 0]
     if len(stab) != 4 or any(s * s != identity for s in stab):
         raise AssertionError("stabilizer of phi0 is not a Klein four-group")

@@ -15,7 +15,13 @@ element taking its base to an orbit point, built down the Schreier tree with
 inverse generators, so a sift is one gather a level (Seress, Permutation
 Group Algorithms, 2003, §4.4).  Past the cache budget a level caches one
 class of tree depths mod a stride, at most |orbit| / stride arrays, and a
-lookup walks fewer than stride edges from a cached point.  elements() and
+lookup walks fewer than stride edges from a cached point.  A level gains
+points and generators only between the closes run on it, so the pairs of
+orbit point and generator it has formed Schreier generators for are its
+first done_points points times its first done_gens generators: a close
+extends the tree from there and forms only the other pairs, in the order
+a full re-walk and pass would.  The chain, every pinned one included, is
+thus the one a set of formed pairs and that re-walk build.  elements() and
 the stabilizer sweep both walk the cosets x∘⟨g1⟩ of g1, the first
 generator of largest order, one canonical row each, by a breadth-first
 search over the generators: elements() expands each row into its coset,
@@ -93,10 +99,14 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Permutation":
-        """Build from disjoint cycles of 0-based points."""
+        """Build from disjoint cycles of 0-based points; RefusedInput for a
+        point that is not an integer or lies outside 0..degree-1."""
         images = list(range(degree))
         for cycle in cycles:
             cycle = list(cycle)
+            for x in cycle:
+                if not 0 <= require_int(x, "cycle point") < degree:
+                    raise RefusedInput("cycle point %r is outside 0..%d" % (x, degree - 1))
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 images[a] = b
         return cls(images)
@@ -306,18 +316,23 @@ class _CosetRows:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "inverse_gens", "transversal", "orbit_order",
-                 "done", "cache", "stride", "offset")
+    __slots__ = ("base", "gens", "images", "inverse_gens", "transversal", "orbit_order",
+                 "done_points", "done_gens", "cache", "stride", "offset")
 
     def __init__(self, base: int, identity: np.ndarray):
         self.base = base
         self.gens: list[np.ndarray] = []
+        # each generator's images as a list of Python ints, for scalar reads
+        self.images: list[list[int]] = []
         self.inverse_gens: list[np.ndarray] = []
         # point -> (parent point, generator index, depth in the Schreier
         # tree); the base is its own parent at depth 0
         self.transversal: dict[int, tuple[int, int, int]] = {base: (base, -1, 0)}
         self.orbit_order: list[int] = [base]
-        self.done: set[tuple[int, int]] = set()
+        # the last _close formed the Schreier generator of every pair of one
+        # of the first done_points points of orbit_order and one of the
+        # first done_gens generators
+        self.done_points = self.done_gens = 0
         # point -> u⁻¹, for u the transversal element taking the base to the
         # point: the base, and points whose depth is offset mod stride
         self.stride, self.offset = 1, 0
@@ -325,6 +340,7 @@ class _Level:
 
     def add(self, g: np.ndarray) -> None:
         self.gens.append(g)
+        self.images.append(g.tolist())
         self.inverse_gens.append(invert_array(g))
 
 
@@ -373,74 +389,79 @@ class StabilizerChain:
         return inverse
 
     def _orbit_close(self, level: _Level) -> None:
-        queue = list(level.orbit_order)
+        """Extend the Schreier tree: the points of the last close under the
+        generators added since, then each new point under all of them.  The
+        old points' images under the old generators are in the tree already."""
+        transversal, orbit, images = level.transversal, level.orbit_order, level.images
+        done_points, done_gens = level.done_points, level.done_gens
         qi = 0
-        while qi < len(queue):
-            pt = queue[qi]
+        while qi < len(orbit):
+            pt = orbit[qi]
+            first = done_gens if qi < done_points else 0
             qi += 1
-            depth = level.transversal[pt][2] + 1
-            for gi, g in enumerate(level.gens):
-                y = int(g[pt])
-                if y not in level.transversal:
-                    level.transversal[y] = (pt, gi, depth)
-                    level.orbit_order.append(y)
-                    queue.append(y)
+            depth = transversal[pt][2] + 1
+            for gi in range(first, len(images)):
+                y = images[gi][pt]
+                if y not in transversal:
+                    transversal[y] = (pt, gi, depth)
+                    orbit.append(y)
         # within the budget every point is cached (stride 1).  Past it, only
         # the least populated class of depths mod stride: at most
         # |orbit| / stride points, so within the budget, and every point is
         # fewer than stride steps below the base or a point of the class
-        stride = -(-self.degree * len(level.transversal) // self._CACHE_BUDGET)
+        stride = -(-self.degree * len(transversal) // self._CACHE_BUDGET)
         offset = 0
         if stride > 1:
-            counts = Counter(d % stride for _, _, d in level.transversal.values())
+            counts = Counter(d % stride for _, _, d in transversal.values())
             offset = min(range(stride), key=lambda r: (counts[r], r))
         if (stride, offset) != (level.stride, level.offset):
             level.stride, level.offset = stride, offset
             level.cache = {x: inverse for x, inverse in level.cache.items()
-                           if x == level.base or level.transversal[x][2] % stride == offset}
+                           if x == level.base or transversal[x][2] % stride == offset}
 
     def _strip(self, g: np.ndarray, start: int) -> tuple[np.ndarray, int]:
         for i in range(start, len(self.levels)):
             level = self.levels[i]
-            y = int(g[level.base])
+            y = g.item(level.base)
             if y == level.base:
                 continue
-            if y not in level.transversal:
-                return g, i
-            g = self._inverse(level, y)[g]
+            inverse = level.cache.get(y)
+            if inverse is None:
+                if y not in level.transversal:
+                    return g, i
+                inverse = self._inverse(level, y)
+            g = inverse[g]
         return g, len(self.levels)
 
     def _close(self, i: int) -> None:
+        """Sift u_pt·g·u_y⁻¹, y = pt·g, for each pair of orbit point pt and
+        generator g the last close on the level did not form, in orbit then
+        generator order.  Only deeper levels change meanwhile, so one pass
+        closes the level."""
         level = self.levels[i]
-        while True:
-            self._orbit_close(level)
-            progressed = False
-            for pt in list(level.orbit_order):
-                u_pt = None
-                for gi, g in enumerate(level.gens):
-                    if (pt, gi) in level.done:
+        done_points, done_gens = level.done_points, level.done_gens
+        self._orbit_close(level)
+        level.done_points, level.done_gens = len(level.orbit_order), len(level.gens)
+        transversal, images, gens = level.transversal, level.images, level.gens
+        for p, pt in enumerate(level.orbit_order):
+            u_pt = None
+            for gi in range(done_gens if p < done_points else 0, len(gens)):
+                y = images[gi][pt]
+                parent, tree_gi, _ = transversal[y]
+                if parent == pt and tree_gi == gi:
+                    continue  # tree edge: u_pt·g is u_y, so the generator is 1
+                if u_pt is None:
+                    u_pt = invert_array(self._inverse(level, pt))
+                residue, j = self._strip(self._inverse(level, y)[gens[gi][u_pt]], i + 1)
+                if j == len(self.levels):
+                    if residue.tobytes() == self._identity_bytes:
                         continue
-                    level.done.add((pt, gi))
-                    y = int(g[pt])
-                    parent, tree_gi, _ = level.transversal[y]
-                    if parent == pt and tree_gi == gi:
-                        continue  # tree edge: u_pt·g is u_y, so the generator is 1
-                    if u_pt is None:
-                        u_pt = invert_array(self._inverse(level, pt))
-                    # the Schreier generator u_pt·g·u_y⁻¹
-                    residue, j = self._strip(self._inverse(level, y)[g[u_pt]], i + 1)
-                    if j == len(self.levels) and residue.tobytes() == self._identity_bytes:
-                        continue
-                    progressed = True
-                    if j == len(self.levels):
-                        base = int(np.nonzero(residue != self._identity)[0][0])
-                        self.levels.append(_Level(base, self._identity))
-                    for l in range(i + 1, j + 1):
-                        self.levels[l].add(residue)
-                    for l in range(j, i, -1):
-                        self._close(l)
-            if not progressed:
-                return
+                    base = int(np.nonzero(residue != self._identity)[0][0])
+                    self.levels.append(_Level(base, self._identity))
+                for l in range(i + 1, j + 1):
+                    self.levels[l].add(residue)
+                for l in range(j, i, -1):
+                    self._close(l)
 
     # -- queries ---------------------------------------------------------
 

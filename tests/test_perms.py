@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from chain_reference import ReferenceChain
 from closure_reference import closure
 from rank_reference import all_masks, mask_of
 
@@ -67,6 +68,21 @@ def test_a_non_bijection_is_refused(images):
     # the 2-D arrays hit every point of 0..len - 1 row by row
     with pytest.raises(ValueError, match="not a bijection"):
         Permutation(images)
+
+
+@pytest.mark.parametrize("cycle,message", [
+    ((0, 5), "outside 0..2"), ((0, -1), "outside 0..2"),
+    ((0, 1.0), "not an integer"), ((True, 2), "not an integer"),
+])
+def test_a_cycle_point_outside_the_degree_or_not_an_integer_is_refused(cycle, message):
+    # refused with ValueError, as Permutation(images) refuses its images
+    with pytest.raises(ValueError, match=message):
+        Permutation.from_cycles(3, [cycle])
+
+
+def test_cycle_points_may_be_numpy_integers():
+    assert Permutation.from_cycles(3, [tuple(np.arange(3))]) == \
+        Permutation.from_cycles(3, [(0, 1, 2)])
 
 
 @pytest.mark.parametrize("images", [[0.5, 1.7], np.array([1.9, 0.2]), [1.0, 0.0], [True, False]])
@@ -892,3 +908,50 @@ def test_chain_keeps_its_inverse_caches(monkeypatch, key):
         assert set(level.cache) == {
             x for x, (_, _, depth) in level.transversal.items()
             if x == level.base or depth % level.stride == level.offset}
+
+
+def _wreath(m):
+    """S₂ ≀ S_m on 2m points, the pairs {2i, 2i+1}: one pair swap, a
+    transposition and an m-cycle of the pairs."""
+    pairs = np.arange(2 * m).reshape(m, 2)
+    return PermutationGroup([Permutation.from_cycles(2 * m, [(0, 1)]),
+                             Permutation(pairs[[1, 0, *range(2, m)]].ravel()),
+                             Permutation(np.roll(pairs, -1, axis=0).ravel())])
+
+
+def _catalog_records():
+    from mergedjohnson.catalog import homogeneous_catalog
+    return {"catalog %s %d" % (r.name, r.degree): r.construct
+            for r in homogeneous_catalog(2) if r.build is not None}
+
+
+REFERENCE_CHAINS = {
+    **{key: functools.partial(_chain_group, key) for key in CHAIN_STRUCTURE},
+    **_catalog_records(),
+    **{"closure " + name: build for name, build in CLOSURE_GROUPS.items()},
+    **{"S2 wr S%d" % m: functools.partial(_wreath, m) for m in range(2, 13)},
+}
+
+
+@pytest.mark.parametrize("budget", [None, 3000])
+@pytest.mark.parametrize("key", sorted(REFERENCE_CHAINS))
+def test_chain_matches_the_reference_closure(monkeypatch, key, budget):
+    """The chain's two counts per level and its incremental tree give, level
+    by level, the base, the Schreier tree in orbit order, the strong
+    generators, the cached points and the stride of a chain that records
+    every formed Schreier generator in a set and re-walks each tree from
+    its base; once more with the cache budget cut to 3000 entries."""
+    if budget is not None:
+        monkeypatch.setattr(perms.StabilizerChain, "_CACHE_BUDGET", budget)
+        monkeypatch.setattr(ReferenceChain, "_CACHE_BUDGET", budget)
+    group = REFERENCE_CHAINS[key]()
+    levels = perms.StabilizerChain(list(group.generator_images), group.degree).levels
+    reference = ReferenceChain(list(group.generator_images), group.degree).levels
+    assert len(levels) == len(reference)
+    for level, ref in zip(levels, reference):
+        assert level.base == ref.base
+        assert level.orbit_order == ref.orbit_order
+        assert level.transversal == ref.transversal
+        assert [g.tobytes() for g in level.gens] == [g.tobytes() for g in ref.gens]
+        assert (level.stride, level.offset) == (ref.stride, ref.offset)
+        assert set(level.cache) == set(ref.cache)
